@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -45,7 +46,7 @@ func TestGenRouteLandsOnItsRoute(t *testing.T) {
 
 func TestInputsAreDeterministic(t *testing.T) {
 	for _, mk := range []func(seed int64) *workload{newHot, newFresh,
-		func(seed int64) *workload { return newResolve(seed, 2, t.TempDir()) }} {
+		func(seed int64) *workload { return newResolve(seed, t.TempDir()) }} {
 		a, b, c := mk(3), mk(3), mk(4)
 		if inputHash(a) != inputHash(b) {
 			t.Errorf("%s: same seed, different inputs", a.name)
@@ -106,5 +107,40 @@ func TestResolveEditsKeepTopology(t *testing.T) {
 		if changed < 1 || changed > resolveMaxEdit || 2*changed > len(base.inst.arcs) {
 			t.Fatalf("edit touched %d of %d arcs", changed, len(base.inst.arcs))
 		}
+	}
+}
+
+func TestResolveRecallsOutliveTheResultCache(t *testing.T) {
+	// A recalled base must have left rtserve's default 1024-entry result
+	// LRU before its next recall, or the recall is a cache hit instead of
+	// a store hit: more than 1024 distinct requests lie between the two.
+	const resultCacheEntries = 1024
+	w := newResolve(5, t.TempDir())
+	n := 4 * resolveExactBases * 3
+	keys := make([]string, n)
+	for i := range keys {
+		sum := sha256.Sum256(w.next(i).body)
+		keys[i] = string(sum[:])
+	}
+	last := map[string]int{}
+	recalls := 0
+	for i := 0; i < n; i++ {
+		if w.next(i).kind != "recall" {
+			continue
+		}
+		recalls++
+		if j, ok := last[keys[i]]; ok {
+			distinct := map[string]bool{}
+			for _, k := range keys[j+1 : i] {
+				distinct[k] = true
+			}
+			if len(distinct) <= resultCacheEntries {
+				t.Fatalf("request %d recalls request %d's base after only %d distinct requests", i, j, len(distinct))
+			}
+		}
+		last[keys[i]] = i
+	}
+	if len(last) != resolveExactBases || recalls != 3*resolveExactBases {
+		t.Fatalf("%d recalls over %d bases, want each of %d bases recalled 3 times", recalls, len(last), resolveExactBases)
 	}
 }

@@ -3,6 +3,7 @@ package main
 // The closed-loop load generator and the answer checks.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -45,7 +46,7 @@ type request struct {
 	kind  string // single, reenc, batch, edit, recall
 	body  []byte
 	items []*genRequest // what each item asks for, in batch order
-	ref   []byte        // hot: the primed report bytes
+	ref   *solveResp    // hot: the primed answer
 }
 
 // sample is the outcome of one request.
@@ -95,6 +96,12 @@ func decodeAnswer(r *request, status int, body []byte) ([]solveResp, error) {
 		}
 		if it.Report == nil {
 			return items, fmt.Errorf("item %d: no report", i)
+		}
+		if r.ref != nil && bytes.Equal(it.Report, r.ref.Report) {
+			// The primed report, already decoded: this keeps the
+			// generator's share of the vCPUs small on hot.
+			it.rep = r.ref.rep
+			continue
 		}
 		if err := json.Unmarshal(it.Report, &it.rep); err != nil {
 			return items, fmt.Errorf("item %d: decode report: %w", i, err)
@@ -166,25 +173,23 @@ func certifiedRatio(rep *wireReport) float64 {
 
 // loadResult is one timed phase.
 type loadResult struct {
-	samples   []*sample
-	elapsed   time.Duration
-	exhausted bool // the workload ran out of inputs before time was up
+	samples []*sample
+	elapsed time.Duration
 }
 
 // runLoad drives the server with `clients` closed-loop clients for dur:
 // each client sends its next request only after the previous answer has
-// fully arrived.  next returns the request with the given sequence number
-// (nil when the workload has no more), check validates an answer.
+// fully arrived.  next returns the request with the given sequence
+// number, check validates an answer.
 // Requests in flight when time is up complete and count; the phase ends
 // when the last one does.
 func runLoad(s *server, clients int, dur time.Duration, next func(i int) *request,
 	check func(r *request, items []solveResp) error) loadResult {
 	var (
-		seq       atomic.Int64
-		exhausted atomic.Bool
-		mu        sync.Mutex
-		res       loadResult
-		wg        sync.WaitGroup
+		seq atomic.Int64
+		mu  sync.Mutex
+		res loadResult
+		wg  sync.WaitGroup
 	)
 	t0 := time.Now()
 	stopAt := t0.Add(dur)
@@ -195,10 +200,6 @@ func runLoad(s *server, clients int, dur time.Duration, next func(i int) *reques
 			var mine []*sample
 			for time.Now().Before(stopAt) {
 				r := next(int(seq.Add(1) - 1))
-				if r == nil {
-					exhausted.Store(true)
-					break
-				}
 				smp := &sample{req: r, start: time.Now()}
 				status, body, err := s.solve(r.body)
 				smp.end = time.Now()
@@ -219,6 +220,5 @@ func runLoad(s *server, clients int, dur time.Duration, next func(i int) *reques
 	}
 	wg.Wait()
 	res.elapsed = time.Since(t0)
-	res.exhausted = exhausted.Load()
 	return res
 }

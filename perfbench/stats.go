@@ -57,3 +57,20 @@ func geomean(xs []float64) float64 {
 	}
 	return math.Exp(sum / float64(len(xs)))
 }
+
+// trimmedMean is the mean of xs without the share trim of the values at
+// each end; 0 for no samples.  xs is not modified.
+func trimmedMean(xs []float64, trim float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	k := int(trim * float64(len(s)))
+	s = s[k : len(s)-k]
+	if len(s) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range s {
+		sum += x
+	}
+	return sum / float64(len(s))
+}

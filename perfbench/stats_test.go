@@ -71,8 +71,8 @@ func TestParseHostCPUAndSteal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.total != 1000 || a.steal != 30 {
-		t.Fatalf("total %d steal %d; want 1000 and 30 (guest not added)", a.total, a.steal)
+	if a.total != 1000 || a.idle != 810 || a.steal != 30 {
+		t.Fatalf("total %d idle %d steal %d; want 1000, 810 (idle+iowait) and 30 (guest not added)", a.total, a.idle, a.steal)
 	}
 	b, err := parseHostCPU([]byte("cpu  150 5 70 900 10 0 5 80 7 0\n"))
 	if err != nil {
@@ -157,5 +157,90 @@ func TestWindowsAndReferenceSteal(t *testing.T) {
 	}
 	if got, want := atRefSteal(ws, -1, f), 3*math.Exp(-2*0.2); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("fit clamped to the calmest window = %v, want %v", got, want)
+	}
+}
+
+func TestWindowsMergeIntervalsUntilFull(t *testing.T) {
+	// Intervals holding 60, 60, 150, 30, 99, 2, 40 and 20 requests: the
+	// greedy cut gives 60+60, 150 and 30+99, and the short remainder
+	// 2+40+20 joins the last window.  Every window takes a p90.
+	epoch := time.Unix(0, 0)
+	counts := []int{60, 60, 150, 30, 99, 2, 40, 20}
+	var ticks []tick
+	for i := 0; i <= len(counts); i++ {
+		ticks = append(ticks, tick{at: epoch.Add(time.Duration(i) * tickEvery), cpu: int64(7 * i)})
+	}
+	var samples []*sample
+	for k, c := range counts {
+		for j := 0; j < c; j++ {
+			end := ticks[k].at.Add(time.Duration(j+1) * tickEvery / time.Duration(c+1))
+			samples = append(samples, &sample{end: end, latencyMS: float64(j)})
+		}
+	}
+	ws := windows(ticks, samples)
+	want := []struct{ n, intervals int }{{120, 2}, {150, 1}, {191, 5}}
+	if len(ws) != len(want) {
+		t.Fatalf("%d windows, want %d", len(ws), len(want))
+	}
+	for i, w := range want {
+		if len(ws[i].lat) != w.n || ws[i].to.Sub(ws[i].from) != time.Duration(w.intervals)*tickEvery || ws[i].cpu != int64(7*w.intervals) {
+			t.Errorf("window %d: %d requests over %v, cpu %d; want %d over %d intervals",
+				i, len(ws[i].lat), ws[i].to.Sub(ws[i].from), ws[i].cpu, w.n, w.intervals)
+		}
+		if _, ok := windowPercentile(90)(&ws[i]); !ok {
+			t.Errorf("window %d refuses its p90", i)
+		}
+	}
+	// A phase of fewer requests than one window gives one window.
+	if ws := windows(ticks[:3], samples[:120]); len(ws) != 1 || len(ws[0].lat) != 120 {
+		t.Fatalf("short phase: %d windows", len(ws))
+	}
+	if ws := windows(ticks[:2], samples[:30]); len(ws) != 1 || len(ws[0].lat) != 30 {
+		t.Fatalf("tiny phase: %d windows", len(ws))
+	}
+}
+
+func TestBusyStealShare(t *testing.T) {
+	// 100 ticks elapsed: 50 idle, 30 user, 20 steal.  Of the 50 ticks the
+	// vCPUs wanted to run, 20 were stolen.
+	a := cpuTimes{total: 1000, idle: 400, steal: 50}
+	b := cpuTimes{total: 1100, idle: 450, steal: 70}
+	if s := busyStealShare(a, b); math.Abs(s-0.4) > 1e-12 {
+		t.Fatalf("busy steal share = %v, want 0.4", s)
+	}
+	if s := busyStealShare(a, cpuTimes{total: 1050, idle: 450, steal: 50}); s != 0 {
+		t.Fatalf("busy steal share over idle time = %v, want 0", s)
+	}
+}
+
+func TestCalibrationIsFixedWork(t *testing.T) {
+	c := newCalibrator()
+	if a, b := c.rep(), c.rep(); a != b {
+		t.Fatalf("calibration reps disagree: %d, %d", a, b)
+	}
+	c.start()
+	time.Sleep(5 * calEvery / 2)
+	c.finish()
+	if len(c.reps) < 1 || c.repMS() <= 0 {
+		t.Fatalf("%d reps, mean %v ms", len(c.reps), c.repMS())
+	}
+	if s := c.speed(); s <= 0 || math.Abs(s*c.repMS()-calRefMS) > 1e-9 {
+		t.Fatalf("speed %v for a %v ms rep", s, c.repMS())
+	}
+}
+
+func TestTrimmedMean(t *testing.T) {
+	xs := []float64{100, 1, 2, 3, 4, 5, 6, 7, 8, -50}
+	if m := trimmedMean(xs, 0.1); m != 4.5 {
+		t.Fatalf("trimmed mean = %v, want 4.5 (1..8 without the outliers)", m)
+	}
+	if m := trimmedMean(xs[1:4], 0.1); m != 2 {
+		t.Fatalf("trimmed mean of 3 = %v, want 2 (nothing trimmed)", m)
+	}
+	if m := trimmedMean(nil, 0.1); m != 0 {
+		t.Fatalf("trimmed mean of none = %v", m)
+	}
+	if xs[0] != 100 {
+		t.Fatal("trimmedMean reordered its input")
 	}
 }

@@ -21,8 +21,8 @@ import (
 // tickEvery is the sampling period of the CPU counters.
 const tickEvery = 500 * time.Millisecond
 
-// windowMinRequests is the least number of requests a window should hold
-// on average: enough for a p90 with 10 samples beyond it.
+// windowMinRequests is the least number of requests a window holds:
+// enough for a p90 with 10 samples beyond it.
 const windowMinRequests = 100
 
 // refSteal is the host steal share the figures are reported at; most runs
@@ -111,39 +111,50 @@ type window struct {
 	lat      []float64
 }
 
-// windows groups consecutive sampling intervals into windows holding at
-// least windowMinRequests requests on average and assigns each sample to
-// the window its answer completed in.
+// windows cuts a phase at sampling ticks into windows of at least
+// windowMinRequests requests each, assigning every sample to the interval
+// its answer completed in.  Consecutive intervals merge until a window
+// holds enough requests; a short remainder joins the last window.  Only a
+// phase of fewer than windowMinRequests requests gives a smaller window.
 func windows(ticks []tick, samples []*sample) []window {
 	intervals := len(ticks) - 1
 	if intervals < 1 || len(samples) == 0 {
 		return nil
 	}
-	per := int(math.Ceil(float64(windowMinRequests) * float64(intervals) / float64(len(samples))))
-	per = max(per, 1)
-	bounds := []int{0}
-	for i := per; i <= intervals; i += per {
-		bounds = append(bounds, i)
+	in := make([]int, len(samples))
+	count := make([]int, intervals)
+	for i, smp := range samples {
+		k := sort.Search(intervals, func(k int) bool { return smp.end.Before(ticks[k+1].at) })
+		in[i] = min(k, intervals-1)
+		count[in[i]]++
 	}
-	// A remainder shorter than a window joins the last one.
-	if bounds[len(bounds)-1] != intervals {
-		if len(bounds) > 1 {
-			bounds[len(bounds)-1] = intervals
+	bounds := []int{0}
+	n := 0
+	for k, c := range count {
+		if n += c; n >= windowMinRequests {
+			bounds = append(bounds, k+1)
+			n = 0
+		}
+	}
+	if last := len(bounds) - 1; bounds[last] != intervals {
+		if last > 0 {
+			bounds[last] = intervals
 		} else {
 			bounds = append(bounds, intervals)
 		}
 	}
 	ws := make([]window, len(bounds)-1)
+	of := make([]int, intervals) // window of each interval
 	for k := range ws {
 		a, b := ticks[bounds[k]], ticks[bounds[k+1]]
 		ws[k] = window{from: a.at, to: b.at, cpu: b.cpu - a.cpu, steal: stealShare(a.host, b.host)}
-	}
-	for _, smp := range samples {
-		k := sort.Search(len(ws), func(k int) bool { return smp.end.Before(ws[k].to) })
-		if k == len(ws) {
-			k = len(ws) - 1
+		for j := bounds[k]; j < bounds[k+1]; j++ {
+			of[j] = k
 		}
-		ws[k].lat = append(ws[k].lat, smp.latencyMS)
+	}
+	for i, smp := range samples {
+		w := &ws[of[in[i]]]
+		w.lat = append(w.lat, smp.latencyMS)
 	}
 	return ws
 }
@@ -151,8 +162,8 @@ func windows(ticks []tick, samples []*sample) []window {
 // atRefSteal fits log(f) = a + b*steal over the windows by least squares
 // and returns exp(a + b*s), s being refSteal clamped into the windows'
 // steal range.  Without enough windows or steal spread for a fit it
-// returns the median of f over the windows, and without three windows
-// supporting f (too few samples for a percentile) it returns whole.
+// returns the median of f over the windows, and with fewer than three
+// windows (a phase of under 300 requests) it returns whole.
 func atRefSteal(ws []window, whole float64, f func(w *window) (float64, bool)) float64 {
 	var xs, ys, vals []float64
 	for i := range ws {

@@ -11,9 +11,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/solver"
@@ -26,7 +26,7 @@ type workload struct {
 	// setup launches a fresh rtserve and runs the warm-up, returning the
 	// warmed server; setup_s times exactly this call.
 	setup func(bin string) (*server, error)
-	// next is the i-th timed request, nil when the inputs are used up.
+	// next is the i-th timed request.
 	next func(i int) *request
 	// check validates one answer; a failure fails that request.
 	check func(r *request, items []solveResp) error
@@ -35,6 +35,7 @@ type workload struct {
 	// warmups lists the warm-up request bodies, for the input hash.
 	warmups func() [][]byte
 	// storeDir is the durable store of the serving rtserve; empty without.
+	// It is cleared before each set-up.
 	storeDir string
 }
 
@@ -114,7 +115,7 @@ func newHot(seed int64) *workload {
 	for i, g := range gens {
 		bodies[i] = g.body()
 	}
-	refs := make([][]byte, len(gens))
+	refs := make([]solveResp, len(gens))
 	w := &workload{name: "hot", clients: 2}
 	w.warmups = func() [][]byte { return bodies }
 	w.setup = func(bin string) (*server, error) {
@@ -128,7 +129,7 @@ func newHot(seed int64) *workload {
 				s.stop()
 				return nil, err
 			}
-			refs[i] = it.Report
+			refs[i] = it
 		}
 		return s, nil
 	}
@@ -136,17 +137,17 @@ func newHot(seed int64) *workload {
 		rng := rngFor(seed, "hot-req", i)
 		if i%10 != 9 {
 			k := rng.Intn(len(gens))
-			return &request{id: i, kind: "single", body: bodies[k], items: []*genRequest{gens[k]}, ref: refs[k]}
+			return &request{id: i, kind: "single", body: bodies[k], items: []*genRequest{gens[k]}, ref: &refs[k]}
 		}
 		k := rng.Intn(smallBodies)
 		alias := &genRequest{route: gens[k].route, budget: gens[k].budget, inst: reencode(gens[k].inst, rng)}
-		return &request{id: i, kind: "reenc", body: alias.body(), items: []*genRequest{gens[k]}, ref: refs[k]}
+		return &request{id: i, kind: "reenc", body: alias.body(), items: []*genRequest{gens[k]}, ref: &refs[k]}
 	}
 	w.check = func(r *request, items []solveResp) error {
 		if !items[0].Cached {
 			return fmt.Errorf("hot request %d not served from the result cache", r.id)
 		}
-		if !bytes.Equal(items[0].Report, r.ref) {
+		if !bytes.Equal(items[0].Report, r.ref.Report) {
 			return fmt.Errorf("hot request %d: report differs from the primed reference", r.id)
 		}
 		return nil
@@ -233,11 +234,19 @@ func freshRequest(seed int64, i int) *request {
 // set-up does the same work and setup_s compares across seeds.
 const warmupSeed = 0x5eed
 
-// warmupPerRoute is one request per route from the warm-up seed.
-func warmupPerRoute(seed int64, rs []string) []*genRequest {
+// freshWarmupRounds is how many times fresh's warm-up visits every route.
+// One round takes ~0.07 s, of which starting rtserve is a large and
+// noisy part: setup_s spread 0.2 between runs of identical code.  Four
+// rounds put the set-up mostly on solves.
+const freshWarmupRounds = 4
+
+// warmupPerRoute is rounds requests per route from the warm-up seed.
+func warmupPerRoute(seed int64, rs []string, rounds int) []*genRequest {
 	var gs []*genRequest
-	for i, r := range rs {
-		gs = append(gs, genRoute(rngFor(seed, "warmup", i), r))
+	for k := 0; k < rounds; k++ {
+		for i, r := range rs {
+			gs = append(gs, genRoute(rngFor(seed, "warmup", k*len(rs)+i), r))
+		}
 	}
 	return gs
 }
@@ -261,10 +270,10 @@ func checkItems(r *request, items []solveResp) error {
 // fresh: every instance new, drawn from the six-route mix; one request in
 // eight is an eight-item batch carrying two in-batch duplicates.
 func newFresh(seed int64) *workload {
-	warm := warmupPerRoute(warmupSeed, routes)
+	warm := warmupPerRoute(warmupSeed, routes, freshWarmupRounds)
 	w := &workload{name: "fresh", clients: 2, check: checkItems}
 	w.warmups = func() [][]byte { return bodiesOf(warm) }
-	w.setup = func(bin string) (*server, error) { return startWarm(bin, w.clients, warm) }
+	w.setup = func(bin string) (*server, error) { return startWarm(bin, w.clients, 1, warm) }
 	w.next = func(i int) *request { return freshRequest(seed, i) }
 	w.finish = func(_ *server, res *loadResult, _, _ serverStats) error {
 		seen := map[string]bool{}
@@ -293,29 +302,55 @@ func bodiesOf(gs []*genRequest) [][]byte {
 	return out
 }
 
-// startWarm launches rtserve and sends the warm-up requests in order.
-func startWarm(bin string, clients int, warm []*genRequest, args ...string) (*server, error) {
+// startWarm launches rtserve for the given number of client connections
+// and sends the warm-up requests over par of them, each taking the next
+// request not yet sent.
+func startWarm(bin string, clients, par int, warm []*genRequest, args ...string) (*server, error) {
 	s, err := startServer(bin, clients, args...)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range warm {
-		if _, err := post1(s, g); err != nil {
-			s.stop()
-			return nil, err
+	var next atomic.Int64
+	errs := make(chan error, par)
+	for c := 0; c < par; c++ {
+		go func() {
+			for i := int(next.Add(1) - 1); i < len(warm); i = int(next.Add(1) - 1) {
+				if _, err := post1(s, warm[i]); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < par; c++ {
+		if e := <-errs; e != nil && err == nil {
+			err = e
 		}
+	}
+	if err != nil {
+		s.stop()
+		return nil, err
 	}
 	return s, nil
 }
 
-// Resolve workload shape: recalls are one request in four and each
-// recalls a different stored base, so the store holds resolveRecallsPerSec
-// exact bases per timed second; edits alternate between the few
-// frankwolfe bases and the exact bases.
+// Resolve workload shape.  In every eight requests, two recall an exact
+// base, one edits an exact base and five edit a frankwolfe base, so p50
+// and p90 both fall inside the frankwolfe edits (~30 ms, one core) rather
+// than on the short exact edits (~2-3 ms, mostly warm seeding and the
+// store's file writes), whose time swung by 1.5x between runs of
+// identical code with the host's file-system speed.
+//
+// Recalls cycle through the exact bases.  A recalled base enters the
+// 1024-entry result LRU, so it must be evicted before its next recall to
+// be a store hit again: between two recalls of one base come
+// 4 x resolveExactBases - 1 other requests, almost all with distinct
+// keys, and 320 bases make that 1279, a quarter above the LRU's size.
 const (
-	resolveFWBases       = 4
-	resolveRecallsPerSec = 30
-	resolveMaxEdit       = 16
+	resolveFWBases    = 4
+	resolveExactBases = 320
+	resolveMaxEdit    = 16
 )
 
 // genResolveExact draws an exact-routed base: 32+ arcs, so an edit of up
@@ -367,51 +402,44 @@ func edit(base *genRequest, rng *rand.Rand) *genRequest {
 	return &genRequest{route: base.route, budget: base.budget, inst: in}
 }
 
-// resolve: rtserve with a durable store.  Warm-up solves the bases,
-// restarts rtserve on the store and waits for the reload; timed requests
-// are three edits (store miss, neighbor donor, warm-started solve,
-// write-through) to one recall (store hit, no pool job).
-func newResolve(seed int64, seconds int, scratch string) *workload {
-	nExact := resolveRecallsPerSec * seconds
+// resolve: rtserve with a durable store.  Warm-up solves the bases over
+// two connections, so both vCPUs work as in the timed phases of hot and
+// fresh, restarts rtserve on the store and waits for the reload; timed
+// requests are edits (store miss, neighbor donor, warm-started solve,
+// write-through) and recalls (store hit, no pool job), from one client.
+// The bases come from the fixed warm-up seed, so every run's set-up does
+// the same work; the edits and the recall order come from the run's seed.
+// bases holds the frankwolfe, then the exact bases.
+func newResolve(seed int64, scratch string) *workload {
 	var bases []*genRequest
 	for i := 0; i < resolveFWBases; i++ {
-		bases = append(bases, genResolveFW(rngFor(seed, "resolve-fw", i)))
+		bases = append(bases, genResolveFW(rngFor(warmupSeed, "resolve-fw", i)))
 	}
-	for i := 0; i < nExact; i++ {
-		bases = append(bases, genResolveExact(rngFor(seed, "resolve-exact", i)))
+	for i := 0; i < resolveExactBases; i++ {
+		bases = append(bases, genResolveExact(rngFor(warmupSeed, "resolve-exact", i)))
 	}
+	recallOrder := rngFor(seed, "resolve-recall", 0).Perm(resolveExactBases)
 	w := &workload{name: "resolve", clients: 1}
 	w.warmups = func() [][]byte { return bodiesOf(bases) }
 	w.storeDir = filepath.Join(scratch, "store")
 	w.setup = func(bin string) (*server, error) {
-		// Each set-up starts from an empty store; the previous set-up's
-		// server has been stopped.
-		storeDir := w.storeDir
-		if err := os.RemoveAll(storeDir); err != nil {
-			return nil, err
-		}
-		first, err := startWarm(bin, w.clients, bases, "-store", storeDir)
+		// The store directory is empty: run clears it before each set-up.
+		first, err := startWarm(bin, 2, 2, bases, "-store", w.storeDir)
 		if err != nil {
 			return nil, err
 		}
 		first.stop()
-		return startServer(bin, w.clients, "-store", storeDir)
+		return startServer(bin, w.clients, "-store", w.storeDir)
 	}
 	w.next = func(i int) *request {
 		rng := rngFor(seed, "resolve-req", i)
 		if i%4 == 3 {
-			k := i / 4
-			if k >= nExact {
-				return nil
-			}
-			g := bases[resolveFWBases+k]
+			g := bases[resolveFWBases+recallOrder[(i/4)%resolveExactBases]]
 			return &request{id: i, kind: "recall", body: g.body(), items: []*genRequest{g}}
 		}
-		var base *genRequest
-		if i%4 == 0 || (i%4 == 2 && (i/4)%2 == 0) {
-			base = bases[rng.Intn(resolveFWBases)]
-		} else {
-			base = bases[resolveFWBases+rng.Intn(nExact)]
+		base := bases[rng.Intn(resolveFWBases)]
+		if i%8 == 1 {
+			base = bases[resolveFWBases+rng.Intn(resolveExactBases)]
 		}
 		g := edit(base, rng)
 		return &request{id: i, kind: "edit", body: g.body(), items: []*genRequest{g}}
