@@ -5,8 +5,8 @@
 //	go test -bench=. -benchmem
 //
 // prints both the performance of the implementation and the measured
-// approximation quality next to the bounds the paper proves.  See
-// EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// approximation quality next to the bounds the paper proves.  cmd/rtbench
+// prints the same paper-vs-measured comparison as tables.
 package rtt
 
 import (

@@ -1,7 +1,8 @@
 // Command rtbench regenerates the paper-facing experiment summary: the
 // measured approximation ratios behind Table 1, the gadget truth tables
 // (Tables 2 and 3), and the reducer curves of Figures 2 and 3.  Its
-// output is the source of EXPERIMENTS.md.
+// output is the paper-vs-measured comparison; no copy is committed, so
+// run it to see the numbers.
 //
 // -parallel sizes the worker pool of the exact-optimum searches that
 // anchor Table 1 and the hardness gaps (0 means GOMAXPROCS); the measured

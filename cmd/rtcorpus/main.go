@@ -9,7 +9,7 @@
 //
 // Every solve travels through an in-process rtserve (internal/service)
 // over HTTP: the corpus therefore exercises JSON decoding, option
-// validation, the worker pool and the result cache exactly as production
+// validation, the solve pool and the result cache exactly as production
 // traffic does, and each request is issued twice so the report records
 // cache behavior (the repeat must be served from the cache).
 //

@@ -1,8 +1,8 @@
 // Command rtserve runs the resource-time tradeoff solving service: a
 // long-running HTTP/JSON server over the unified solver registry, with a
-// bounded worker pool, a compiled-instance cache so hot DAGs decode and
-// compile once, and a canonical-hash result cache so repeated instances
-// never recompute.
+// bound on concurrent solves (-workers), a compiled-instance cache so hot
+// DAGs decode and compile once, and a canonical-hash result cache so
+// repeated instances never recompute.
 //
 //	rtserve -addr :8080 -workers 8 -cache 4096 -compiled 512
 //
@@ -21,7 +21,7 @@
 //
 // Batches go under {"batch": [...]}; duplicated instances inside a batch
 // are solved once and served from the cache.  GET /v1/stats reports cache
-// hit/miss/coalesce counters, pool utilization and job activity.
+// hit/miss/coalesce counters, solve-pool utilization and job activity.
 //
 // Long solves go through the async job API instead: POST /v1/jobs returns
 // 202 with a job id immediately, GET /v1/jobs/{id} polls, and GET
@@ -50,7 +50,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rtserve: ")
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "solve workers (0: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "max concurrent solves (0: GOMAXPROCS)")
 	cache := flag.Int("cache", 0, "result-cache entries (0: 1024 default, -1: disable)")
 	compiled := flag.Int("compiled", 0, "compiled-instance cache entries; each entry retains a few times its instance's wire size (0: 512 default, -1: disable)")
 	maxBody := flag.Int64("maxbody", 0, "request body cap in bytes (0: 8 MiB default)")

@@ -3,8 +3,8 @@
 // internal/core.
 //
 // A *core.Compiled is built once by core.Compile and then shared without
-// synchronization: across rtserve's worker pool through the compiled
-// cache, across every solver through solver.Options routing hints, and
+// synchronization: across rtserve's concurrent solves through the
+// compiled cache, across every solver through solver.Options routing hints, and
 // across repeated requests through the sync.Once memos hanging off it.
 // Any field write outside the owning package is therefore a data race by
 // construction, even if no test ever schedules the two goroutines

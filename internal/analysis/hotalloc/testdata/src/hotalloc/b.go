@@ -116,8 +116,8 @@ func (s *sweeper) sweepTraced(first, last int, trace func(any)) {
 	}
 }
 
-// arena is the corpus double of the hot-serve response arena: a
-// pre-encoded body appended into the caller's reused buffer.
+// arena is the corpus double of a pre-encoded response arena: a body
+// appended into the caller's reused buffer.
 type arena struct {
 	body []byte
 }

@@ -20,10 +20,13 @@ import (
 //   - concurrent identical requests coalesce: the first computes, the rest
 //     wait on its flight and share the outcome.  Without this, a burst of
 //     duplicates (the common batch shape) would all miss the still-empty
-//     cache and stampede the worker pool.
+//     cache and stampede the solve pool.  In cluster mode the flight is
+//     also where a non-owner forwards (see flightResult), so one flight
+//     map serves both.
 //
-// Only complete, error-free reports are cached: an interrupted solve is an
-// artifact of that request's deadline, not a property of the instance.
+// Only complete, error-free, locally computed reports are cached: an
+// interrupted solve is an artifact of that request's deadline, not a
+// property of the instance, and a forwarded report belongs to its owner.
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -40,10 +43,18 @@ type cacheEntry struct {
 	rep solver.WireReport
 }
 
+// flightResult is what one computation hands its callers.  fwd is set
+// when the leader, on a cluster node that does not own the hash, got the
+// owner's response: waiters share it, the LRU never stores it.
+type flightResult struct {
+	rep solver.WireReport
+	fwd *SolveResponse
+}
+
 // flight is one in-progress computation other requests can wait on.
 type flight struct {
 	done chan struct{}
-	rep  solver.WireReport
+	out  flightResult
 	err  error
 }
 
@@ -51,7 +62,8 @@ type flight struct {
 type CacheStats struct {
 	// Hits counts requests served from the completed-result LRU.
 	Hits int64 `json:"hits"`
-	// Misses counts requests that had to compute.
+	// Misses counts requests that had to compute (or, on a cluster
+	// non-owner, forward).
 	Misses int64 `json:"misses"`
 	// Coalesced counts requests that waited on an identical in-flight
 	// solve instead of computing (single-flight de-duplication).
@@ -74,91 +86,78 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// do returns the cached report for key, joins an identical in-flight
-// computation, or runs compute — whichever is cheapest.  cached is true
-// when compute did not run for this call.  The returned report's Flow
-// slice is shared across callers and must be treated as immutable.
-func (c *resultCache) do(ctx context.Context, key string, compute func() (solver.WireReport, error)) (rep solver.WireReport, cached bool, err error) {
+// do returns the cached report for key or runs compute, and stores a
+// complete, error-free, local result.  cached is true when compute did
+// not run for this call.  With share set, identical concurrent calls
+// coalesce: the first leads a flight and the rest wait on it, each
+// honoring its own ctx.  Without share (deadline-bounded requests) the
+// call neither leads nor joins a flight, so it never hands out — or
+// inherits — a truncation shaped by one request's deadline.  The
+// returned report's Flow slice is shared across callers and must be
+// treated as immutable.
+func (c *resultCache) do(ctx context.Context, key string, share bool, compute func() (flightResult, error)) (out flightResult, cached bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		rep = el.Value.(*cacheEntry).rep
+	if rep, ok := c.lookupLocked(key); ok {
 		c.mu.Unlock()
-		return rep, true, nil
+		return flightResult{rep: rep}, true, nil
 	}
-	if f, ok := c.inflight[key]; ok {
-		c.coalesced++
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.rep, true, f.err
-		case <-ctx.Done():
-			// This caller gives up; the flight itself keeps computing for
-			// everyone else.
-			return solver.WireReport{}, false, ctx.Err()
+	var f *flight
+	if share {
+		if joined, ok := c.inflight[key]; ok {
+			c.coalesced++
+			c.mu.Unlock()
+			select {
+			case <-joined.done:
+				return joined.out, true, joined.err
+			case <-ctx.Done():
+				// This caller gives up; the flight itself keeps computing for
+				// everyone else.
+				return flightResult{}, false, ctx.Err()
+			}
 		}
+		f = &flight{done: make(chan struct{})}
+		c.inflight[key] = f
 	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
 	c.misses++
 	c.mu.Unlock()
 
-	f.rep, f.err = compute()
+	out, err = compute()
 
 	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil && f.rep.Complete && c.capacity > 0 {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, rep: f.rep})
-		for c.ll.Len() > c.capacity {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*cacheEntry).key)
-			c.evictions++
+	if f != nil {
+		delete(c.inflight, key)
+	}
+	if err == nil && out.fwd == nil && out.rep.Complete && c.capacity > 0 {
+		if _, ok := c.items[key]; !ok {
+			c.items[key] = c.ll.PushFront(&cacheEntry{key: key, rep: out.rep})
+			for c.ll.Len() > c.capacity {
+				oldest := c.ll.Back()
+				c.ll.Remove(oldest)
+				delete(c.items, oldest.Value.(*cacheEntry).key)
+				c.evictions++
+			}
 		}
 	}
 	c.mu.Unlock()
-	close(f.done)
-	return f.rep, false, f.err
+	if f != nil {
+		f.out, f.err = out, err
+		close(f.done)
+	}
+	return out, false, err
 }
 
-// get returns the cached report for key, counting a hit or a miss.  It
-// never joins in-flight computations: deadline-bounded requests use it so
-// they neither lead a flight whose (possibly truncated) outcome other
-// requests would share, nor inherit a truncation shaped by someone else's
-// deadline.
+// lookupLocked returns the cached report for key and counts a hit.  The
+// caller holds c.mu.
 //
-//rt:hotpath — the result-cache lookup on every deadline-bounded request.
-func (c *resultCache) get(key string) (solver.WireReport, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheEntry).rep, true
+//rt:hotpath — the result-cache lookup on every solve request.
+func (c *resultCache) lookupLocked(key string) (solver.WireReport, bool) {
+	el, ok := c.items[key]
+	if !ok {
+		return solver.WireReport{}, false
 	}
-	c.misses++
-	return solver.WireReport{}, false
-}
-
-// put stores a report computed outside do.  Incomplete reports are
-// rejected for the same reason do never stores them.
-func (c *resultCache) put(key string, rep solver.WireReport) {
-	if !rep.Complete || c.capacity <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, rep: rep})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
+	c.ll.MoveToFront(el)
+	c.hits++
+	return el.Value.(*cacheEntry).rep, true
 }
 
 // resultsForHash counts cached reports whose key embeds the canonical

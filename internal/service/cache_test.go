@@ -16,6 +16,16 @@ func completeReport(makespan int64) solver.WireReport {
 	return solver.WireReport{Solver: "test", Makespan: makespan, Complete: true}
 }
 
+// doLocal is do for a locally computed report, the only shape these
+// tests need (forwarded flights are covered by the cluster tests).
+func doLocal(c *resultCache, ctx context.Context, key string, share bool, compute func() (solver.WireReport, error)) (solver.WireReport, bool, error) {
+	out, cached, err := c.do(ctx, key, share, func() (flightResult, error) {
+		rep, err := compute()
+		return flightResult{rep: rep}, err
+	})
+	return out.rep, cached, err
+}
+
 func TestCacheHitAvoidsRecompute(t *testing.T) {
 	c := newResultCache(4)
 	calls := 0
@@ -24,11 +34,11 @@ func TestCacheHitAvoidsRecompute(t *testing.T) {
 		return completeReport(7), nil
 	}
 	ctx := context.Background()
-	rep, cached, err := c.do(ctx, "k", compute)
+	rep, cached, err := doLocal(c, ctx, "k", true, compute)
 	if err != nil || cached || rep.Makespan != 7 {
 		t.Fatalf("first do = (%+v, %v, %v); want a computed miss", rep, cached, err)
 	}
-	rep, cached, err = c.do(ctx, "k", compute)
+	rep, cached, err = doLocal(c, ctx, "k", true, compute)
 	if err != nil || !cached || rep.Makespan != 7 {
 		t.Fatalf("second do = (%+v, %v, %v); want a cache hit", rep, cached, err)
 	}
@@ -46,25 +56,25 @@ func TestCacheLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.do(ctx, key, func() (solver.WireReport, error) {
+		if _, _, err := doLocal(c, ctx, key, true, func() (solver.WireReport, error) {
 			return completeReport(int64(i)), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
 			// Touch k0 so k1 becomes the eviction victim.
-			if _, cached, _ := c.do(ctx, "k0", nil); !cached {
+			if _, cached, _ := doLocal(c, ctx, "k0", true, nil); !cached {
 				t.Fatal("k0 should still be cached")
 			}
 		}
 	}
-	if _, cached, _ := c.do(ctx, "k0", func() (solver.WireReport, error) {
+	if _, cached, _ := doLocal(c, ctx, "k0", true, func() (solver.WireReport, error) {
 		return completeReport(0), nil
 	}); !cached {
 		t.Fatal("recently-used k0 was evicted")
 	}
 	recomputed := false
-	if _, cached, _ := c.do(ctx, "k1", func() (solver.WireReport, error) {
+	if _, cached, _ := doLocal(c, ctx, "k1", true, func() (solver.WireReport, error) {
 		recomputed = true
 		return completeReport(1), nil
 	}); cached || !recomputed {
@@ -79,19 +89,19 @@ func TestCacheDoesNotStoreIncompleteOrFailed(t *testing.T) {
 	c := newResultCache(4)
 	ctx := context.Background()
 	boom := errors.New("boom")
-	if _, _, err := c.do(ctx, "err", func() (solver.WireReport, error) {
+	if _, _, err := doLocal(c, ctx, "err", true, func() (solver.WireReport, error) {
 		return solver.WireReport{}, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v; want boom", err)
 	}
-	if _, _, err := c.do(ctx, "partial", func() (solver.WireReport, error) {
+	if _, _, err := doLocal(c, ctx, "partial", true, func() (solver.WireReport, error) {
 		return solver.WireReport{Solver: "test", Complete: false}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"err", "partial"} {
 		recomputed := false
-		if _, _, err := c.do(ctx, key, func() (solver.WireReport, error) {
+		if _, _, err := doLocal(c, ctx, key, true, func() (solver.WireReport, error) {
 			recomputed = true
 			return completeReport(1), nil
 		}); err != nil {
@@ -117,7 +127,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	var leaderCached bool
 	go func() {
 		defer wg.Done()
-		rep, cached, err := c.do(context.Background(), "hot", func() (solver.WireReport, error) {
+		rep, cached, err := doLocal(c, context.Background(), "hot", true, func() (solver.WireReport, error) {
 			calls.Add(1)
 			close(started)
 			<-gate
@@ -139,7 +149,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, cached, err := c.do(context.Background(), "hot", func() (solver.WireReport, error) {
+			rep, cached, err := doLocal(c, context.Background(), "hot", true, func() (solver.WireReport, error) {
 				calls.Add(1)
 				return completeReport(9), nil
 			})
@@ -181,7 +191,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.do(context.Background(), "slow", func() (solver.WireReport, error) {
+		_, _, _ = doLocal(c, context.Background(), "slow", true, func() (solver.WireReport, error) {
 			close(started)
 			<-gate
 			return completeReport(1), nil
@@ -190,41 +200,60 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.do(ctx, "slow", nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := doLocal(c, ctx, "slow", true, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter err = %v; want context.Canceled", err)
 	}
 	close(gate)
 	<-done
 }
 
+// TestCacheGetPut pins the non-sharing path deadline-bounded requests
+// take: it reads the same LRU, computes on a miss, and stores only
+// complete results, under the same eviction.
 func TestCacheGetPut(t *testing.T) {
 	c := newResultCache(2)
-	if _, ok := c.get("k"); ok {
+	ctx := context.Background()
+	get := func(key string) (solver.WireReport, bool) {
+		rep, cached, _ := doLocal(c, ctx, key, false, func() (solver.WireReport, error) {
+			return solver.WireReport{}, errors.New("not cached")
+		})
+		return rep, cached
+	}
+	put := func(key string, rep solver.WireReport) {
+		t.Helper()
+		if _, cached, err := doLocal(c, ctx, key, false, func() (solver.WireReport, error) {
+			return rep, nil
+		}); err != nil || cached {
+			t.Fatalf("put %s: cached=%v, err=%v; want a computed miss", key, cached, err)
+		}
+	}
+	if _, ok := get("k"); ok {
 		t.Fatal("empty cache must miss")
 	}
-	c.put("k", solver.WireReport{Solver: "test", Complete: false})
-	if _, ok := c.get("k"); ok {
+	put("k", solver.WireReport{Solver: "test", Complete: false})
+	if _, ok := get("k"); ok {
 		t.Fatal("incomplete reports must not be stored")
 	}
-	c.put("k", completeReport(5))
-	rep, ok := c.get("k")
+	put("k", completeReport(5))
+	rep, ok := get("k")
 	if !ok || rep.Makespan != 5 {
 		t.Fatalf("get after put = (%+v, %v); want the stored report", rep, ok)
 	}
-	// put fills the same LRU that do uses: eviction still applies.
-	c.put("k2", completeReport(2))
-	c.put("k3", completeReport(3))
-	if _, ok := c.get("k"); ok {
+	// Non-sharing calls fill the same LRU that sharing ones use: eviction
+	// still applies.
+	put("k2", completeReport(2))
+	put("k3", completeReport(3))
+	if _, ok := get("k"); ok {
 		t.Fatal("put must evict beyond capacity")
 	}
 	st := c.stats()
-	if st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v; want get/put counted alongside do", st)
+	if st.Hits != 1 || st.Misses != 7 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v; want 1 hit, 7 misses, 1 eviction", st)
 	}
 
-	// do sees entries stored by put, and vice versa.
-	if _, cached, err := c.do(context.Background(), "k3", nil); err != nil || !cached {
-		t.Fatalf("do must hit an entry stored by put (cached=%v, err=%v)", cached, err)
+	// A sharing call sees entries stored by a non-sharing one.
+	if _, cached, err := doLocal(c, ctx, "k3", true, nil); err != nil || !cached {
+		t.Fatalf("sharing do must hit an entry stored by a non-sharing one (cached=%v, err=%v)", cached, err)
 	}
 }
 
@@ -235,21 +264,26 @@ func TestCacheGetDoesNotJoinFlights(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.do(context.Background(), "slow", func() (solver.WireReport, error) {
+		_, _, _ = doLocal(c, context.Background(), "slow", true, func() (solver.WireReport, error) {
 			close(started)
 			<-gate
 			return completeReport(1), nil
 		})
 	}()
 	<-started
-	// A deadline-bounded caller must not block on (or share) the flight.
-	if _, ok := c.get("slow"); ok {
-		t.Fatal("get returned a result for a still-computing flight")
+	// A deadline-bounded caller must not block on (or share) the flight:
+	// it computes its own answer while the flight is still open.
+	ran := false
+	if _, cached, _ := doLocal(c, context.Background(), "slow", false, func() (solver.WireReport, error) {
+		ran = true
+		return solver.WireReport{Solver: "test", Complete: false}, nil
+	}); cached || !ran {
+		t.Fatalf("non-sharing call joined a still-computing flight (cached=%v, computed=%v)", cached, ran)
 	}
 	close(gate)
 	<-done
-	if rep, ok := c.get("slow"); !ok || rep.Makespan != 1 {
-		t.Fatal("get must see the flight's result once completed and stored")
+	if rep, cached, _ := doLocal(c, context.Background(), "slow", false, nil); !cached || rep.Makespan != 1 {
+		t.Fatal("a non-sharing call must see the flight's result once completed and stored")
 	}
 }
 
@@ -262,7 +296,7 @@ func TestCacheDisabledStillCoalesces(t *testing.T) {
 		return completeReport(3), nil
 	}
 	for i := 0; i < 2; i++ {
-		if _, cached, err := c.do(ctx, "k", compute); err != nil || cached {
+		if _, cached, err := doLocal(c, ctx, "k", true, compute); err != nil || cached {
 			t.Fatalf("disabled cache must recompute (cached=%v, err=%v)", cached, err)
 		}
 	}

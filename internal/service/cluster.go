@@ -2,8 +2,10 @@ package service
 
 // This file is the service side of cluster mode (see internal/cluster
 // for the ring and the peer HTTP client): request forwarding to owner
-// nodes, proxy-side coalescing of identical forwards, and the
-// /internal/v1/* peer endpoints.
+// nodes and the /internal/v1/* peer endpoints.  Identical requests on a
+// node coalesce in the result cache's flight before anything is
+// forwarded (see solvePrepared), so there is one single-flight per node
+// whether its leader solves or forwards.
 //
 // Invariants:
 //
@@ -20,34 +22,17 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/solver"
 )
 
-// forwardFlight is one in-progress forward other identical requests on
-// this node can wait on: the proxy-side half of cluster-wide
-// single-flight.  Owner-side dedup (the owner's own result cache and
-// flights) collapses duplicates ACROSS proxies; this collapses them
-// WITHIN a proxy before they ever hit the wire.
-type forwardFlight struct {
-	done    chan struct{}
-	resp    SolveResponse
-	status  int
-	handled bool
-}
-
-// clusterState carries a clustered server's ring, peer client, in-flight
-// forwards and counters.  nil on standalone servers.
+// clusterState carries a clustered server's ring, peer client and
+// counters.  nil on standalone servers.
 type clusterState struct {
 	ring   *cluster.Ring
 	client *cluster.Client
-
-	mu       sync.Mutex
-	inflight map[string]*forwardFlight // result-cache key -> flight
 
 	forwards         atomic.Int64
 	forwardHits      atomic.Int64
@@ -57,92 +42,17 @@ type clusterState struct {
 }
 
 func newClusterState(ring *cluster.Ring) *clusterState {
-	return &clusterState{
-		ring:     ring,
-		client:   cluster.NewClient(cluster.ClientConfig{}),
-		inflight: make(map[string]*forwardFlight),
-	}
+	return &clusterState{ring: ring, client: cluster.NewClient(cluster.ClientConfig{})}
 }
 
-// forward routes a prepared request to its owner node.  ok is true when
-// the response should be returned to the client as-is (a successful
-// forward, or a waiter whose own context died); ok false means the
-// caller must solve locally — either this node owns the hash (the
-// normal case) or the owner was unreachable (counted as a fallback).
-func (cl *clusterState) forward(ctx context.Context, req SolveRequest, p *prepared, start time.Time) (SolveResponse, int, bool) {
-	owner := cl.ring.Owner(p.c.Hash())
-	if owner == cl.ring.Self() {
-		return SolveResponse{}, 0, false
-	}
-	resp, status, handled := cl.forwardToOwner(ctx, owner, req, p, start)
-	if handled {
-		return resp, status, true
-	}
-	cl.fallbacks.Add(1)
-	return SolveResponse{}, 0, false
-}
-
-// forwardToOwner dispatches to owner, coalescing identical deadline-free
-// requests onto one in-flight forward — mirroring the local cache's
-// split: deadline-free requests share work, deadline-bounded ones never
-// join flights (a truncation is shaped by one request's deadline) and
-// dispatch individually under their own context.
-func (cl *clusterState) forwardToOwner(ctx context.Context, owner string, req SolveRequest, p *prepared, start time.Time) (SolveResponse, int, bool) {
-	if !p.opts.Deadline.IsZero() {
-		return cl.dispatch(ctx, owner, req, p, start)
-	}
-	key := solver.ResultCacheKey(p.name, p.c, p.opts)
-	cl.mu.Lock()
-	if f, ok := cl.inflight[key]; ok {
-		cl.forwardCoalesced.Add(1)
-		cl.mu.Unlock()
-		select {
-		case <-f.done:
-			if !f.handled {
-				return SolveResponse{}, 0, false // flight fell back; so do we
-			}
-			resp := f.resp
-			// The waiter did not dispatch or compute anything: that is what
-			// Cached means ("coalesced onto identical in-flight work").
-			resp.Cached = true
-			resp.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-			return resp, f.status, true
-		case <-ctx.Done():
-			// This waiter gives up; the flight keeps going for everyone
-			// else.  Its own error is final — falling back to a local solve
-			// under a dead context would only burn a worker.
-			return SolveResponse{
-				Hash:   p.c.Hash(),
-				Owner:  owner,
-				Error:  ctx.Err().Error(),
-				WallMS: float64(time.Since(start)) / float64(time.Millisecond),
-			}, http.StatusServiceUnavailable, true
-		}
-	}
-	f := &forwardFlight{done: make(chan struct{})}
-	cl.inflight[key] = f
-	cl.mu.Unlock()
-
-	// The flight dispatches detached from its leader, like local flights
-	// compute detached: one client disconnecting must not poison the
-	// identical requests riding along.
-	f.resp, f.status, f.handled = cl.dispatch(context.WithoutCancel(ctx), owner, req, p, start)
-
-	cl.mu.Lock()
-	delete(cl.inflight, key)
-	cl.mu.Unlock()
-	close(f.done)
-	return f.resp, f.status, f.handled
-}
-
-// dispatch performs one forward over /internal/v1/solve.  Anything short
-// of a decodable 200 — transport failure after retries, a non-200, a
-// garbled body — reports handled false so the caller degrades to a local
-// solve; a non-200 from the owner is indistinguishable in effect from an
-// unreachable one, and re-validating locally reproduces any genuine
-// request error.
-func (cl *clusterState) dispatch(ctx context.Context, owner string, req SolveRequest, p *prepared, start time.Time) (SolveResponse, int, bool) {
-	fwd := SolveRequest{Solver: req.Solver, Instance: req.Instance, Options: req.Options}
+// forward performs one forward of p to its owner over
+// /internal/v1/solve.  Anything short of a decodable 200 — transport
+// failure after retries, a non-200, a garbled body — reports false so
+// the caller degrades to a local solve; a non-200 from the owner is
+// indistinguishable in effect from an unreachable one, and re-validating
+// locally reproduces any genuine request error.
+func (cl *clusterState) forward(ctx context.Context, p *prepared) (SolveResponse, bool) {
+	fwd := p.req
 	if !p.opts.Deadline.IsZero() {
 		// The wire deadline is relative and re-anchored where it lands;
 		// forward only the REMAINING budget so the hop cannot extend it.
@@ -154,24 +64,20 @@ func (cl *clusterState) dispatch(ctx context.Context, owner string, req SolveReq
 	}
 	body, err := json.Marshal(fwd)
 	if err != nil {
-		return SolveResponse{}, 0, false
+		return SolveResponse{}, false
 	}
 	cl.forwards.Add(1)
-	data, status, err := cl.client.PostJSON(ctx, owner+"/internal/v1/solve", body)
+	data, status, err := cl.client.PostJSON(ctx, p.owner+"/internal/v1/solve", body)
 	if err != nil || status != http.StatusOK {
-		return SolveResponse{}, 0, false
+		return SolveResponse{}, false
 	}
 	var resp SolveResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
-		return SolveResponse{}, 0, false
+		return SolveResponse{}, false
 	}
 	cl.forwardHits.Add(1)
-	resp.Owner = owner
 	resp.Forwarded = true
-	// Wall time is this node's, network hop included; the owner's compute
-	// time stays visible in Report.WallMS.
-	resp.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, http.StatusOK, true
+	return resp, true
 }
 
 // clusterStats snapshots the cluster block of /v1/stats; nil standalone.

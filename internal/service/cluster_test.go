@@ -71,16 +71,26 @@ func (h *clusterHarness) kill(i int) {
 // post sends one solve to node i and decodes the response.
 func (h *clusterHarness) post(t *testing.T, i int, body string) (SolveResponse, int) {
 	t.Helper()
-	resp, err := http.Post(h.urls[i]+"/v1/solve", "application/json", strings.NewReader(body))
+	out, status, err := h.tryPost(i, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return out, status
+}
+
+// tryPost is post for goroutines other than the test's own, which must
+// not call t.Fatal.
+func (h *clusterHarness) tryPost(i int, body string) (SolveResponse, int, error) {
+	resp, err := http.Post(h.urls[i]+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		return SolveResponse{}, 0, err
 	}
 	defer resp.Body.Close()
 	var out SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding response: %v", err)
+		return SolveResponse{}, 0, fmt.Errorf("decoding response: %v", err)
 	}
-	return out, resp.StatusCode
+	return out, resp.StatusCode, nil
 }
 
 // ownerIndex returns which node owns req's instance, computed from the
@@ -420,5 +430,105 @@ func TestClusterMisconfigurationRejected(t *testing.T) {
 	}
 	if _, err := New(WithPeers("http://a:1", "not-a-url")); err == nil {
 		t.Fatal("malformed peer must be rejected")
+	}
+}
+
+// TestClusterForwardsShareOneFlight sends identical concurrent requests
+// to a non-owner: they coalesce in the result cache's flight before
+// anything is forwarded, every answer is the owner's (cached for all but
+// the one request the owner computed), and the relayed report never
+// enters the non-owner's LRU.
+func TestClusterForwardsShareOneFlight(t *testing.T) {
+	h := newClusterHarness(t, 3)
+	req := h.reqOwnedBy(t, 1)
+	body := marshalBody(t, req)
+
+	const n = 8
+	var wg sync.WaitGroup
+	resps := make([]SolveResponse, n)
+	statuses := make([]int, n)
+	for i := range n {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if resps[i], statuses[i], err = h.tryPost(0, body); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	fresh := 0
+	for i, resp := range resps {
+		if statuses[i] != http.StatusOK || resp.Error != "" || resp.Report == nil || !resp.Forwarded {
+			t.Fatalf("request %d: status %d, %+v", i, statuses[i], resp)
+		}
+		if resp.Owner != h.urls[1] {
+			t.Fatalf("request %d reports owner %s, want %s", i, resp.Owner, h.urls[1])
+		}
+		if !resp.Cached {
+			fresh++
+		}
+		if a, b := fmt.Sprint(*resp.Report), fmt.Sprint(*resps[0].Report); a != b {
+			t.Fatalf("request %d report differs:\n%s\n%s", i, b, a)
+		}
+	}
+	if fresh != 1 {
+		t.Fatalf("%d responses claim a fresh solve; want exactly the owner's one", fresh)
+	}
+	cs := h.svcs[0].clusterStats()
+	if cs.Forwards+cs.ForwardCoalesced != n || cs.ForwardHits != cs.Forwards || cs.Fallbacks != 0 {
+		t.Fatalf("non-owner counters %+v; every request must forward or coalesce onto a forward", cs)
+	}
+	if st := h.svcs[0].cache.stats(); st.Size != 0 {
+		t.Fatalf("non-owner cached %d forwarded reports; want none", st.Size)
+	}
+	if jobs := h.totalPoolJobs(); jobs != 1 {
+		t.Fatalf("cluster ran %d pool jobs, want 1", jobs)
+	}
+}
+
+// TestClusterOwnerDownSharesOneFallback sends identical concurrent
+// requests to a non-owner whose owner is down: they share one failed
+// forward and one fallback solve instead of each falling back.
+func TestClusterOwnerDownSharesOneFallback(t *testing.T) {
+	h := newClusterHarness(t, 3)
+	req := h.reqOwnedBy(t, 1)
+	body := marshalBody(t, req)
+	h.kill(1)
+	before := h.svcs[0].pool.stats().Jobs
+
+	const n = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, n)
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, status, err := h.tryPost(0, body)
+			if err != nil {
+				errs <- err.Error()
+				return
+			}
+			if status != http.StatusOK || resp.Error != "" || resp.Report == nil || !resp.Report.Complete ||
+				resp.Forwarded || resp.Owner != h.urls[1] {
+				errs <- fmt.Sprintf("status %d, %+v", status, resp)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	cs := h.svcs[0].clusterStats()
+	if cs.Fallbacks != 1 || cs.Forwards != 1 {
+		t.Fatalf("fallbacks %d, forwards %d for %d identical requests; want 1, 1", cs.Fallbacks, cs.Forwards, n)
+	}
+	if jobs := h.svcs[0].pool.stats().Jobs - before; jobs != 1 {
+		t.Fatalf("non-owner ran %d pool jobs for %d identical requests; want 1", jobs, n)
 	}
 }

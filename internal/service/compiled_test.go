@@ -155,39 +155,13 @@ func servePost(h http.Handler, body []byte) *httptest.ResponseRecorder {
 	return w
 }
 
-// BenchmarkServeHotInstance measures the steady-state zero-allocation
-// hot path: the identical request over and over through ServeHot, where
-// the raw bytes map straight to a pre-encoded response in the hot arena.
-// The acceptance bar is 0 allocs/op — a hit is one SHA-256, one map
-// probe, one append into the reused caller buffer.
-func BenchmarkServeHotInstance(b *testing.B) {
-	svc, err := New(WithWorkers(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer svc.Close()
-	body := benchBody(b)
-	buf := make([]byte, 0, 64<<10)
-	out, status := svc.ServeHot(body, buf) // prime: solves and seeds the arena
-	if status != http.StatusOK {
-		b.Fatalf("prime request failed: %d %s", status, out)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, status = svc.ServeHot(body, out[:0])
-		if status != http.StatusOK {
-			b.Fatalf("hot request failed: %d", status)
-		}
-	}
-}
-
-// BenchmarkServeHotHTTP measures the same steady-state traffic through
-// the full HTTP stack: the raw bytes hit the compiled-instance cache (no
-// JSON decode, no validation, no compile, no hashing) and the result
-// comes from the result LRU, but net/http's per-request machinery still
-// allocates.  The gap to BenchmarkServeHotInstance is the hot tier's
-// payoff; the gap to BenchmarkServeColdInstance is the compiled core's.
+// BenchmarkServeHotHTTP measures the steady-state hot path: the
+// identical request over and over through the full HTTP handler.  The
+// raw bytes hit the compiled-instance cache (no JSON decode, no
+// validation, no compile, no hashing) and the result comes from the
+// result LRU; what remains is net/http's per-request machinery and the
+// response encoding.  The gap to BenchmarkServeColdInstance is the
+// payoff of the two caches.
 func BenchmarkServeHotHTTP(b *testing.B) {
 	svc, err := New(WithWorkers(1))
 	if err != nil {

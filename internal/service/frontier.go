@@ -271,10 +271,14 @@ func (s *Server) solveFrontier(ctx context.Context, plan *frontierPlan, onPoint 
 			if pr.Report.Complete && len(pr.Report.Flow) > 0 {
 				prevFlow = pr.Report.Flow
 			}
-			if havePrev && pt.Makespan > prevMakespan {
-				resp.Monotone = false
+			// A bound-only report (node cap or deadline hit before any
+			// solution) has no makespan to hold the curve to.
+			if len(pr.Report.Flow) > 0 {
+				if havePrev && pt.Makespan > prevMakespan {
+					resp.Monotone = false
+				}
+				prevMakespan, havePrev = pt.Makespan, true
 			}
-			prevMakespan, havePrev = pt.Makespan, true
 		}
 		if pt.Warm {
 			resp.WarmHits++

@@ -260,23 +260,23 @@ func TestJobInvalidRequestRejectedBeforeAcceptance(t *testing.T) {
 	}
 }
 
-// occupyPool parks a no-op solve on every pool worker and returns the
+// occupyPool parks a no-op solve on every pool slot and returns the
 // release function; jobs submitted meanwhile dispatch (the admission slot
 // is free) but block at the pool, deterministically pinning "running".
 func occupyPool(t *testing.T, svc *Server) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
-	started := make(chan struct{}, len(svc.pool.workers))
-	for range svc.pool.workers {
+	started := make(chan struct{}, svc.pool.size())
+	for range svc.pool.size() {
 		go func() {
-			_, _ = svc.pool.do(context.Background(), func(*worker) (solver.WireReport, error) {
+			_, _ = svc.pool.do(context.Background(), func() (solver.WireReport, error) {
 				started <- struct{}{}
 				<-gate
 				return solver.WireReport{}, nil
 			})
 		}()
 	}
-	for range svc.pool.workers {
+	for range svc.pool.size() {
 		<-started
 	}
 	return func() { close(gate) }

@@ -2,136 +2,104 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/solver"
 )
 
-// pool is the bounded solve-worker pool.
-//
-// It lifts the PR 2 state-reuse pattern one layer up: inside
-// internal/exact each search worker owns a flow.MinFlowSolver whose
-// network is built once and rewritten per node, instead of rebuilt.  The
-// service applies the same shape to whole solves — a fixed set of
-// long-lived worker goroutines, each with persistent per-worker state
-// (utilization counters today; anything a future solver wants to keep
-// warm, tomorrow), that jobs flow through, instead of a goroutine with
-// fresh stacks per request.  The matching allocation reuse for the
-// request path itself (canonical-hash scratch) lives in Server.encBufs,
-// shared across handler goroutines because hashing happens before cache
-// lookup — a cache hit must never wait behind a queued solve.
-//
-// The pool is also the service's admission control: at most len(workers)
-// solves run concurrently, and the jobs channel is unbuffered, so a
-// request either starts promptly or waits its turn without hiding an
-// unbounded queue in memory.
+// pool is the service's admission control for solves: a semaphore that
+// lets at most size() solves run at once, each on its caller's
+// goroutine.  A request either starts promptly or waits for a slot; no
+// queue hides in memory beyond the waiting goroutines themselves.
+// Solver scratch state is not the pool's business — min-flow networks
+// are recycled server-wide through Server.flowPool.
 type pool struct {
-	jobs    chan poolJob
-	wg      sync.WaitGroup
-	workers []*worker
-}
+	slots   chan struct{} // one token per running solve
+	closing chan struct{} // closed by close; later solves are refused
 
-// worker is one long-lived solve worker and its reusable state.
-type worker struct {
 	// jobs and busyNS are utilization counters, read atomically by stats.
 	jobs   atomic.Int64
 	busyNS atomic.Int64
 }
 
-// poolJob carries one solve closure and its reply channel.
-type poolJob struct {
-	fn  func(w *worker) (solver.WireReport, error)
-	out chan<- poolResult
-}
-
-type poolResult struct {
-	rep solver.WireReport
-	err error
-}
+// errClosed fails solves that reach the pool after Server.Close began;
+// the service answers it with 503 unavailable.
+var errClosed = errors.New("service: shutting down")
 
 // PoolStats is a snapshot of pool utilization.
 type PoolStats struct {
-	// Workers is the pool size.
+	// Workers is the pool size: how many solves may run at once.
 	Workers int `json:"workers"`
 	// Jobs is the total number of solves executed.
 	Jobs int64 `json:"jobs"`
-	// BusyMS is the cumulative wall time workers spent solving.
+	// BusyMS is the cumulative wall time spent solving.
 	BusyMS float64 `json:"busy_ms"`
 }
 
-// newPool starts n long-lived workers; n <= 0 means GOMAXPROCS.
+// newPool admits up to n concurrent solves; n <= 0 means GOMAXPROCS.
 func newPool(n int) *pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &pool{jobs: make(chan poolJob)}
-	for i := 0; i < n; i++ {
-		w := &worker{}
-		p.workers = append(p.workers, w)
-		p.wg.Add(1)
-		go p.loop(w)
-	}
-	return p
+	return &pool{slots: make(chan struct{}, n), closing: make(chan struct{})}
 }
 
-func (p *pool) loop(w *worker) {
-	defer p.wg.Done()
-	for job := range p.jobs {
-		start := time.Now()
-		rep, err := runJob(w, job.fn)
-		w.jobs.Add(1)
-		w.busyNS.Add(int64(time.Since(start)))
-		job.out <- poolResult{rep: rep, err: err}
-	}
-}
+// size is the number of solves that may run at once.
+func (p *pool) size() int { return cap(p.slots) }
 
-// runJob runs fn, converting a panic into an error: one request hitting a
-// solver bug must fail that request, not take down the long-running
-// service (and every other client) with it.
-func runJob(w *worker, fn func(*worker) (solver.WireReport, error)) (rep solver.WireReport, err error) {
+// do runs fn on the calling goroutine once a slot is free and returns its
+// result.  Admission honors ctx: a caller that gives up while waiting
+// never runs.  Once admitted, fn runs to completion — it is expected to
+// carry the same ctx into solver.SolveOptions, whose solvers poll it
+// cooperatively, so cancellation still cuts the solve short.  A panic in
+// fn fails this solve, not the service, and still frees the slot.
+func (p *pool) do(ctx context.Context, fn func() (solver.WireReport, error)) (rep solver.WireReport, err error) {
+	select {
+	case p.slots <- struct{}{}:
+	case <-p.closing:
+		return solver.WireReport{}, errClosed
+	case <-ctx.Done():
+		return solver.WireReport{}, ctx.Err()
+	}
+	select {
+	case <-p.closing:
+		// close began while this caller waited: it must not start a solve
+		// that close would then have to wait for.
+		<-p.slots
+		return solver.WireReport{}, errClosed
+	default:
+	}
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			rep = solver.WireReport{}
 			err = fmt.Errorf("service: solve panicked: %v", r)
 		}
+		p.jobs.Add(1)
+		p.busyNS.Add(int64(time.Since(start)))
+		<-p.slots
 	}()
-	return fn(w)
+	return fn()
 }
 
-// do runs fn on the next free worker and returns its result.  Admission
-// honors ctx: a caller that gives up while queued never occupies a worker.
-// Once admitted, the job runs to completion — fn is expected to carry the
-// same ctx into solver.SolveOptions, whose solvers poll it cooperatively,
-// so cancellation still cuts the solve short.
-func (p *pool) do(ctx context.Context, fn func(w *worker) (solver.WireReport, error)) (solver.WireReport, error) {
-	out := make(chan poolResult, 1)
-	select {
-	case p.jobs <- poolJob{fn: fn, out: out}:
-	case <-ctx.Done():
-		return solver.WireReport{}, ctx.Err()
-	}
-	res := <-out
-	return res.rep, res.err
-}
-
-// close drains the pool: started jobs finish, then workers exit.
+// close refuses every later solve and waits for the running ones: it
+// returns once it holds every slot.
 func (p *pool) close() {
-	close(p.jobs)
-	p.wg.Wait()
+	close(p.closing)
+	for i := 0; i < cap(p.slots); i++ {
+		p.slots <- struct{}{}
+	}
 }
 
 // stats snapshots the utilization counters.
 func (p *pool) stats() PoolStats {
-	s := PoolStats{Workers: len(p.workers)}
-	var busy int64
-	for _, w := range p.workers {
-		s.Jobs += w.jobs.Load()
-		busy += w.busyNS.Load()
+	return PoolStats{
+		Workers: p.size(),
+		Jobs:    p.jobs.Load(),
+		BusyMS:  float64(p.busyNS.Load()) / float64(time.Millisecond),
 	}
-	s.BusyMS = float64(busy) / float64(time.Millisecond)
-	return s
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/solver"
 )
@@ -13,7 +14,7 @@ func TestPoolRunsJobsAndCounts(t *testing.T) {
 	p := newPool(2)
 	defer p.close()
 	for i := 0; i < 5; i++ {
-		rep, err := p.do(context.Background(), func(*worker) (solver.WireReport, error) {
+		rep, err := p.do(context.Background(), func() (solver.WireReport, error) {
 			return solver.WireReport{Solver: "test", Makespan: int64(i)}, nil
 		})
 		if err != nil || rep.Makespan != int64(i) {
@@ -32,7 +33,7 @@ func TestPoolAdmissionHonorsContext(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _ = p.do(context.Background(), func(*worker) (solver.WireReport, error) {
+		_, _ = p.do(context.Background(), func() (solver.WireReport, error) {
 			close(started)
 			<-gate
 			return solver.WireReport{}, nil
@@ -41,7 +42,7 @@ func TestPoolAdmissionHonorsContext(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.do(ctx, func(*worker) (solver.WireReport, error) {
+	if _, err := p.do(ctx, func() (solver.WireReport, error) {
 		t.Error("job ran despite canceled admission")
 		return solver.WireReport{}, nil
 	}); !errors.Is(err, context.Canceled) {
@@ -52,18 +53,21 @@ func TestPoolAdmissionHonorsContext(t *testing.T) {
 
 func TestPoolRecoversSolvePanics(t *testing.T) {
 	p := newPool(1)
-	defer p.close()
-	_, err := p.do(context.Background(), func(*worker) (solver.WireReport, error) {
+	_, err := p.do(context.Background(), func() (solver.WireReport, error) {
 		panic("solver bug")
 	})
 	if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "solver bug") {
 		t.Fatalf("err = %v; want the panic converted to an error", err)
 	}
-	// The worker must have survived the panic and still serve jobs.
-	rep, err := p.do(context.Background(), func(*worker) (solver.WireReport, error) {
+	// The panicking solve must have released the only slot; a leaked one
+	// would leave this call waiting until its deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rep, err := p.do(ctx, func() (solver.WireReport, error) {
 		return solver.WireReport{Solver: "test", Makespan: 4, Complete: true}, nil
 	})
 	if err != nil || rep.Makespan != 4 {
-		t.Fatalf("post-panic job = (%+v, %v); the worker must keep serving", rep, err)
+		t.Fatalf("post-panic job = (%+v, %v); the slot must be free again", rep, err)
 	}
+	p.close() // not deferred: with a leaked slot it would never return
 }

@@ -1,9 +1,9 @@
 // Package service implements rtserve's long-running HTTP/JSON solving
-// service over the unified solver registry: a bounded worker pool of
-// long-lived solvers, a compiled-instance LRU in front of a
-// canonical-hash-keyed LRU result cache with single-flight
-// de-duplication, and wire-level validation that turns every malformed
-// input into a 400 instead of a panic.
+// service over the unified solver registry: a semaphore bounding how many
+// solves run at once (each on its request's goroutine), a
+// compiled-instance LRU in front of a canonical-hash-keyed LRU result
+// cache with single-flight de-duplication, and wire-level validation
+// that turns every malformed input into a 400 instead of a panic.
 //
 // Endpoints:
 //
@@ -42,7 +42,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -108,7 +107,7 @@ const (
 )
 
 // Server is the solving service.  Create with New, expose via Handler,
-// release the worker pool with Close.
+// shut down with Close.
 type Server struct {
 	pool     *pool
 	cache    *resultCache
@@ -117,7 +116,6 @@ type Server struct {
 	flowPool *flow.SolverPool
 	jobs     *jobRegistry
 	cluster  *clusterState // nil without Config.Peers/Self
-	hot      hotCache
 	mux      *http.ServeMux
 	start    time.Time
 	maxBody  int64
@@ -127,27 +125,17 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// New builds a Server from functional options and starts its worker
-// pool.  With WithStore it also opens the durable store; an unusable
-// store directory is an error — a persistence-configured service must
-// never silently start empty (corrupt individual entries are skipped and
-// counted instead, see StoreLoad).  With WithPeers the server joins a
-// static cluster (see internal/cluster).
+// New builds a Server from functional options.  With WithStore it also
+// opens the durable store; an unusable store directory is an error — a
+// persistence-configured service must never silently start empty
+// (corrupt individual entries are skipped and counted instead, see
+// StoreLoad).  With WithPeers the server joins a static cluster (see
+// internal/cluster).
 func New(opts ...Option) (*Server, error) {
 	var cfg Config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewFromConfig(cfg)
-}
-
-// NewFromConfig builds a Server from a Config struct literal.
-//
-// Deprecated: construct with New and functional options (WithWorkers,
-// WithStore, WithPeers, ...), which stay source-compatible as knobs are
-// added.  NewFromConfig remains for one release for embedders still on
-// the PR 3-8 Config surface.
-func NewFromConfig(cfg Config) (*Server, error) {
 	entries := cfg.CacheEntries
 	switch {
 	case entries == 0:
@@ -202,9 +190,7 @@ func NewFromConfig(cfg Config) (*Server, error) {
 		start:    time.Now(),
 		maxBody:  maxBody,
 	}
-	s.hot.cap = defaultHotEntries
-	s.hot.entries = make(map[[sha256.Size]byte]hotEntry)
-	s.jobs = newJobRegistry(s, len(s.pool.workers), retain)
+	s.jobs = newJobRegistry(s, s.pool.size(), retain)
 	for _, ep := range s.routes() {
 		s.mux.HandleFunc(ep.Pattern, ep.handler)
 	}
@@ -267,9 +253,11 @@ func (s *Server) StoreLoad() (lr store.LoadReport, ok bool) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close cancels outstanding jobs, waits for them to settle, then drains
-// the worker pool; in-flight synchronous solves finish first.  Safe to
-// call more than once.
+// Close cancels outstanding jobs, waits for them to settle, then waits
+// for running synchronous solves to finish.  Any solve that reaches the
+// pool afterwards fails with 503 unavailable, so requests still being
+// served (a batch outliving the HTTP server's shutdown grace period)
+// end cleanly.  Safe to call more than once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.jobs.close()
@@ -420,7 +408,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// hidden unbounded queue the pool's admission control exists to
 		// prevent.
 		resp := BatchResponse{Results: make([]SolveResponse, len(env.Batch))}
-		sem := make(chan struct{}, 2*len(s.pool.workers))
+		sem := make(chan struct{}, 2*s.pool.size())
 		var wg sync.WaitGroup
 		for i := range env.Batch {
 			wg.Add(1)
@@ -460,8 +448,11 @@ type prepared struct {
 	name        string
 	c           *core.Compiled
 	compiledHit bool
-	raw         json.RawMessage
+	req         SolveRequest // the wire form, as received
 	opts        solver.Options
+	// owner, when set, is the cluster peer owning c's hash: the request's
+	// flight forwards req there before falling back to a local solve.
+	owner string
 }
 
 // prepare decodes, compiles and validates req.  Any relative deadline in
@@ -499,17 +490,17 @@ func (s *Server) prepare(req SolveRequest, now time.Time) (*prepared, error) {
 	if err := solver.ValidateOptions(sv, opts); err != nil {
 		return nil, err
 	}
-	return &prepared{name: name, c: c, compiledHit: compiledHit, raw: req.Instance, opts: opts}, nil
+	return &prepared{name: name, c: c, compiledHit: compiledHit, req: req, opts: opts}, nil
 }
 
 // solveOne validates, hashes, and solves a single request through the
 // cache and pool, returning the response and the HTTP status a
 // single-solve endpoint should use for it (batch items embed the error
 // per item instead).  In cluster mode a request whose hash belongs to
-// another node is forwarded to its owner first; viaPeer marks requests
-// that already arrived over /internal/v1/solve, which must solve here —
-// forwarding them again could bounce between nodes that disagree about
-// membership (forward-once invariant).
+// another node is forwarded to its owner by the request's flight;
+// viaPeer marks requests that already arrived over /internal/v1/solve,
+// which must solve here — forwarding them again could bounce between
+// nodes that disagree about membership (forward-once invariant).
 func (s *Server) solveOne(ctx context.Context, req SolveRequest, viaPeer bool) (SolveResponse, int) {
 	start := time.Now()
 	p, err := s.prepare(req, start)
@@ -519,41 +510,67 @@ func (s *Server) solveOne(ctx context.Context, req SolveRequest, viaPeer bool) (
 			WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 		}, http.StatusBadRequest
 	}
-	if s.cluster != nil && !viaPeer {
-		if resp, status, ok := s.cluster.forward(ctx, req, p, start); ok {
-			return resp, status
+	var owner string
+	if s.cluster != nil {
+		owner = s.cluster.ring.Owner(p.c.Hash())
+		if !viaPeer && owner != s.cluster.ring.Self() {
+			p.owner = owner
 		}
 	}
 	resp, status := s.solvePrepared(ctx, p, start)
-	if s.cluster != nil {
-		// Owner is reported even when it is not this node: a response with
-		// a foreign owner and Forwarded false is a visible fallback solve.
-		resp.Owner = s.cluster.ring.Owner(p.c.Hash())
-	}
+	// Owner is reported even when it is not this node: a response with a
+	// foreign owner and Forwarded false is a visible fallback solve.
+	resp.Owner = owner
 	return resp, status
 }
 
 // solvePrepared runs a prepared request through the result cache, the
-// durable store, warm-start seeding and the pool: the shared execution
-// path behind /v1/solve, jobs, and every frontier point.
+// cluster owner (when p.owner is set), the durable store, warm-start
+// seeding and the pool: the shared execution path behind /v1/solve,
+// jobs, and every frontier point.
 func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time) (SolveResponse, int) {
 	name, c, opts := p.name, p.c, p.opts
 
 	key := solver.ResultCacheKey(name, c, opts)
+	// Deadline-free requests share work: identical concurrent requests
+	// coalesce onto one flight and the result enters the LRU.  The flight
+	// computes under a context detached from this requester, so one
+	// client disconnecting cannot poison the identical requests (and the
+	// future cache entries) riding on its flight; each waiter still honors
+	// its own context while waiting.  Deadline-bounded requests may
+	// legitimately end truncated, and a truncation is shaped by THIS
+	// request's deadline — it must be neither shared with nor inherited
+	// from anyone else.  They read the cache (a complete result satisfies
+	// any deadline), compute under their own context otherwise, and
+	// contribute complete results back.
+	share := opts.Deadline.IsZero()
 	var storeHit, warm bool
-	// solve is the store-aware compute path behind both cache strategies.
-	// It runs only on an LRU miss: first the durable store is probed — a
-	// hit answers without queueing any pool work — then a stored neighbor
-	// (same structural sketch, solver and options, different instance) is
-	// sought to warm-start the real solve, and a completed result is
-	// written through to the store.  Warm starts are hints by contract
+	// compute runs only on an LRU miss, for the flight's leader.  On a
+	// cluster node that does not own the hash it asks the owner first; a
+	// forwarded answer goes back to every caller of the flight but never
+	// into this node's LRU or store.  Otherwise — or when the owner is
+	// unreachable — the durable store is probed (a hit answers without
+	// queueing any pool work), then a stored neighbor (same structural
+	// sketch, solver and options, different instance) is sought to
+	// warm-start the real solve, and a completed result is written
+	// through to the store.  Warm starts are hints by contract
 	// (solver.Options.Incumbent): certificates are recomputed, so a wrong
 	// or stale donor can cost time but never change a complete result.
-	solve := func(solveCtx context.Context) (solver.WireReport, error) {
+	compute := func() (flightResult, error) {
+		solveCtx := ctx
+		if share {
+			solveCtx = context.WithoutCancel(ctx)
+		}
+		if p.owner != "" {
+			if resp, ok := s.cluster.forward(solveCtx, p); ok {
+				return flightResult{fwd: &resp}, nil
+			}
+			s.cluster.fallbacks.Add(1)
+		}
 		if s.store != nil {
 			if rep, ok := s.store.GetReport(key); ok {
 				storeHit = true
-				return rep, nil
+				return flightResult{rep: rep}, nil
 			}
 		}
 		// An incumbent supplied by the caller (the frontier's
@@ -574,7 +591,7 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 			// non-owners are counted as fallbacks instead.
 			s.cluster.ownerSolves.Add(1)
 		}
-		rep, err := s.pool.do(solveCtx, func(*worker) (solver.WireReport, error) {
+		rep, err := s.pool.do(solveCtx, func() (solver.WireReport, error) {
 			r, err := solver.SolveCompiledOptions(solveCtx, name, c, opts)
 			if r == nil {
 				return solver.WireReport{}, err
@@ -588,39 +605,23 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 			// an isomorphic earlier request — all encodings share the hash.
 			meta := store.Meta{Hash: c.Hash(), Sketch: c.Sketch(), Solver: name, OptKey: opts.CacheKey()}
 			_ = s.store.PutReport(key, meta, rep)
-			_ = s.store.PutInstance(c.Hash(), c.Sketch(), p.raw)
+			_ = s.store.PutInstance(c.Hash(), c.Sketch(), p.req.Instance)
 		}
-		return rep, err
+		return flightResult{rep: rep}, err
 	}
-	var (
-		rep    solver.WireReport
-		cached bool
-		err    error
-	)
-	if opts.Deadline.IsZero() {
-		// Deadline-free requests share work: identical concurrent requests
-		// coalesce onto one flight and the result enters the LRU.  The
-		// flight computes under a context detached from this requester, so
-		// one client disconnecting cannot poison the identical requests
-		// (and the future cache entries) riding on its flight; each waiter
-		// still honors its own context while waiting.
-		rep, cached, err = s.cache.do(ctx, key, func() (solver.WireReport, error) {
-			return solve(context.WithoutCancel(ctx))
-		})
-	} else {
-		// Deadline-bounded requests may legitimately end truncated, and a
-		// truncation is shaped by THIS request's deadline — it must be
-		// neither shared with nor inherited from anyone else.  They read
-		// the cache (a complete result satisfies any deadline), solve
-		// under their own context otherwise, and contribute complete
-		// results back.
-		rep, cached = s.cache.get(key)
-		if !cached {
-			rep, err = solve(ctx)
-			if err == nil {
-				s.cache.put(key, rep)
-			}
+	out, cached, err := s.cache.do(ctx, key, share, compute)
+	if out.fwd != nil {
+		// The owner's response is the answer, timed here (network hop
+		// included; the owner's compute time stays in Report.WallMS).  A
+		// caller that rode another request's forward did not dispatch
+		// anything: that is what Cached means.
+		resp := *out.fwd
+		if cached {
+			resp.Cached = true
+			s.cluster.forwardCoalesced.Add(1)
 		}
+		resp.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+		return resp, http.StatusOK
 	}
 
 	resp := SolveResponse{
@@ -633,18 +634,19 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 		InstanceArcs:  c.Inst.G.NumEdges(),
 		WallMS:        float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if rep.Solver != "" {
-		resp.Report = &rep
+	if out.rep.Solver != "" {
+		resp.Report = &out.rep
 	}
 	if err != nil {
 		resp.Error = err.Error()
 		switch {
 		case resp.Report != nil:
-			// A partial result (deadline-interrupted solve, or the
-			// immediate lower-bound-only report of a dead-on-arrival
+			// A partial result (deadline-interrupted or node-capped solve,
+			// or the immediate lower-bound-only report of a dead-on-arrival
 			// deadline) is an answer, not a server failure.
 			return resp, http.StatusOK
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
+			errors.Is(err, errClosed):
 			return resp, http.StatusServiceUnavailable
 		default:
 			return resp, http.StatusBadRequest

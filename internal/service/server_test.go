@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/solver"
@@ -278,6 +279,33 @@ func TestSolvePastDeadlineReturnsPartialNotError(t *testing.T) {
 	}
 }
 
+// TestNodeCappedSolveReturnsBound pins the node-cap twin of the deadline
+// contract: an exact search that hits max_nodes before finding anything
+// answers 200 with a bound-only report and the truncation error, and
+// that answer is never cached.
+func TestNodeCappedSolveReturnsBound(t *testing.T) {
+	_, ts := newTestServer(t, WithWorkers(1))
+	step := `{"kind":"step","tuples":[{"r":0,"t":9},{"r":1,"t":5},{"r":3,"t":2}]}`
+	body := `{"solver":"exact","options":{"target":10,"max_nodes":1},"instance":{"nodes":["s","a","b","t"],"edges":[` +
+		`{"from":0,"to":1,"fn":` + step + `},{"from":0,"to":2,"fn":` + step + `},{"from":1,"to":2,"fn":` + step + `},` +
+		`{"from":1,"to":3,"fn":` + step + `},{"from":2,"to":3,"fn":` + step + `}]}}`
+	for i := 0; i < 2; i++ {
+		var resp SolveResponse
+		if status := postSolve(t, ts, body, &resp); status != http.StatusOK {
+			t.Fatalf("status = %d; a node-capped solve is an answer, not a bad request", status)
+		}
+		if !strings.Contains(resp.Error, "node budget") {
+			t.Fatalf("error = %q; want the truncation surfaced", resp.Error)
+		}
+		if resp.Report == nil || resp.Report.Complete || resp.Report.Flow != nil || resp.Report.LowerBound <= 0 {
+			t.Fatalf("report = %+v; want a bound-only report", resp.Report)
+		}
+		if resp.Cached {
+			t.Fatal("truncated results must not be cached")
+		}
+	}
+}
+
 func TestDeadlineBoundedRequestsUseCacheForCompleteResults(t *testing.T) {
 	_, ts := newTestServer(t, WithWorkers(1))
 	inst, err := json.Marshal(scenario.NewGen(5).RequestStream(1, 1)[0].Inst)
@@ -431,4 +459,73 @@ func TestLoadConcurrentClients(t *testing.T) {
 	}
 	t.Logf("load: %d requests, %d distinct; cache hits %d, misses %d, coalesced %d; pool jobs %d",
 		len(outcomes), distinct, st.Hits, st.Misses, st.Coalesced, svc.pool.stats().Jobs)
+}
+
+// TestCloseWaitsForSolvesThenRefuses pins shutdown.  Close returns only
+// after the running solve finishes.  Batch items still waiting for the
+// pool when Close begins — a batch outliving the HTTP server's shutdown
+// grace period — and any solve arriving afterwards fail with the
+// unavailable error instead of panicking the process.
+func TestCloseWaitsForSolvesThenRefuses(t *testing.T) {
+	svc, ts := newTestServer(t, WithWorkers(1))
+	release := occupyPool(t, svc)
+
+	batch := `{"batch":[` + jobBody(t, 36, "") + `,` + jobBody(t, 37, "") + `]}`
+	batchDone := make(chan BatchResponse, 1)
+	go func() {
+		var out BatchResponse
+		defer func() { batchDone <- out }()
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(batch))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("batch status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Error(err)
+		}
+	}()
+	// Both items are past the cache and headed for the occupied slot.
+	for svc.cache.stats().Misses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a solve was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	<-closed
+
+	out := <-batchDone
+	if len(out.Results) != 2 {
+		t.Fatalf("batch results: %+v", out)
+	}
+	for i, item := range out.Results {
+		if item.Report != nil || !strings.Contains(item.Error, "shutting down") {
+			t.Fatalf("batch item %d after Close: %+v; want the shutdown error", i, item)
+		}
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(jobBody(t, 38, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || envelope.Error.Code != "unavailable" {
+		t.Fatalf("solve after Close: status %d, %+v; want 503 unavailable", resp.StatusCode, envelope)
+	}
 }

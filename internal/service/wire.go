@@ -106,9 +106,8 @@ type StatsResponse struct {
 
 // ClusterStats is the cluster block of /v1/stats: the static membership
 // plus this node's forwarding counters.  Counters are node-local — the
-// cluster-wide picture is the sum over members — and they partition a
-// node's clustered traffic: every non-owned request ends as exactly one
-// of ForwardHits or Fallbacks.
+// cluster-wide picture is the sum over members — and every forward ends
+// as exactly one of ForwardHits or Fallbacks.
 type ClusterStats struct {
 	// Self is this node's address in the ring; Peers is the full sorted
 	// membership (self included).
@@ -118,11 +117,13 @@ type ClusterStats struct {
 	// ForwardHits counts those the owner answered.
 	Forwards    int64 `json:"forwards"`
 	ForwardHits int64 `json:"forward_hits"`
-	// ForwardCoalesced counts requests that joined an identical in-flight
-	// forward instead of dispatching their own (proxy-side single-flight).
+	// ForwardCoalesced counts requests that joined an identical request's
+	// in-flight forward (the result cache's flight) instead of dispatching
+	// their own.
 	ForwardCoalesced int64 `json:"forward_coalesced"`
-	// Fallbacks counts non-owned requests solved locally because the
-	// owner was unreachable or answered unusably (graceful degradation).
+	// Fallbacks counts forwards that failed — the owner unreachable or
+	// answering unusably — after which the flight solved locally once for
+	// every request riding on it (graceful degradation).
 	Fallbacks int64 `json:"fallbacks"`
 	// OwnerSolves counts fresh pool solves this node ran for hashes it
 	// owns — the cluster-wide dedup metric: N identical requests anywhere

@@ -132,7 +132,9 @@ func fromApprox(res *approx.Result, err error) (*Report, error) {
 
 // solveExact runs the branch-and-bound search in either mode.  On context
 // cancellation with a solution already in hand, the partial Report is
-// returned together with the context error.
+// returned together with the context error; a node cap hit before any
+// solution returns a Report carrying only the objective's lower bound,
+// together with exact.ErrTruncated.
 func solveExact(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
 	eopts := &exact.Options{MaxNodes: o.MaxNodes, Parallelism: o.Parallelism, Incumbent: o.Incumbent, FlowPool: o.FlowPool}
 	if o.Progress != nil {
@@ -153,6 +155,11 @@ func solveExact(ctx context.Context, c *core.Compiled, o Options) (*Report, erro
 	} else {
 		sol, stats, err = exact.MinMakespanCompiled(ctx, c, o.Budget, eopts)
 	}
+	if errors.Is(err, exact.ErrTruncated) {
+		// No witness, but the bound is as sound as ever: answer with it,
+		// as a dead-on-arrival deadline does, instead of with nothing.
+		return &Report{LowerBound: cheapLowerBound(c, o)}, err
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -162,25 +169,31 @@ func solveExact(ctx context.Context, c *core.Compiled, o Options) (*Report, erro
 		Complete: stats.Complete,
 		Nodes:    stats.Nodes,
 	}
-	if stats.Complete {
+	switch {
+	case !stats.Complete:
+		rep.LowerBound = cheapLowerBound(c, o)
+	case o.Objective() == MinResource:
 		// A complete run is optimal: its own metric is the tight bound.
-		if o.Objective() == MinResource {
-			rep.LowerBound = float64(sol.Value)
-		} else {
-			rep.LowerBound = float64(sol.Makespan)
-		}
-	} else if o.Objective() == MinResource {
-		// Incomplete min-resource runs used to leave LowerBound at 0,
-		// which read as "no bound"; the slack-induced min-flow bound is
-		// always available and sound.
-		rep.LowerBound = float64(exact.ResourceLowerBound(c.Inst, o.Target))
-	} else {
-		rep.LowerBound = float64(exact.BudgetedMakespanLowerBoundCompiled(c, o.Budget))
+		rep.LowerBound = float64(sol.Value)
+	default:
+		rep.LowerBound = float64(sol.Makespan)
 	}
 	if stats.Interrupted != nil {
 		return rep, stats.Interrupted
 	}
 	return rep, nil
+}
+
+// cheapLowerBound is the combinatorial bound on o's objective that every
+// report without a certified optimum carries: the slack-induced min-flow
+// bound for min-resource (always available and sound, so an incomplete
+// run never reads as "no bound"), the budgeted fastest-arc makespan
+// otherwise.
+func cheapLowerBound(c *core.Compiled, o Options) float64 {
+	if o.Objective() == MinResource {
+		return float64(exact.ResourceLowerBound(c.Inst, o.Target))
+	}
+	return float64(exact.BudgetedMakespanLowerBoundCompiled(c, o.Budget))
 }
 
 // solveSPDP recognizes the instance as series-parallel, runs the

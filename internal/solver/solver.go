@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/duration"
-	"repro/internal/exact"
 	"repro/internal/flow"
 	"repro/internal/sp"
 )
@@ -389,12 +388,7 @@ func SolveCompiledOptions(ctx context.Context, name string, c *core.Compiled, o 
 	// lower-bound-only Report so the caller still learns something sound
 	// about the optimum.
 	if err := ctx.Err(); err != nil {
-		rep := &Report{Solver: s.Name(), Objective: o.Objective()}
-		if o.Objective() == MinResource {
-			rep.LowerBound = float64(exact.ResourceLowerBound(c.Inst, o.Target))
-		} else {
-			rep.LowerBound = float64(exact.BudgetedMakespanLowerBoundCompiled(c, o.Budget))
-		}
+		rep := &Report{Solver: s.Name(), Objective: o.Objective(), LowerBound: cheapLowerBound(c, o)}
 		rep.Wall = time.Since(start)
 		return rep, err
 	}
