@@ -27,7 +27,7 @@ func BenchmarkScaleFrankWolfe(b *testing.B) {
 	b.ResetTimer()
 	var rep *solver.Report
 	for i := 0; i < b.N; i++ {
-		rep, err = solver.Solve(context.Background(), "frankwolfe", inst, solver.WithBudget(budget))
+		rep, err = Solve(context.Background(), "frankwolfe", inst, solver.WithBudget(budget))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkScaleFrankWolfe50k(b *testing.B) {
 	b.ResetTimer()
 	var rep *solver.Report
 	for i := 0; i < b.N; i++ {
-		rep, err = solver.SolveCompiled(context.Background(), "frankwolfe", c,
+		rep, err = SolveCompiled(context.Background(), "frankwolfe", c,
 			solver.WithBudget(budget), solver.WithParallelism(0))
 		if err != nil {
 			b.Fatal(err)
@@ -85,7 +85,7 @@ func BenchmarkRelaxSolverReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := relax.NewSolver(inst)
+	s := relax.NewSolver(core.Compile(inst))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,7 +130,7 @@ func BenchmarkAutoRouteLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := solver.Solve(context.Background(), "auto", inst, solver.WithBudget(budget))
+		rep, err := Solve(context.Background(), "auto", inst, solver.WithBudget(budget))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,18 +167,18 @@ func BenchmarkCompileOnceSolveMany(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep, err := solver.Solve(context.Background(), "auto", inst, solver.WithBudget(budget))
+			rep, err := Solve(context.Background(), "auto", inst, solver.WithBudget(budget))
 			check(b, rep, err)
 		}
 	})
 	b.Run("memoized", func(b *testing.B) {
 		c := core.Compile(inst)
-		rep, err := solver.SolveCompiled(context.Background(), "auto", c, solver.WithBudget(budget))
+		rep, err := SolveCompiled(context.Background(), "auto", c, solver.WithBudget(budget))
 		check(b, rep, err)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rep, err := solver.SolveCompiled(context.Background(), "auto", c, solver.WithBudget(budget))
+			rep, err := SolveCompiled(context.Background(), "auto", c, solver.WithBudget(budget))
 			check(b, rep, err)
 		}
 	})

@@ -10,6 +10,7 @@
 package rtt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -119,7 +120,7 @@ func BenchmarkFig6Expansion(b *testing.B) {
 // table1Ratio runs an approximation algorithm against the exact optimum
 // over a family of small random instances and reports the worst and mean
 // makespan ratios (Table 1's approximation column, measured).
-func table1Ratio(b *testing.B, kind string, run func(*core.Instance, int64) (*approx.Result, error)) {
+func table1Ratio(b *testing.B, kind string, run func(context.Context, *core.Compiled, int64) (*approx.Result, error)) {
 	g := scenario.NewGen(99)
 	type testCase struct {
 		inst   *core.Instance
@@ -138,7 +139,7 @@ func table1Ratio(b *testing.B, kind string, run func(*core.Instance, int64) (*ap
 			inst = g.BinaryInstance(2, 2, 1, 30)
 		}
 		budget := int64(len(cases)%5 + 1)
-		sol, stats, err := exact.MinMakespan(inst, budget, nil)
+		sol, stats, err := exact.MinMakespan(context.Background(), core.Compile(inst), budget, nil)
 		if err != nil || !stats.Complete || sol.Makespan == 0 {
 			continue
 		}
@@ -149,7 +150,7 @@ func table1Ratio(b *testing.B, kind string, run func(*core.Instance, int64) (*ap
 	for i := 0; i < b.N; i++ {
 		worst, sum = 0, 0
 		for _, tc := range cases {
-			res, err := run(tc.inst, tc.budget)
+			res, err := run(context.Background(), core.Compile(tc.inst), tc.budget)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,8 +168,8 @@ func table1Ratio(b *testing.B, kind string, run func(*core.Instance, int64) (*ap
 // BenchmarkTable1BiCriteria measures the Theorem 3.4 algorithm at
 // alpha = 1/2 (proven makespan factor 1/alpha = 2, resources 2B).
 func BenchmarkTable1BiCriteria(b *testing.B) {
-	table1Ratio(b, "step", func(inst *core.Instance, budget int64) (*approx.Result, error) {
-		return approx.BiCriteria(inst, budget, 0.5)
+	table1Ratio(b, "step", func(ctx context.Context, c *core.Compiled, budget int64) (*approx.Result, error) {
+		return approx.BiCriteria(ctx, c, budget, 0.5)
 	})
 }
 
@@ -204,12 +205,12 @@ func BenchmarkTable1HardnessGaps(b *testing.B) {
 	b.ResetTimer()
 	var mk, res int64
 	for i := 0; i < b.N; i++ {
-		sol, _, err := exact.MinMakespan(sat.Inst, sat.Budget, nil)
+		sol, _, err := exact.MinMakespan(context.Background(), core.Compile(sat.Inst), sat.Budget, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		mk = sol.Makespan
-		rsol, _, err := exact.MinResource(gapSat.Inst, gapSat.Target, nil)
+		rsol, _, err := exact.MinResource(context.Background(), core.Compile(gapSat.Inst), gapSat.Target, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func BenchmarkSec34SPDP(b *testing.B) {
 	for _, budget := range []int64{8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("B=%d", budget), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sp.Solve(tree, budget); err != nil {
+				if _, err := sp.Solve(context.Background(), tree, budget); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -286,7 +287,7 @@ func BenchmarkFig15Partition(b *testing.B) {
 	var m int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, _, err := exact.MinMakespan(p.Inst, p.Budget, nil)
+		sol, _, err := exact.MinMakespan(context.Background(), core.Compile(p.Inst), p.Budget, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +335,7 @@ func BenchmarkFig17N3DM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := r.Inst.Makespan(flow)
+		m, err := core.Compile(r.Inst).Makespan(flow)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,7 +352,7 @@ func BenchmarkAblationMinFlowVsSaturate(b *testing.B) {
 	inst := scenario.NewGen(23).StepInstance(4, 3, 2, 2, 20, 4)
 	var reuse, naive int64
 	for i := 0; i < b.N; i++ {
-		res, err := approx.BiCriteria(inst, 10, 0.5)
+		res, err := approx.BiCriteria(context.Background(), core.Compile(inst), 10, 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,7 +372,7 @@ func BenchmarkExactSolver(b *testing.B) {
 	inst := scenario.NewGen(31).StepInstance(3, 2, 1, 3, 9, 3)
 	var nodes int
 	for i := 0; i < b.N; i++ {
-		_, stats, err := exact.MinMakespan(inst, 4, nil)
+		_, stats, err := exact.MinMakespan(context.Background(), core.Compile(inst), 4, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +391,7 @@ func BenchmarkExactSolver(b *testing.B) {
 func BenchmarkExactParallel(b *testing.B) {
 	inst := scenario.NewGen(13).KWayInstance(3, 4, 2, 80)
 	const budget = 10
-	want, stats, err := exact.MinMakespan(inst, budget, &exact.Options{Parallelism: 1})
+	want, stats, err := exact.MinMakespan(context.Background(), core.Compile(inst), budget, &exact.Options{Parallelism: 1})
 	if err != nil || !stats.Complete {
 		b.Fatalf("sequential reference failed: %v (complete=%v)", err, stats.Complete)
 	}
@@ -398,7 +399,7 @@ func BenchmarkExactParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", par), func(b *testing.B) {
 			var nodes int
 			for i := 0; i < b.N; i++ {
-				sol, stats, err := exact.MinMakespan(inst, budget, &exact.Options{Parallelism: par})
+				sol, stats, err := exact.MinMakespan(context.Background(), core.Compile(inst), budget, &exact.Options{Parallelism: par})
 				if err != nil {
 					b.Fatal(err)
 				}

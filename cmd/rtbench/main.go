@@ -131,13 +131,14 @@ func table1() {
 				inst = g.BinaryInstance(2, 2, 1, 30)
 			}
 			budget := int64(count%5 + 1)
-			opt, err := solver.Solve(ctx, "exact", inst,
-				solver.WithBudget(budget), solver.WithParallelism(*parallel))
+			c := core.Compile(inst)
+			opt, err := solver.SolveCompiledOptions(ctx, "exact", c, solver.NewOptions(
+				solver.WithBudget(budget), solver.WithParallelism(*parallel)))
 			if err != nil || !opt.Complete || opt.Sol.Makespan == 0 {
 				continue
 			}
-			rep, err := solver.Solve(ctx, row.solver, inst,
-				solver.WithBudget(budget), solver.WithAlpha(0.5))
+			rep, err := solver.SolveCompiledOptions(ctx, row.solver, c, solver.NewOptions(
+				solver.WithBudget(budget), solver.WithAlpha(0.5)))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -213,8 +214,8 @@ func gaps() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := solver.Solve(ctx, "exact", sat.Inst,
-		solver.WithBudget(sat.Budget), solver.WithParallelism(*parallel))
+	sol, err := solver.SolveCompiledOptions(ctx, "exact", core.Compile(sat.Inst), solver.NewOptions(
+		solver.WithBudget(sat.Budget), solver.WithParallelism(*parallel)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func gaps() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ok, _, _, err := exact.Feasible(unsat.Inst, unsat.Budget, 1,
+	ok, _, _, err := exact.Feasible(ctx, core.Compile(unsat.Inst), unsat.Budget, 1,
 		&exact.Options{Parallelism: *parallel})
 	if err != nil {
 		log.Fatal(err)
@@ -233,8 +234,8 @@ func gaps() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := solver.Solve(ctx, "exact", gapSat.Inst,
-		solver.WithTarget(gapSat.Target), solver.WithParallelism(*parallel))
+	rs, err := solver.SolveCompiledOptions(ctx, "exact", core.Compile(gapSat.Inst), solver.NewOptions(
+		solver.WithTarget(gapSat.Target), solver.WithParallelism(*parallel)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -250,8 +251,8 @@ func gaps() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ru, err := solver.Solve(ctx, "exact", gapUnsat.Inst,
-		solver.WithTarget(gapUnsat.Target), solver.WithParallelism(*parallel))
+	ru, err := solver.SolveCompiledOptions(ctx, "exact", core.Compile(gapUnsat.Inst), solver.NewOptions(
+		solver.WithTarget(gapUnsat.Target), solver.WithParallelism(*parallel)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,9 +39,9 @@ func runFrontier(path, spec, algo, serverURL string, alpha float64, maxNodes, pa
 	if err := json.Unmarshal(data, &inst); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("instance: %d nodes, %d arcs, zero-flow makespan %d\n",
-		inst.G.NumNodes(), inst.G.NumEdges(), inst.ZeroFlowMakespan())
 	c := core.Compile(&inst)
+	fmt.Printf("instance: %d nodes, %d arcs, zero-flow makespan %d\n",
+		inst.G.NumNodes(), inst.G.NumEdges(), c.ZeroFlowMakespan())
 	printFrontierHeader()
 	var prevFlow []int64
 	for _, b := range sweepPoints(lo, hi, steps) {
@@ -55,7 +55,7 @@ func runFrontier(path, spec, algo, serverURL string, alpha float64, maxNodes, pa
 		if warm {
 			opts = append(opts, solver.WithIncumbent(prevFlow))
 		}
-		rep, err := solver.SolveCompiled(context.Background(), algo, c, opts...)
+		rep, err := solver.SolveCompiledOptions(context.Background(), algo, c, solver.NewOptions(opts...))
 		if err != nil {
 			log.Fatalf("budget %d: %v", b, err)
 		}

@@ -86,8 +86,9 @@ func main() {
 	if err := json.Unmarshal(data, &inst); err != nil {
 		log.Fatal(err)
 	}
+	c := core.Compile(&inst)
 	fmt.Printf("instance: %d nodes, %d arcs, zero-flow makespan %d\n",
-		inst.G.NumNodes(), inst.G.NumEdges(), inst.ZeroFlowMakespan())
+		inst.G.NumNodes(), inst.G.NumEdges(), c.ZeroFlowMakespan())
 
 	opts := []solver.Option{
 		solver.WithAlpha(*alpha),
@@ -103,7 +104,7 @@ func main() {
 		opts = append(opts, solver.WithDeadline(time.Now().Add(*deadline)))
 	}
 
-	rep, err := solver.Solve(context.Background(), *algo, &inst, opts...)
+	rep, err := solver.SolveCompiledOptions(context.Background(), *algo, c, solver.NewOptions(opts...))
 	if err != nil {
 		if rep == nil {
 			log.Fatal(err)

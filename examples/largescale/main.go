@@ -13,6 +13,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/solver"
 )
@@ -26,10 +27,11 @@ func main() {
 	inst := scenario.NewGen(1).StepInstance(250, 100, 100, 4, 40, 5)
 	fmt.Printf("generated: %d nodes, %d arcs in %v\n",
 		inst.G.NumNodes(), inst.G.NumEdges(), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("zero-flow makespan: %d\n\n", inst.ZeroFlowMakespan())
+	c := core.Compile(inst)
+	fmt.Printf("zero-flow makespan: %d\n\n", c.ZeroFlowMakespan())
 
 	for _, budget := range []int64{100, 500, 2000} {
-		rep, err := solver.Solve(context.Background(), "auto", inst, solver.WithBudget(budget))
+		rep, err := solver.SolveCompiledOptions(context.Background(), "auto", c, solver.NewOptions(solver.WithBudget(budget)))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sol, err := inst.NewSolution(flow)
+	sol, err := rtt.Compile(inst).NewSolution(flow)
 	if err != nil {
 		log.Fatal(err)
 	}

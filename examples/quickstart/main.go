@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("zero-resource makespan: %d\n", inst.ZeroFlowMakespan())
+	fmt.Printf("zero-resource makespan: %d\n", rtt.Compile(inst).ZeroFlowMakespan())
 
 	ctx := context.Background()
 	for _, budget := range []int64{0, 2, 4} {

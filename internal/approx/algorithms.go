@@ -25,54 +25,43 @@ type Result struct {
 
 // minFlowOnExpanded routes an integral min-flow meeting the expanded lower
 // bounds and pulls it back onto the original instance.
-func minFlowOnExpanded(inst *core.Instance, ex *core.Expanded, lower []int64) (core.Solution, error) {
+func minFlowOnExpanded(c *core.Compiled, ex *core.Expanded, lower []int64) (core.Solution, error) {
 	res, err := flow.MinFlow(ex.G, lower, ex.Source, ex.Sink)
 	if err != nil {
 		return core.Solution{}, err
 	}
-	f := ex.PullBack(inst, res.EdgeFlow)
-	return inst.NewSolution(f)
+	return c.NewSolution(ex.PullBack(c.Inst, res.EdgeFlow))
 }
 
 // minFlowOnOriginal routes an integral min-flow meeting per-original-arc
 // requirements directly on the original instance.
-func minFlowOnOriginal(inst *core.Instance, lower []int64) (core.Solution, error) {
+func minFlowOnOriginal(c *core.Compiled, lower []int64) (core.Solution, error) {
+	inst := c.Inst
 	res, err := flow.MinFlow(inst.G, lower, inst.Source, inst.Sink)
 	if err != nil {
 		return core.Solution{}, err
 	}
-	return inst.NewSolution(res.EdgeFlow)
+	return c.NewSolution(res.EdgeFlow)
 }
 
 // BiCriteria is the Theorem 3.4 algorithm for general non-increasing
 // duration functions: with parameter alpha in (0,1) it returns a solution
 // using at most LPValue/(1-alpha) resources (<= B/(1-alpha)) with makespan
-// at most LPObjective/alpha (<= OPT(B)/alpha).
-func BiCriteria(inst *core.Instance, budget int64, alpha float64) (*Result, error) {
-	return BiCriteriaCtx(context.Background(), core.Compile(inst), budget, alpha)
-}
-
-// BiCriteriaCtx is BiCriteria with cooperative cancellation of the LP
-// relaxation, on an already-compiled instance: the Section 3.1 expansion
-// is taken from (and memoized on) the compiled form instead of rebuilt per
-// call.
-func BiCriteriaCtx(ctx context.Context, c *core.Compiled, budget int64, alpha float64) (*Result, error) {
+// at most LPObjective/alpha (<= OPT(B)/alpha).  The LP relaxation polls
+// ctx, and the Section 3.1 expansion is taken from (and memoized on) the
+// compiled form instead of rebuilt per call.
+func BiCriteria(ctx context.Context, c *core.Compiled, budget int64, alpha float64) (*Result, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("approx: alpha %v outside (0,1)", alpha)
 	}
 	if budget < 0 {
 		return nil, fmt.Errorf("approx: negative budget %d", budget)
 	}
-	inst := c.Inst
-	ex, err := c.Expansion()
+	rel, err := SolveMakespanLP(ctx, c, budget)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := SolveMakespanLPCtx(ctx, ex, budget)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := minFlowOnExpanded(inst, ex, rel.Round(alpha))
+	sol, err := minFlowOnExpanded(c, rel.Ex, rel.Round(alpha))
 	if err != nil {
 		return nil, err
 	}
@@ -82,26 +71,15 @@ func BiCriteriaCtx(ctx context.Context, c *core.Compiled, budget int64, alpha fl
 // BiCriteriaResource is the minimum-resource twin of BiCriteria: given a
 // makespan target T it returns a solution using at most
 // LPObjective/(1-alpha) resources whose makespan is at most T/alpha.
-func BiCriteriaResource(inst *core.Instance, target int64, alpha float64) (*Result, error) {
-	return BiCriteriaResourceCtx(context.Background(), core.Compile(inst), target, alpha)
-}
-
-// BiCriteriaResourceCtx is BiCriteriaResource with cooperative
-// cancellation of the LP relaxation, on an already-compiled instance.
-func BiCriteriaResourceCtx(ctx context.Context, c *core.Compiled, target int64, alpha float64) (*Result, error) {
+func BiCriteriaResource(ctx context.Context, c *core.Compiled, target int64, alpha float64) (*Result, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("approx: alpha %v outside (0,1)", alpha)
 	}
-	inst := c.Inst
-	ex, err := c.Expansion()
+	rel, err := SolveResourceLP(ctx, c, target)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := SolveResourceLPCtx(ctx, ex, target)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := minFlowOnExpanded(inst, ex, rel.Round(alpha))
+	sol, err := minFlowOnExpanded(c, rel.Ex, rel.Round(alpha))
 	if err != nil {
 		return nil, err
 	}
@@ -118,13 +96,7 @@ func BiCriteriaResourceCtx(ctx context.Context, c *core.Compiled, target int64, 
 // boundary cases r_j <= 3 the paper argues via the optimum r*_j, which the
 // algorithm cannot see, so the LP fractional usage r-hat_j stands in for it
 // (r-hat is what the paper's own two-phase predecessors use).
-func KWay5(inst *core.Instance, budget int64) (*Result, error) {
-	return KWay5Ctx(context.Background(), core.Compile(inst), budget)
-}
-
-// KWay5Ctx is KWay5 with cooperative cancellation of the LP relaxation, on
-// an already-compiled instance.
-func KWay5Ctx(ctx context.Context, c *core.Compiled, budget int64) (*Result, error) {
+func KWay5(ctx context.Context, c *core.Compiled, budget int64) (*Result, error) {
 	return halvedRounding(ctx, c, budget, func(e int, rj int64, rhat float64) int64 {
 		switch {
 		case rj > 3:
@@ -142,13 +114,7 @@ func KWay5Ctx(ctx context.Context, c *core.Compiled, budget int64) (*Result, err
 // job's resource is halved (r_j/2 <= r*_j), which by the doubling property
 // t(r/2) <= 2 t(r) of Equation 3 costs at most another factor 2 in
 // makespan.
-func Binary4(inst *core.Instance, budget int64) (*Result, error) {
-	return Binary4Ctx(context.Background(), core.Compile(inst), budget)
-}
-
-// Binary4Ctx is Binary4 with cooperative cancellation of the LP
-// relaxation, on an already-compiled instance.
-func Binary4Ctx(ctx context.Context, c *core.Compiled, budget int64) (*Result, error) {
+func Binary4(ctx context.Context, c *core.Compiled, budget int64) (*Result, error) {
 	return halvedRounding(ctx, c, budget, func(e int, rj int64, rhat float64) int64 {
 		return prevPow2(rj / 2)
 	})
@@ -162,11 +128,7 @@ func halvedRounding(ctx context.Context, c *core.Compiled, budget int64, reduce 
 		return nil, fmt.Errorf("approx: negative budget %d", budget)
 	}
 	inst := c.Inst
-	ex, err := c.Expansion()
-	if err != nil {
-		return nil, err
-	}
-	rel, err := SolveMakespanLPCtx(ctx, ex, budget)
+	rel, err := SolveMakespanLP(ctx, c, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +139,7 @@ func halvedRounding(ctx context.Context, c *core.Compiled, budget int64, reduce 
 	for e := range req {
 		req[e] = clampToBreakpoint(inst.Fns[e], reduce(e, rj[e], rhat[e]))
 	}
-	sol, err := minFlowOnOriginal(inst, req)
+	sol, err := minFlowOnOriginal(c, req)
 	if err != nil {
 		return nil, err
 	}
@@ -190,22 +152,12 @@ func halvedRounding(ctx context.Context, c *core.Compiled, budget int64, reduce 
 // [2^i, 1.5*2^i), up within [1.5*2^i, 2^(i+1))), below 1 to zero; the
 // rounded requirements are then min-flow routed.  Resources grow by at most
 // 4/3, makespan by at most 14/5.
-func BinaryBiCriteria(inst *core.Instance, budget int64) (*Result, error) {
-	return BinaryBiCriteriaCtx(context.Background(), core.Compile(inst), budget)
-}
-
-// BinaryBiCriteriaCtx is BinaryBiCriteria with cooperative cancellation of
-// the LP relaxation, on an already-compiled instance.
-func BinaryBiCriteriaCtx(ctx context.Context, c *core.Compiled, budget int64) (*Result, error) {
+func BinaryBiCriteria(ctx context.Context, c *core.Compiled, budget int64) (*Result, error) {
 	if budget < 0 {
 		return nil, fmt.Errorf("approx: negative budget %d", budget)
 	}
 	inst := c.Inst
-	ex, err := c.Expansion()
-	if err != nil {
-		return nil, err
-	}
-	rel, err := SolveMakespanLPCtx(ctx, ex, budget)
+	rel, err := SolveMakespanLP(ctx, c, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +166,7 @@ func BinaryBiCriteriaCtx(ctx context.Context, c *core.Compiled, budget int64) (*
 	for e := range req {
 		req[e] = clampToBreakpoint(inst.Fns[e], roundLog(rhat[e]))
 	}
-	sol, err := minFlowOnOriginal(inst, req)
+	sol, err := minFlowOnOriginal(c, req)
 	if err != nil {
 		return nil, err
 	}

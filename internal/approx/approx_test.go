@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,12 +31,8 @@ func step(high, low, r int64) duration.Func {
 func TestSolveMakespanLPChain(t *testing.T) {
 	// Two series jobs {<0,10>, <2,0>}: with budget 2 the LP can zero both
 	// (reuse over the path), so the relaxed makespan is 0.
-	inst := chain(step(10, 0, 2), step(10, 0, 2))
-	ex, err := core.Expand(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := SolveMakespanLP(ex, 2)
+	c := core.Compile(chain(step(10, 0, 2), step(10, 0, 2)))
+	rel, err := SolveMakespanLP(context.Background(), c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +43,7 @@ func TestSolveMakespanLPChain(t *testing.T) {
 		t.Fatalf("LP uses %v units; budget 2", rel.Value)
 	}
 	// With budget 1 the LP halves both durations at best: makespan 10.
-	rel, err = SolveMakespanLP(ex, 1)
+	rel, err = SolveMakespanLP(context.Background(), c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +53,8 @@ func TestSolveMakespanLPChain(t *testing.T) {
 }
 
 func TestSolveResourceLPChain(t *testing.T) {
-	inst := chain(step(10, 0, 2), step(10, 0, 2))
-	ex, err := core.Expand(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := SolveResourceLP(ex, 0)
+	c := core.Compile(chain(step(10, 0, 2), step(10, 0, 2)))
+	rel, err := SolveResourceLP(context.Background(), c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +66,13 @@ func TestSolveResourceLPChain(t *testing.T) {
 func TestLPIsLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
-		inst := randomStepInstance(rng)
+		c := core.Compile(randomStepInstance(rng))
 		budget := int64(rng.Intn(5))
-		ex, err := core.Expand(inst)
+		rel, err := SolveMakespanLP(context.Background(), c, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := SolveMakespanLP(ex, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, stats, err := exact.MinMakespan(inst, budget, nil)
+		sol, stats, err := exact.MinMakespan(context.Background(), c, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,12 +87,13 @@ func TestLPIsLowerBound(t *testing.T) {
 
 func TestBiCriteriaParamValidation(t *testing.T) {
 	inst := chain(step(5, 1, 2))
+	c := core.Compile(inst)
 	for _, alpha := range []float64{0, 1, -0.5, 1.5} {
-		if _, err := BiCriteria(inst, 2, alpha); err == nil {
+		if _, err := BiCriteria(context.Background(), c, 2, alpha); err == nil {
 			t.Fatalf("alpha=%v: want error", alpha)
 		}
 	}
-	if _, err := BiCriteria(inst, -1, 0.5); err == nil {
+	if _, err := BiCriteria(context.Background(), c, -1, 0.5); err == nil {
 		t.Fatal("want error for negative budget")
 	}
 }
@@ -117,7 +107,7 @@ func TestBiCriteriaGuarantees(t *testing.T) {
 		inst := randomStepInstance(rng)
 		budget := int64(rng.Intn(6))
 		for _, alpha := range []float64{0.25, 0.5, 0.75} {
-			res, err := BiCriteria(inst, budget, alpha)
+			res, err := BiCriteria(context.Background(), core.Compile(inst), budget, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,15 +130,16 @@ func TestBiCriteriaVsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 15; trial++ {
 		inst := randomStepInstance(rng)
+		c := core.Compile(inst)
 		budget := int64(1 + rng.Intn(4))
-		opt, stats, err := exact.MinMakespan(inst, budget, nil)
+		opt, stats, err := exact.MinMakespan(context.Background(), c, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !stats.Complete {
 			t.Fatal("exact incomplete")
 		}
-		res, err := BiCriteria(inst, budget, 0.5)
+		res, err := BiCriteria(context.Background(), c, budget, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,12 +153,13 @@ func TestBiCriteriaResource(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 15; trial++ {
 		inst := randomStepInstance(rng)
-		lo, hi := inst.MakespanLowerBound(), inst.ZeroFlowMakespan()
+		c := core.Compile(inst)
+		lo, hi := c.MinMakespan, c.ZeroFlowMakespan()
 		if hi == lo {
 			continue
 		}
 		target := lo + rng.Int63n(hi-lo+1)
-		res, err := BiCriteriaResource(inst, target, 0.5)
+		res, err := BiCriteriaResource(context.Background(), c, target, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,15 +178,16 @@ func TestKWay5Guarantees(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 20; trial++ {
 		inst := randomKindInstance(rng, duration.KindKWay)
+		c := core.Compile(inst)
 		budget := int64(rng.Intn(6))
-		res, err := KWay5(inst, budget)
+		res, err := KWay5(context.Background(), c, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Sol.Value > budget {
 			t.Fatalf("trial %d: used %d > budget %d", trial, res.Sol.Value, budget)
 		}
-		opt, stats, err := exact.MinMakespan(inst, budget, nil)
+		opt, stats, err := exact.MinMakespan(context.Background(), c, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,15 +205,16 @@ func TestBinary4Guarantees(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for trial := 0; trial < 20; trial++ {
 		inst := randomKindInstance(rng, duration.KindBinary)
+		c := core.Compile(inst)
 		budget := int64(rng.Intn(6))
-		res, err := Binary4(inst, budget)
+		res, err := Binary4(context.Background(), c, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Sol.Value > budget {
 			t.Fatalf("trial %d: used %d > budget %d", trial, res.Sol.Value, budget)
 		}
-		opt, stats, err := exact.MinMakespan(inst, budget, nil)
+		opt, stats, err := exact.MinMakespan(context.Background(), c, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,15 +233,16 @@ func TestBinaryBiCriteriaGuarantees(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 20; trial++ {
 		inst := randomKindInstance(rng, duration.KindBinary)
+		c := core.Compile(inst)
 		budget := int64(rng.Intn(6))
-		res, err := BinaryBiCriteria(inst, budget)
+		res, err := BinaryBiCriteria(context.Background(), c, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, lim := float64(res.Sol.Value), 4.0/3.0*res.LPValue+1e-6; got > lim {
 			t.Fatalf("trial %d: resources %v > (4/3) LP %v", trial, got, lim)
 		}
-		opt, stats, err := exact.MinMakespan(inst, budget, nil)
+		opt, stats, err := exact.MinMakespan(context.Background(), c, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,11 +300,12 @@ func TestPrevPow2(t *testing.T) {
 
 func TestZeroBudgetDegenerates(t *testing.T) {
 	inst := chain(step(9, 1, 2), step(7, 2, 3))
+	c := core.Compile(inst)
 	for name, run := range map[string]func() (*Result, error){
-		"bicriteria": func() (*Result, error) { return BiCriteria(inst, 0, 0.5) },
-		"kway":       func() (*Result, error) { return KWay5(inst, 0) },
-		"binary":     func() (*Result, error) { return Binary4(inst, 0) },
-		"binarybi":   func() (*Result, error) { return BinaryBiCriteria(inst, 0) },
+		"bicriteria": func() (*Result, error) { return BiCriteria(context.Background(), c, 0, 0.5) },
+		"kway":       func() (*Result, error) { return KWay5(context.Background(), c, 0) },
+		"binary":     func() (*Result, error) { return Binary4(context.Background(), c, 0) },
+		"binarybi":   func() (*Result, error) { return BinaryBiCriteria(context.Background(), c, 0) },
 	} {
 		res, err := run()
 		if err != nil {
@@ -318,8 +314,8 @@ func TestZeroBudgetDegenerates(t *testing.T) {
 		if res.Sol.Value != 0 {
 			t.Fatalf("%s: used %d units with zero budget", name, res.Sol.Value)
 		}
-		if res.Sol.Makespan != inst.ZeroFlowMakespan() {
-			t.Fatalf("%s: makespan %d != zero-flow %d", name, res.Sol.Makespan, inst.ZeroFlowMakespan())
+		if res.Sol.Makespan != c.ZeroFlowMakespan() {
+			t.Fatalf("%s: makespan %d != zero-flow %d", name, res.Sol.Makespan, c.ZeroFlowMakespan())
 		}
 	}
 }

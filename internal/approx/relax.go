@@ -56,32 +56,25 @@ func edgeTwoTuple(fn duration.Func) (t0, r int64, ok bool) {
 	return ts[0].T, ts[1].R, true
 }
 
-// SolveMakespanLP solves the makespan relaxation: minimize the sink event
-// time subject to linear durations, flow conservation and a resource
-// budget.
-func SolveMakespanLP(ex *core.Expanded, budget int64) (*Relaxation, error) {
-	return SolveMakespanLPCtx(context.Background(), ex, budget)
-}
-
-// SolveMakespanLPCtx is SolveMakespanLP with cooperative cancellation of
-// the underlying simplex iteration.
-func SolveMakespanLPCtx(ctx context.Context, ex *core.Expanded, budget int64) (*Relaxation, error) {
-	return solveRelaxation(ctx, ex, float64(budget), -1)
+// SolveMakespanLP solves the makespan relaxation over the compiled
+// instance's memoized two-tuple expansion: minimize the sink event time
+// subject to linear durations, flow conservation and a resource budget.
+// The simplex iteration polls ctx.
+func SolveMakespanLP(ctx context.Context, c *core.Compiled, budget int64) (*Relaxation, error) {
+	return solveRelaxation(ctx, c, float64(budget), -1)
 }
 
 // SolveResourceLP solves the resource relaxation: minimize the flow out of
 // the source subject to the sink event time being at most target.
-func SolveResourceLP(ex *core.Expanded, target int64) (*Relaxation, error) {
-	return SolveResourceLPCtx(context.Background(), ex, target)
+func SolveResourceLP(ctx context.Context, c *core.Compiled, target int64) (*Relaxation, error) {
+	return solveRelaxation(ctx, c, -1, float64(target))
 }
 
-// SolveResourceLPCtx is SolveResourceLP with cooperative cancellation of
-// the underlying simplex iteration.
-func SolveResourceLPCtx(ctx context.Context, ex *core.Expanded, target int64) (*Relaxation, error) {
-	return solveRelaxation(ctx, ex, -1, float64(target))
-}
-
-func solveRelaxation(ctx context.Context, ex *core.Expanded, budget, target float64) (*Relaxation, error) {
+func solveRelaxation(ctx context.Context, c *core.Compiled, budget, target float64) (*Relaxation, error) {
+	ex, err := c.Expansion()
+	if err != nil {
+		return nil, err
+	}
 	g := ex.G
 	m, n := g.NumEdges(), g.NumNodes()
 	// Variables: [0, m) flows, [m, m+n) event times.
@@ -150,7 +143,7 @@ func solveRelaxation(ctx context.Context, ex *core.Expanded, budget, target floa
 		return nil, fmt.Errorf("approx: neither budget nor target given")
 	}
 
-	sol, err := p.SolveCtx(ctx)
+	sol, err := p.Solve(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -59,8 +59,7 @@ type Compiled struct {
 	Tuples [][]duration.Tuple
 
 	// MinDur[e] is arc e's unlimited-resource duration; MinMakespan is the
-	// longest path under MinDur (Instance.MakespanLowerBound): the floor no
-	// flow can beat.
+	// longest path under MinDur: the floor no flow can beat.
 	MinDur      []int64
 	MinMakespan int64
 
@@ -140,28 +139,8 @@ func Compile(inst *Instance) *Compiled {
 		c.ExpandedArcs = expanded
 		c.AssignmentSpace = space
 	}
-	// Longest path under the unlimited-resource durations, via the order
-	// just computed (the compiled twin of Instance.MakespanLowerBound).
-	c.MinMakespan = c.MakespanUnder(c.MinDur)
+	c.MinMakespan = c.LongestPath(c.MinDur, make([]int64, n))
 	return c
-}
-
-// MakespanUnder returns the longest-path makespan under the given per-arc
-// durations, sweeping the compiled CSR adjacency in the precomputed
-// topological order - unlike dag.Graph.Makespan it re-derives nothing per
-// call.  d must have one entry per arc; it is not validated.
-func (c *Compiled) MakespanUnder(d []int64) int64 {
-	et := make([]int64, len(c.OutStart)-1)
-	for _, v := range c.Topo {
-		tv := et[v]
-		for i := c.OutStart[v]; i < c.OutStart[v+1]; i++ {
-			e := c.OutArcs[i]
-			if cand := tv + d[e]; cand > et[c.ArcTo[e]] {
-				et[c.ArcTo[e]] = cand
-			}
-		}
-	}
-	return et[c.Inst.Sink]
 }
 
 // Hash returns the canonical instance hash (Instance.CanonicalHash),

@@ -30,7 +30,7 @@ func TestCompileParallelMatchesSequential(t *testing.T) {
 				par := core.Compile(inst)
 				parEnv := par.Envelopes()
 				restore()
-				sv, pv := reflect.ValueOf(*seq), reflect.ValueOf(*par)
+				sv, pv := reflect.ValueOf(seq).Elem(), reflect.ValueOf(par).Elem()
 				for i := 0; i < sv.NumField(); i++ {
 					f := sv.Type().Field(i)
 					if !f.IsExported() {

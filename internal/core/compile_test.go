@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/duration"
 	"repro/internal/scenario"
 )
 
@@ -68,7 +69,8 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 // TestCompiledMatchesInstanceDerivations pins the compiled fields to the
-// Instance methods they replace, so the two can never drift apart.
+// Instance methods they replace, and MinMakespan to the slow recursive
+// longest-path reference, so the two can never drift apart.
 func TestCompiledMatchesInstanceDerivations(t *testing.T) {
 	for _, spec := range scenario.DefaultCorpus() {
 		inst, err := spec.Build()
@@ -79,8 +81,12 @@ func TestCompiledMatchesInstanceDerivations(t *testing.T) {
 		if got, want := c.Hash(), inst.CanonicalHash(); got != want {
 			t.Fatalf("%s: Hash %s != CanonicalHash %s", spec.Name, got, want)
 		}
-		if got, want := c.MinMakespan, inst.MakespanLowerBound(); got != want {
-			t.Fatalf("%s: MinMakespan %d != MakespanLowerBound %d", spec.Name, got, want)
+		minDur := make([]int64, inst.G.NumEdges())
+		for e, fn := range inst.Fns {
+			minDur[e] = duration.MinTime(fn)
+		}
+		if got, want := c.MinMakespan, slowLongestPath(inst, minDur); got != want {
+			t.Fatalf("%s: MinMakespan %d != slow longest path %d", spec.Name, got, want)
 		}
 		if got, want := c.MaxUsefulBudget, inst.MaxUsefulBudget(); got != want {
 			t.Fatalf("%s: MaxUsefulBudget %d != %d", spec.Name, got, want)

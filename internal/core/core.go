@@ -81,39 +81,6 @@ func (inst *Instance) Durations(f []int64) ([]int64, error) {
 	return d, nil
 }
 
-// Makespan returns the longest-path length under the durations induced by
-// flow f.  It does not check flow validity; see ValidateFlow.
-func (inst *Instance) Makespan(f []int64) (int64, error) {
-	d, err := inst.Durations(f)
-	if err != nil {
-		return 0, err
-	}
-	return inst.G.Makespan(d)
-}
-
-// ZeroFlowMakespan is the makespan with no resources at all.
-func (inst *Instance) ZeroFlowMakespan() int64 {
-	m, err := inst.Makespan(make([]int64, inst.G.NumEdges()))
-	if err != nil {
-		panic(err) // impossible on a validated instance
-	}
-	return m
-}
-
-// MakespanLowerBound is the longest path when every job runs at its
-// unlimited-resource duration; no flow can beat it.
-func (inst *Instance) MakespanLowerBound() int64 {
-	d := make([]int64, inst.G.NumEdges())
-	for e, fn := range inst.Fns {
-		d[e] = duration.MinTime(fn)
-	}
-	m, err := inst.G.Makespan(d)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // FlowValue returns the net flow out of the source.
 func (inst *Instance) FlowValue(f []int64) int64 {
 	var v int64
@@ -139,23 +106,12 @@ func (inst *Instance) ValidateFlow(f []int64, budget int64) error {
 	return nil
 }
 
-// Solution bundles a validated flow with its derived metrics.
+// Solution bundles a validated flow with its derived metrics; build one
+// with Compiled.NewSolution.
 type Solution struct {
 	Flow     []int64
 	Value    int64 // resources leaving the source
 	Makespan int64
-}
-
-// NewSolution validates f and computes its value and makespan.
-func (inst *Instance) NewSolution(f []int64) (Solution, error) {
-	if err := inst.ValidateFlow(f, -1); err != nil {
-		return Solution{}, err
-	}
-	m, err := inst.Makespan(f)
-	if err != nil {
-		return Solution{}, err
-	}
-	return Solution{Flow: f, Value: inst.FlowValue(f), Makespan: m}, nil
 }
 
 // MaxUsefulBudget returns a finite budget beyond which extra resources

@@ -42,20 +42,21 @@ func TestMakespanAndDurations(t *testing.T) {
 		duration.MustStep(duration.Tuple{R: 0, T: 5}, duration.Tuple{R: 2, T: 1}),
 		duration.Constant(3),
 	)
-	if got := inst.ZeroFlowMakespan(); got != 8 {
+	c := Compile(inst)
+	if got := c.ZeroFlowMakespan(); got != 8 {
 		t.Fatalf("ZeroFlowMakespan = %d; want 8", got)
 	}
-	m, err := inst.Makespan([]int64{2, 2})
+	m, err := c.Makespan([]int64{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != 4 {
 		t.Fatalf("Makespan = %d; want 4", m)
 	}
-	if lb := inst.MakespanLowerBound(); lb != 4 {
-		t.Fatalf("MakespanLowerBound = %d; want 4", lb)
+	if lb := c.MinMakespan; lb != 4 {
+		t.Fatalf("MinMakespan = %d; want 4", lb)
 	}
-	if _, err := inst.Makespan([]int64{1}); err == nil {
+	if _, err := c.Makespan([]int64{1}); err == nil {
 		t.Fatal("want error for wrong flow length")
 	}
 }
@@ -71,7 +72,7 @@ func TestValidateFlowAndSolution(t *testing.T) {
 	if err := inst.ValidateFlow([]int64{2, 1}, 5); err == nil {
 		t.Fatal("want conservation violation")
 	}
-	sol, err := inst.NewSolution([]int64{3, 3})
+	sol, err := Compile(inst).NewSolution([]int64{3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,8 @@ func TestToArcFormEquivalence(t *testing.T) {
 	}
 	// Zero flow: arc-form makespan equals the vertex makespan.
 	vm, _ := vi.Makespan(nil)
-	if am := af.Inst.ZeroFlowMakespan(); am != vm {
+	ac := Compile(af.Inst)
+	if am := ac.ZeroFlowMakespan(); am != vm {
 		t.Fatalf("arc-form zero makespan %d != vertex makespan %d", am, vm)
 	}
 	// Push a real flow that allocates 2 units to vertex b's job arc and
@@ -260,7 +262,7 @@ func TestToArcFormEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	am, err := af.Inst.Makespan(res.EdgeFlow)
+	am, err := ac.Makespan(res.EdgeFlow)
 	if err != nil {
 		t.Fatal(err)
 	}

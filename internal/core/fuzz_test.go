@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -146,11 +147,11 @@ func FuzzCanonicalHash(f *testing.F) {
 		// Hash equality must imply solve-value equality: two instances a
 		// cache would identify must produce the same optimum.
 		const budget = 3
-		a, _, err := exact.MinMakespan(&inst, budget, nil)
+		a, _, err := exact.MinMakespan(context.Background(), core.Compile(&inst), budget, nil)
 		if err != nil {
 			t.Fatalf("exact on original: %v", err)
 		}
-		b, _, err := exact.MinMakespan(mut, budget, nil)
+		b, _, err := exact.MinMakespan(context.Background(), core.Compile(mut), budget, nil)
 		if err != nil {
 			t.Fatalf("exact on mutation: %v", err)
 		}

@@ -155,7 +155,7 @@ func TestUnmarshalSingleNodeInstance(t *testing.T) {
 	if inst.Source != inst.Sink {
 		t.Fatal("single node must be both source and sink")
 	}
-	if inst.ZeroFlowMakespan() != 0 {
+	if Compile(&inst).ZeroFlowMakespan() != 0 {
 		t.Fatal("empty-arc instance must have makespan 0")
 	}
 }

@@ -111,7 +111,7 @@ func TestLevelsStructure(t *testing.T) {
 				t.Fatal("Levels not memoized on the compiled instance")
 			}
 
-			// A longest-path sweep in Order must agree with MakespanUnder.
+			// A longest-path sweep in Order must agree with the compiled MinMakespan.
 			et := make([]int64, n)
 			for p := 0; p < n; p++ {
 				var best int64

@@ -3,10 +3,12 @@
 //
 // The graphs here model the project networks of Das et al. (SPAA 2019):
 // vertices are events, arcs are jobs (activity-on-arc form) or precedence
-// edges, and the central quantities are topological orders, longest paths
-// under per-arc durations, and source-to-sink paths along which resources
-// flow.  Multi-arcs are allowed because both the two-tuple expansion of
-// Section 3.1 and the race DAGs of Section 1 naturally create parallel arcs.
+// edges, and the central quantities are topological orders and the
+// source-to-sink paths along which resources flow.  Longest paths under
+// per-arc durations are computed on the compiled form
+// (core.Compiled.LongestPath).  Multi-arcs are allowed because both the
+// two-tuple expansion of Section 3.1 and the race DAGs of Section 1
+// naturally create parallel arcs.
 package dag
 
 import (

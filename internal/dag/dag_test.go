@@ -149,54 +149,32 @@ func TestValidateRejections(t *testing.T) {
 	})
 }
 
-func TestEventTimesLine(t *testing.T) {
-	g := line(5)
-	times, err := g.EventTimes([]int64{3, 1, 4, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 3, 4, 8, 9}
-	for v := range want {
-		if times[v] != want[v] {
-			t.Fatalf("T[%d] = %d; want %d", v, times[v], want[v])
-		}
-	}
-}
-
-func TestEventTimesDiamondTakesMax(t *testing.T) {
-	g := diamond()
-	// Path via a costs 2+5=7, via b costs 3+1=4.
-	ms, err := g.Makespan([]int64{2, 5, 3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms != 7 {
-		t.Fatalf("makespan = %d; want 7", ms)
-	}
-}
-
-func TestEventTimesWrongLength(t *testing.T) {
-	if _, err := diamond().EventTimes([]int64{1}); err == nil {
-		t.Fatal("want error for wrong duration length")
-	}
-}
-
+// TestCriticalPath picks the diamond's critical path out of the paths that
+// Paths enumerates: the heaviest one under the durations must be the
+// longest source-to-sink path, a contiguous edge chain through a.
 func TestCriticalPath(t *testing.T) {
 	g := diamond()
 	dur := []int64{2, 5, 3, 1}
-	path, length, err := g.CriticalPath(dur)
-	if err != nil {
-		t.Fatal(err)
+	paths, exhaustive := g.Paths(0, 3, 0)
+	if !exhaustive {
+		t.Fatal("diamond path enumeration not exhaustive")
+	}
+	var path []int
+	length := int64(-1)
+	for _, p := range paths {
+		var sum int64
+		for _, e := range p {
+			sum += dur[e]
+		}
+		if sum > length {
+			path, length = p, sum
+		}
 	}
 	if length != 7 {
 		t.Fatalf("length = %d; want 7", length)
 	}
-	var sum int64
-	for _, e := range path {
-		sum += dur[e]
-	}
-	if sum != length {
-		t.Fatalf("path durations sum to %d; want %d", sum, length)
+	if len(path) != 2 || path[0] != 0 || path[1] != 1 {
+		t.Fatalf("critical path = %v; want [0 1] (via a)", path)
 	}
 	// Path must be contiguous from source to sink.
 	if g.Edge(path[0]).From != 0 || g.Edge(path[len(path)-1]).To != 3 {
@@ -294,19 +272,41 @@ func TestDOT(t *testing.T) {
 	}
 }
 
-// TestRandomLayeredTopoAndTimes cross-checks EventTimes against a slow
-// recursive longest-path computation on random layered DAGs.
+// TestRandomLayeredTopoAndTimes checks TopoOrder on random layered DAGs:
+// every edge points forward in the order, so one sweep along it yields
+// each node's event time (its longest-path distance from the sources),
+// and the largest must match a slow recursive longest-path computation.
 func TestRandomLayeredTopoAndTimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		g, dur := randomLayered(rng)
-		got, err := g.Makespan(dur)
+		order, err := g.TopoOrder()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := slowMakespan(g, dur)
-		if got != want {
-			t.Fatalf("trial %d: Makespan = %d; slow = %d", trial, got, want)
+		pos := make([]int, g.NumNodes())
+		for i, v := range order {
+			pos[v] = i
+		}
+		for e := 0; e < g.NumEdges(); e++ {
+			if ed := g.Edge(e); pos[ed.From] >= pos[ed.To] {
+				t.Fatalf("trial %d: edge %d violates topological order", trial, e)
+			}
+		}
+		times := make([]int64, g.NumNodes())
+		var got int64
+		for _, v := range order {
+			if times[v] > got {
+				got = times[v]
+			}
+			for _, e := range g.Out(v) {
+				if w := g.Edge(e).To; times[v]+dur[e] > times[w] {
+					times[w] = times[v] + dur[e]
+				}
+			}
+		}
+		if want := slowMakespan(g, dur); got != want {
+			t.Fatalf("trial %d: makespan along TopoOrder = %d; slow = %d", trial, got, want)
 		}
 	}
 }

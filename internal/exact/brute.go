@@ -20,12 +20,13 @@ func BruteForceMinMakespan(inst *core.Instance, budget int64, maxPaths int) (cor
 	if !exhaustive || len(paths) > maxPaths {
 		return core.Solution{}, false
 	}
+	c := core.Compile(inst)
 	f := make([]int64, inst.G.NumEdges())
 	best := core.Solution{Makespan: -1}
 	var rec func(k int64, from int)
 	rec = func(k int64, from int) {
 		if k == 0 {
-			m, err := inst.Makespan(f)
+			m, err := c.Makespan(f)
 			if err != nil {
 				panic(err)
 			}
@@ -70,6 +71,7 @@ func BruteForceAssignmentsMinMakespan(inst *core.Instance, budget int64, maxAssi
 			return core.Solution{}, false
 		}
 	}
+	c := core.Compile(inst)
 	level := make([]int, m)
 	lower := make([]int64, m)
 	ms := flow.NewMinFlowSolver(inst.G, inst.Source, inst.Sink)
@@ -80,7 +82,7 @@ func BruteForceAssignmentsMinMakespan(inst *core.Instance, budget int64, maxAssi
 		}
 		res, err := ms.Solve(lower)
 		if err == nil && res.Value <= budget {
-			mk, err := inst.Makespan(res.EdgeFlow)
+			mk, err := c.Makespan(res.EdgeFlow)
 			if err != nil {
 				panic(err)
 			}

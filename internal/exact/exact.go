@@ -135,7 +135,6 @@ type shared struct {
 	inst   *core.Instance
 	ctx    context.Context
 	tuples [][]duration.Tuple
-	topo   []int // topological order of inst.G, from the compiled form
 
 	budget int64 // resource cap (-1: none)
 	target int64 // makespan cap (-1: none)
@@ -197,14 +196,12 @@ func newShared(ctx context.Context, c *core.Compiled, opts *Options) *shared {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The topological order and the per-arc breakpoint tables come straight
-	// off the compiled form: they were derived once at Compile time instead
-	// of once per solve.
+	// The per-arc breakpoint tables come straight off the compiled form:
+	// they were derived once at Compile time instead of once per solve.
 	sh := &shared{
 		c:        c,
 		inst:     c.Inst,
 		ctx:      ctx,
-		topo:     c.Topo,
 		tuples:   c.Tuples,
 		budget:   -1,
 		target:   -1,
@@ -265,11 +262,10 @@ func (sh *shared) seedIncumbent(opts *Options) {
 	if sh.budget >= 0 && value > sh.budget {
 		return
 	}
-	durs := make([]int64, len(f))
-	for e, fn := range sh.inst.Fns {
-		durs[e] = fn.Eval(f[e])
+	makespan, err := sh.c.Makespan(f)
+	if err != nil {
+		return
 	}
-	makespan := sh.c.MakespanUnder(durs)
 	if sh.minimizeResource {
 		if sh.target >= 0 && makespan > sh.target {
 			return
@@ -294,7 +290,19 @@ func (sh *shared) record(value int64, edgeFlow []int64) {
 	if sh.found.Load() && value >= sh.bestVal.Load() {
 		return
 	}
+	sh.install(value, edgeFlow)
+	if (sh.stopAt >= 0 && value <= sh.stopAt) || (sh.floor.Load() >= 0 && value <= sh.floor.Load()) {
+		sh.done.Store(true)
+	}
+}
+
+// install makes value and edgeFlow the incumbent if value still improves
+// on it.  The unlock is deferred because the Progress callback runs under
+// mu: a callback that panics must not leave the other workers blocked on
+// the lock.
+func (sh *shared) install(value int64, edgeFlow []int64) {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if !sh.found.Load() || value < sh.bestVal.Load() {
 		sh.bestFlow = append(sh.bestFlow[:0], edgeFlow...)
 		sh.bestVal.Store(value)
@@ -303,10 +311,6 @@ func (sh *shared) record(value int64, edgeFlow []int64) {
 		// incumbents are strictly decreasing even when several workers
 		// improve concurrently.
 		sh.emitProgress()
-	}
-	sh.mu.Unlock()
-	if (sh.stopAt >= 0 && value <= sh.stopAt) || (sh.floor.Load() >= 0 && value <= sh.floor.Load()) {
-		sh.done.Store(true)
 	}
 }
 
@@ -435,29 +439,6 @@ func (w *worker) release() {
 	workerPool.Put(w)
 }
 
-// makespan fills w.et with longest-path event times under the durations d
-// and returns the sink's time (the makespan).  It is the allocation-free
-// twin of dag.Graph.Makespan, sweeping the compiled CSR adjacency in the
-// shared topological order.
-//
-//rt:hotpath — runs up to three times per search node.
-func (w *worker) makespan(d []int64) int64 {
-	c := w.sh.c
-	for i := range w.et {
-		w.et[i] = 0
-	}
-	for _, v := range w.sh.topo {
-		tv := w.et[v]
-		for i := c.OutStart[v]; i < c.OutStart[v+1]; i++ {
-			e := c.OutArcs[i]
-			if cand := tv + d[e]; cand > w.et[c.ArcTo[e]] {
-				w.et[c.ArcTo[e]] = cand
-			}
-		}
-	}
-	return w.et[w.sh.inst.Sink]
-}
-
 // candidates walks one critical path back from the sink (w.et must hold
 // the event times of d) and collects, in source-to-sink order, the arcs on
 // it that are neither frozen nor at their last breakpoint.
@@ -547,7 +528,7 @@ func (w *worker) visit() (candidates []int, ok bool) {
 	}
 
 	if sh.minimizeResource {
-		if w.makespan(w.durs) <= sh.target {
+		if sh.c.LongestPath(w.durs, w.et) <= sh.target {
 			sh.record(res.Value, res.EdgeFlow)
 			return nil, false // deeper assignments only cost more resource
 		}
@@ -557,7 +538,7 @@ func (w *worker) visit() (candidates []int, ok bool) {
 		for e, fn := range sh.inst.Fns {
 			w.rdurs[e] = fn.Eval(res.EdgeFlow[e])
 		}
-		sh.record(w.makespan(w.rdurs), res.EdgeFlow)
+		sh.record(sh.c.LongestPath(w.rdurs, w.et), res.EdgeFlow)
 		if sh.done.Load() {
 			return nil, false
 		}
@@ -593,10 +574,10 @@ func (w *worker) visit() (candidates []int, ok bool) {
 				w.rdurs[e] = sh.budgetMin[e]
 			}
 		}
-		if w.makespan(w.rdurs) >= sh.bestVal.Load() {
+		if sh.c.LongestPath(w.rdurs, w.et) >= sh.bestVal.Load() {
 			return nil, false // this subtree cannot beat the incumbent
 		}
-		w.makespan(w.durs) // refill w.et for the critical-path walk
+		sh.c.LongestPath(w.durs, w.et) // refill w.et for the critical-path walk
 	}
 
 	// Path repair: raise arcs on the current critical path.
@@ -742,7 +723,11 @@ func (w *worker) stealWork() *task {
 	}
 }
 
-// run drives the search with the given worker-pool size.
+// run drives the search with the given worker-pool size.  The sequential
+// search and the root visit run on the calling goroutine.  A panic in a
+// worker goroutine is recovered there, stops the other workers, and is
+// re-raised on the calling goroutine once the gang has joined, so it fails
+// this solve instead of the process.
 func (sh *shared) run(parallelism int) {
 	par := parallelism
 	if par <= 0 {
@@ -782,10 +767,17 @@ func (sh *shared) run(parallelism int) {
 	root.release()
 
 	var wg sync.WaitGroup
+	faults := make(chan any, par)
 	for i := 0; i < par; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					faults <- r
+					sh.stopped.Store(true)
+				}
+			}()
 			w := newWorker(sh)
 			w.dq = &sh.dqs[i]
 			w.self = i
@@ -794,6 +786,11 @@ func (sh *shared) run(parallelism int) {
 		}(i)
 	}
 	wg.Wait()
+	select {
+	case r := <-faults:
+		panic(r)
+	default:
+	}
 }
 
 func (sh *shared) solution() (core.Solution, Stats, error) {
@@ -807,7 +804,7 @@ func (sh *shared) solution() (core.Solution, Stats, error) {
 		}
 		return core.Solution{}, stats, ErrNoSolution
 	}
-	sol, err := sh.inst.NewSolution(sh.bestFlow)
+	sol, err := sh.c.NewSolution(sh.bestFlow)
 	if err != nil {
 		return core.Solution{}, stats, fmt.Errorf("exact: internal solution invalid: %w", err)
 	}
@@ -818,29 +815,20 @@ func (sh *shared) solution() (core.Solution, Stats, error) {
 // the fastest duration any flow of value at most budget can give it.  On a
 // DAG every unit of flow follows a source-to-sink path, so no arc can
 // carry more than the whole budget; the bound is therefore sound for every
-// feasible flow, and tighter than Instance.MakespanLowerBound whenever the
-// budget stops some arc short of its last breakpoint.
-func BudgetedMakespanLowerBound(inst *core.Instance, budget int64) int64 {
-	d := make([]int64, inst.G.NumEdges())
-	for e, fn := range inst.Fns {
-		d[e] = fn.Eval(budget)
-	}
-	m, err := inst.G.Makespan(d)
-	if err != nil {
-		panic(err) // instance was validated
-	}
-	return m
+// feasible flow, and tighter than c.MinMakespan whenever the budget stops
+// some arc short of its last breakpoint.
+func BudgetedMakespanLowerBound(c *core.Compiled, budget int64) int64 {
+	return c.LongestPath(budgetMinDurations(c, budget), make([]int64, len(c.Topo)))
 }
 
-// BudgetedMakespanLowerBoundCompiled is BudgetedMakespanLowerBound on an
-// already-compiled instance: the longest-path sweep reuses the compiled
-// topological order and CSR adjacency instead of re-deriving them.
-func BudgetedMakespanLowerBoundCompiled(c *core.Compiled, budget int64) int64 {
+// budgetMinDurations returns, per arc, the fastest duration a flow of
+// value at most budget can give it.
+func budgetMinDurations(c *core.Compiled, budget int64) []int64 {
 	d := make([]int64, len(c.MinDur))
 	for e, fn := range c.Inst.Fns {
 		d[e] = fn.Eval(budget)
 	}
-	return c.MakespanUnder(d)
+	return d
 }
 
 // ResourceLowerBound returns a lower bound on the resource usage of every
@@ -851,26 +839,14 @@ func BudgetedMakespanLowerBoundCompiled(c *core.Compiled, budget int64) int64 {
 // flow satisfying all those per-arc floors bounds OPT from below.  With a
 // generous target every floor is the first breakpoint (R = 0) and the
 // bound degenerates to the trivial min-flow at all-minimum levels.
-func ResourceLowerBound(inst *core.Instance, target int64) int64 {
-	g := inst.G
-	m := g.NumEdges()
-	minD := make([]int64, m)
-	for e, fn := range inst.Fns {
-		minD[e] = duration.MinTime(fn)
-	}
-	tf, err := g.EventTimes(minD)
-	if err != nil {
-		panic(err) // instance was validated
-	}
-	tb, err := g.ReverseEventTimes(minD)
-	if err != nil {
-		panic(err)
-	}
-	lower := make([]int64, m)
-	for e := 0; e < m; e++ {
-		ed := g.Edge(e)
-		slack := target - tf[ed.From] - tb[ed.To]
-		tuples := inst.Fns[e].Tuples()
+func ResourceLowerBound(c *core.Compiled, target int64) int64 {
+	n := len(c.Topo)
+	tf, tb := make([]int64, n), make([]int64, n)
+	c.LongestPath(c.MinDur, tf)
+	c.ReverseLongestPath(c.MinDur, tb)
+	lower := make([]int64, len(c.Tuples))
+	for e, tuples := range c.Tuples {
+		slack := target - tf[c.ArcFrom[e]] - tb[c.ArcTo[e]]
 		// The tuples are sorted by strictly decreasing T, so the first one
 		// fitting the slack has the minimal requirement.
 		r := tuples[len(tuples)-1].R // unreachable target: fastest level (still sound)
@@ -882,7 +858,8 @@ func ResourceLowerBound(inst *core.Instance, target int64) int64 {
 		}
 		lower[e] = r
 	}
-	res, err := flow.MinFlow(g, lower, inst.Source, inst.Sink)
+	inst := c.Inst
+	res, err := flow.MinFlow(inst.G, lower, inst.Source, inst.Sink)
 	if err != nil {
 		return 0 // malformed bounds cannot happen on a validated instance
 	}
@@ -890,38 +867,21 @@ func ResourceLowerBound(inst *core.Instance, target int64) int64 {
 }
 
 // MinMakespan finds an optimal flow of value at most budget minimizing the
-// makespan.
-func MinMakespan(inst *core.Instance, budget int64, opts *Options) (core.Solution, Stats, error) {
-	return MinMakespanCtx(context.Background(), inst, budget, opts)
-}
-
-// MinMakespanCtx is MinMakespan with cooperative cancellation: when ctx is
-// canceled or its deadline fires, the search stops after the current node
-// and the best solution found so far is returned with
-// Stats{Complete: false, Interrupted: ctx.Err()}.  If no solution was
-// found yet, the context error itself is returned.
-func MinMakespanCtx(ctx context.Context, inst *core.Instance, budget int64, opts *Options) (core.Solution, Stats, error) {
-	if budget < 0 {
-		return core.Solution{}, Stats{}, fmt.Errorf("exact: negative budget %d", budget)
-	}
-	return MinMakespanCompiled(ctx, core.Compile(inst), budget, opts)
-}
-
-// MinMakespanCompiled is MinMakespanCtx on an already-compiled instance:
-// callers solving the same instance repeatedly (the solver registry, the
-// service) compile once and skip the per-solve preprocessing.
-func MinMakespanCompiled(ctx context.Context, c *core.Compiled, budget int64, opts *Options) (core.Solution, Stats, error) {
+// makespan.  Callers solving the same instance repeatedly compile it once
+// and pass the shared compiled form.  When ctx is canceled or its deadline
+// fires, the search stops after the current node and the best solution
+// found so far is returned with Stats{Complete: false, Interrupted:
+// ctx.Err()}; if no solution was found yet, the context error itself is
+// returned.
+func MinMakespan(ctx context.Context, c *core.Compiled, budget int64, opts *Options) (core.Solution, Stats, error) {
 	if budget < 0 {
 		return core.Solution{}, Stats{}, fmt.Errorf("exact: negative budget %d", budget)
 	}
 	sh := newShared(ctx, c, opts)
 	sh.budget = budget
 	sh.minimizeResource = false
-	sh.budgetMin = make([]int64, c.Inst.G.NumEdges())
-	for e, fn := range c.Inst.Fns {
-		sh.budgetMin[e] = fn.Eval(budget)
-	}
-	sh.floor.Store(c.MakespanUnder(sh.budgetMin))
+	sh.budgetMin = budgetMinDurations(c, budget)
+	sh.floor.Store(c.LongestPath(sh.budgetMin, make([]int64, len(c.Topo))))
 	sh.emitProgress() // bound established, before any incumbent exists
 	sh.seedIncumbent(opts)
 	sh.run(optParallelism(opts))
@@ -929,19 +889,9 @@ func MinMakespanCompiled(ctx context.Context, c *core.Compiled, budget int64, op
 }
 
 // MinResource finds a flow of minimum value whose makespan is at most
-// target.  It returns ErrNoSolution if the target is unreachable.
-func MinResource(inst *core.Instance, target int64, opts *Options) (core.Solution, Stats, error) {
-	return MinResourceCtx(context.Background(), inst, target, opts)
-}
-
-// MinResourceCtx is MinResource with cooperative cancellation; see
-// MinMakespanCtx for the interruption contract.
-func MinResourceCtx(ctx context.Context, inst *core.Instance, target int64, opts *Options) (core.Solution, Stats, error) {
-	return MinResourceCompiled(ctx, core.Compile(inst), target, opts)
-}
-
-// MinResourceCompiled is MinResourceCtx on an already-compiled instance.
-func MinResourceCompiled(ctx context.Context, c *core.Compiled, target int64, opts *Options) (core.Solution, Stats, error) {
+// target.  It returns ErrNoSolution if the target is unreachable; see
+// MinMakespan for the interruption contract.
+func MinResource(ctx context.Context, c *core.Compiled, target int64, opts *Options) (core.Solution, Stats, error) {
 	if target < c.MinMakespan {
 		return core.Solution{}, Stats{Complete: true}, ErrNoSolution
 	}
@@ -955,22 +905,12 @@ func MinResourceCompiled(ctx context.Context, c *core.Compiled, target int64, op
 
 // Feasible decides whether some flow of value at most budget achieves
 // makespan at most target; when it does, a witness solution is returned.
-func Feasible(inst *core.Instance, budget, target int64, opts *Options) (bool, core.Solution, Stats, error) {
-	return FeasibleCtx(context.Background(), inst, budget, target, opts)
-}
-
-// FeasibleCtx is Feasible with cooperative cancellation.  Its answer is
-// three-valued: (true, nil) proves feasibility with a witness, (false,
-// nil) proves infeasibility, and an interrupted or node-capped run that
-// proved neither returns false together with the context error or
-// ErrTruncated, so callers can no longer mistake "ran out of time" for
-// "proven infeasible".
-func FeasibleCtx(ctx context.Context, inst *core.Instance, budget, target int64, opts *Options) (bool, core.Solution, Stats, error) {
-	return FeasibleCompiled(ctx, core.Compile(inst), budget, target, opts)
-}
-
-// FeasibleCompiled is FeasibleCtx on an already-compiled instance.
-func FeasibleCompiled(ctx context.Context, c *core.Compiled, budget, target int64, opts *Options) (bool, core.Solution, Stats, error) {
+// Its answer is three-valued: (true, nil) proves feasibility with a
+// witness, (false, nil) proves infeasibility, and an interrupted or
+// node-capped run that proved neither returns false together with the
+// context error or ErrTruncated, so callers cannot mistake "ran out of
+// time" for "proven infeasible".
+func Feasible(ctx context.Context, c *core.Compiled, budget, target int64, opts *Options) (bool, core.Solution, Stats, error) {
 	if target < c.MinMakespan {
 		return false, core.Solution{}, Stats{Complete: true}, nil
 	}
@@ -983,7 +923,7 @@ func FeasibleCompiled(ctx context.Context, c *core.Compiled, budget, target int6
 	sh.run(optParallelism(opts))
 	stats := sh.stats()
 	if sh.found.Load() && sh.bestVal.Load() <= budget {
-		sol, err := sh.inst.NewSolution(sh.bestFlow)
+		sol, err := sh.c.NewSolution(sh.bestFlow)
 		if err != nil {
 			return false, core.Solution{}, stats, err
 		}

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,8 @@ func TestMinMakespanReuseOverPath(t *testing.T) {
 	// same 2 units serve all five (reuse over the path), so budget 2
 	// yields makespan 5 while budget 0 yields 50.
 	inst := chainInstance(5, 10, 1, 2)
-	sol, stats, err := MinMakespan(inst, 2, nil)
+	c := core.Compile(inst)
+	sol, stats, err := MinMakespan(context.Background(), c, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestMinMakespanReuseOverPath(t *testing.T) {
 	if sol.Value > 2 {
 		t.Fatalf("used %d units; budget 2", sol.Value)
 	}
-	sol0, _, err := MinMakespan(inst, 0, nil)
+	sol0, _, err := MinMakespan(context.Background(), c, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestMinMakespanReuseOverPath(t *testing.T) {
 		t.Fatalf("zero-budget makespan = %d; want 50", sol0.Makespan)
 	}
 	// Budget 1 does not reach any breakpoint: still 50.
-	sol1, _, err := MinMakespan(inst, 1, nil)
+	sol1, _, err := MinMakespan(context.Background(), c, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestMinMakespanParallelNeedsSplit(t *testing.T) {
 	// 6 units are needed to bring the makespan to 1.
 	inst := parallelInstance(3, 9, 1, 2)
 	for budget, want := range map[int64]int64{0: 9, 2: 9, 4: 9, 5: 9, 6: 1} {
-		sol, stats, err := MinMakespan(inst, budget, nil)
+		sol, stats, err := MinMakespan(context.Background(), core.Compile(inst), budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +99,9 @@ func TestMinMakespanParallelNeedsSplit(t *testing.T) {
 
 func TestMinResource(t *testing.T) {
 	inst := chainInstance(4, 7, 2, 3)
+	c := core.Compile(inst)
 	// Target 8 = 4 jobs at duration 2: needs 3 units reused along the path.
-	sol, stats, err := MinResource(inst, 8, nil)
+	sol, stats, err := MinResource(context.Background(), c, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +115,11 @@ func TestMinResource(t *testing.T) {
 		t.Fatalf("makespan = %d exceeds target 8", sol.Makespan)
 	}
 	// Target below the floor is impossible.
-	if _, _, err := MinResource(inst, 7, nil); err != ErrNoSolution {
+	if _, _, err := MinResource(context.Background(), c, 7, nil); err != ErrNoSolution {
 		t.Fatalf("err = %v; want ErrNoSolution", err)
 	}
 	// A generous target needs nothing.
-	sol, _, err = MinResource(inst, 28, nil)
+	sol, _, err = MinResource(context.Background(), c, 28, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,8 @@ func TestMinResource(t *testing.T) {
 
 func TestFeasible(t *testing.T) {
 	inst := chainInstance(3, 5, 1, 2)
-	ok, sol, _, err := Feasible(inst, 2, 3, nil)
+	c := core.Compile(inst)
+	ok, sol, _, err := Feasible(context.Background(), c, 2, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +141,14 @@ func TestFeasible(t *testing.T) {
 	if sol.Makespan > 3 || sol.Value > 2 {
 		t.Fatalf("witness = %+v", sol)
 	}
-	ok, _, _, err = Feasible(inst, 1, 3, nil)
+	ok, _, _, err = Feasible(context.Background(), c, 1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Fatal("1 unit cannot reach makespan 3")
 	}
-	ok, _, _, err = Feasible(inst, 100, 2, nil)
+	ok, _, _, err = Feasible(context.Background(), c, 100, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestFeasible(t *testing.T) {
 
 func TestNodeBudgetReportsIncomplete(t *testing.T) {
 	inst := chainInstance(6, 9, 1, 2)
-	_, stats, err := MinMakespan(inst, 2, &Options{MaxNodes: 1})
+	_, stats, err := MinMakespan(context.Background(), core.Compile(inst), 2, &Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err) // the root node itself yields a (suboptimal) solution
 	}
@@ -166,7 +170,7 @@ func TestNodeBudgetReportsIncomplete(t *testing.T) {
 
 func TestNegativeBudgetRejected(t *testing.T) {
 	inst := chainInstance(2, 3, 1, 1)
-	if _, _, err := MinMakespan(inst, -1, nil); err == nil {
+	if _, _, err := MinMakespan(context.Background(), core.Compile(inst), -1, nil); err == nil {
 		t.Fatal("want error for negative budget")
 	}
 }
@@ -223,7 +227,7 @@ func TestMinMakespanMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		checked++
-		sol, stats, err := MinMakespan(inst, budget, nil)
+		sol, stats, err := MinMakespan(context.Background(), core.Compile(inst), budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +253,9 @@ func TestMinResourceMatchesBruteForce(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 40; trial++ {
 		inst := randomInstance(rng)
-		lo := inst.MakespanLowerBound()
-		hi := inst.ZeroFlowMakespan()
+		c := core.Compile(inst)
+		lo := c.MinMakespan
+		hi := c.ZeroFlowMakespan()
 		if hi == lo {
 			continue
 		}
@@ -260,7 +265,7 @@ func TestMinResourceMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		checked++
-		sol, stats, err := MinResource(inst, target, nil)
+		sol, stats, err := MinResource(context.Background(), c, target, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +290,7 @@ func TestMakespanMonotoneInBudget(t *testing.T) {
 		inst := randomInstance(rng)
 		prev := int64(-1)
 		for b := int64(0); b <= 5; b++ {
-			sol, stats, err := MinMakespan(inst, b, nil)
+			sol, stats, err := MinMakespan(context.Background(), core.Compile(inst), b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func TestMinMakespanMatchesAssignmentEnumeration(t *testing.T) {
 			continue
 		}
 		checked++
-		sol, stats, err := MinMakespan(inst, budget, nil)
+		sol, stats, err := MinMakespan(context.Background(), core.Compile(inst), budget, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -104,13 +105,14 @@ func TestParallelDeterministicOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 25; trial++ {
 		inst := randomInstance(rng)
+		c := core.Compile(inst)
 		budget := int64(rng.Intn(6))
-		target := inst.MakespanLowerBound() + rng.Int63n(1+inst.ZeroFlowMakespan()-inst.MakespanLowerBound())
+		target := c.MinMakespan + rng.Int63n(1+c.ZeroFlowMakespan()-c.MinMakespan)
 
 		wantMk, wantRes := int64(-1), int64(-1)
 		for par := 1; par <= 8; par++ {
 			opts := &Options{Parallelism: par}
-			sol, stats, err := MinMakespan(inst, budget, opts)
+			sol, stats, err := MinMakespan(context.Background(), c, budget, opts)
 			if err != nil {
 				t.Fatalf("trial %d par %d: %v", trial, par, err)
 			}
@@ -127,7 +129,7 @@ func TestParallelDeterministicOptimum(t *testing.T) {
 					trial, sol.Makespan, par, wantMk)
 			}
 
-			rsol, rstats, err := MinResource(inst, target, opts)
+			rsol, rstats, err := MinResource(context.Background(), c, target, opts)
 			if err != nil {
 				t.Fatalf("trial %d par %d (target %d): %v", trial, par, target, err)
 			}
@@ -153,11 +155,12 @@ func TestParallelFeasibleAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 20; trial++ {
 		inst := randomInstance(rng)
+		c := core.Compile(inst)
 		budget := int64(rng.Intn(5))
-		target := inst.MakespanLowerBound() + rng.Int63n(1+inst.ZeroFlowMakespan()-inst.MakespanLowerBound())
+		target := c.MinMakespan + rng.Int63n(1+c.ZeroFlowMakespan()-c.MinMakespan)
 		var want bool
 		for par := 1; par <= 4; par++ {
-			ok, sol, _, err := Feasible(inst, budget, target, &Options{Parallelism: par})
+			ok, sol, _, err := Feasible(context.Background(), c, budget, target, &Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("trial %d par %d: %v", trial, par, err)
 			}
@@ -178,9 +181,10 @@ func TestParallelFeasibleAgrees(t *testing.T) {
 // decision run must return the context error, not a silent "infeasible".
 func TestFeasibleInterruptedReturnsError(t *testing.T) {
 	inst := chainInstance(5, 10, 1, 2)
+	c := core.Compile(inst)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ok, _, stats, err := FeasibleCtx(ctx, inst, 2, 5, nil)
+	ok, _, stats, err := Feasible(ctx, c, 2, 5, nil)
 	if ok {
 		t.Fatal("canceled run must not claim feasibility")
 	}
@@ -191,7 +195,7 @@ func TestFeasibleInterruptedReturnsError(t *testing.T) {
 		t.Fatal("Stats.Interrupted must carry the context error")
 	}
 	// The same budget/target pair is genuinely feasible when allowed to run.
-	ok, _, _, err = Feasible(inst, 2, 5, nil)
+	ok, _, _, err = Feasible(context.Background(), c, 2, 5, nil)
 	if err != nil || !ok {
 		t.Fatalf("uninterrupted run: ok=%v err=%v; want feasible", ok, err)
 	}
@@ -201,7 +205,7 @@ func TestFeasibleInterruptedReturnsError(t *testing.T) {
 // must say so instead of reporting "infeasible".
 func TestFeasibleTruncatedReturnsError(t *testing.T) {
 	inst := chainInstance(5, 10, 1, 2)
-	ok, _, stats, err := Feasible(inst, 2, 5, &Options{MaxNodes: 1})
+	ok, _, stats, err := Feasible(context.Background(), core.Compile(inst), 2, 5, &Options{MaxNodes: 1})
 	if ok {
 		t.Fatal("root alone cannot prove this budget/target pair feasible")
 	}
@@ -221,7 +225,7 @@ func TestParallelInterruption(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	sol, stats, err := MinMakespanCtx(ctx, inst, 40, &Options{Parallelism: 4})
+	sol, stats, err := MinMakespan(ctx, core.Compile(inst), 40, &Options{Parallelism: 4})
 	elapsed := time.Since(start)
 	if elapsed > 10*time.Second {
 		t.Fatalf("parallel search ran %v past a 100ms deadline", elapsed)
@@ -240,6 +244,32 @@ func TestParallelInterruption(t *testing.T) {
 	} else if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v; want context.DeadlineExceeded or a partial solution", err)
 	}
+}
+
+// TestParallelWorkerPanicReraised injects a panic into one search worker
+// through Progress, which runs under the incumbent lock on whichever worker
+// improved.  The panic must neither kill the process from the worker's
+// goroutine nor leave the lock held and the gang hung: it comes back out of
+// MinMakespan on the caller's goroutine once the gang has joined.
+func TestParallelWorkerPanicReraised(t *testing.T) {
+	c := core.Compile(hardInstance())
+	var fired atomic.Bool
+	opts := &Options{Parallelism: 8, MaxNodes: 1 << 16, Progress: func(_, _ float64, nodes int64) {
+		// Past the root visit, so on a worker goroutine.  The pause holds
+		// the lock while the other workers improve and queue on it; they
+		// must get it back once this worker panics.
+		if nodes > 1 && fired.CompareAndSwap(false, true) {
+			time.Sleep(20 * time.Millisecond)
+			panic("injected progress panic")
+		}
+	}}
+	defer func() {
+		if r := recover(); r != "injected progress panic" {
+			t.Fatalf("recovered %v; want the worker's panic re-raised on the caller", r)
+		}
+	}()
+	MinMakespan(context.Background(), c, 40, opts)
+	t.Fatal("MinMakespan returned; want the injected panic")
 }
 
 // hardInstance builds a layered instance big enough that the full search
@@ -276,23 +306,23 @@ func hardInstance() *core.Instance {
 // TestBudgetedMakespanLowerBound checks the budget-aware floor on the
 // chain: 5 jobs of 10 dropping to 1 for 2 units reused along the path.
 func TestBudgetedMakespanLowerBound(t *testing.T) {
-	inst := chainInstance(5, 10, 1, 2)
-	if got := BudgetedMakespanLowerBound(inst, 0); got != 50 {
+	chain := core.Compile(chainInstance(5, 10, 1, 2))
+	if got := BudgetedMakespanLowerBound(chain, 0); got != 50 {
 		t.Fatalf("budget 0: bound = %d; want 50", got)
 	}
-	if got := BudgetedMakespanLowerBound(inst, 2); got != 5 {
+	if got := BudgetedMakespanLowerBound(chain, 2); got != 5 {
 		t.Fatalf("budget 2: bound = %d; want 5", got)
 	}
 	// The bound must never exceed the true optimum.
 	rng := rand.New(rand.NewSource(74))
 	for trial := 0; trial < 20; trial++ {
-		inst := randomInstance(rng)
+		c := core.Compile(randomInstance(rng))
 		for b := int64(0); b <= 4; b++ {
-			sol, stats, err := MinMakespan(inst, b, nil)
+			sol, stats, err := MinMakespan(context.Background(), c, b, nil)
 			if err != nil || !stats.Complete {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if lb := BudgetedMakespanLowerBound(inst, b); lb > sol.Makespan {
+			if lb := BudgetedMakespanLowerBound(c, b); lb > sol.Makespan {
 				t.Fatalf("trial %d budget %d: bound %d exceeds optimum %d", trial, b, lb, sol.Makespan)
 			}
 		}
@@ -302,26 +332,26 @@ func TestBudgetedMakespanLowerBound(t *testing.T) {
 // TestResourceLowerBound checks soundness (never above OPT) and usefulness
 // (positive on a chain whose target forces every job to its paid level).
 func TestResourceLowerBound(t *testing.T) {
-	inst := chainInstance(4, 7, 2, 3)
+	chain := core.Compile(chainInstance(4, 7, 2, 3))
 	// Target 8 forces all four jobs to duration 2, each needing 3 units
 	// reused over the path: the bound should see the full 3.
-	if got := ResourceLowerBound(inst, 8); got != 3 {
+	if got := ResourceLowerBound(chain, 8); got != 3 {
 		t.Fatalf("bound = %d; want 3", got)
 	}
 	// A generous target needs nothing.
-	if got := ResourceLowerBound(inst, 28); got != 0 {
+	if got := ResourceLowerBound(chain, 28); got != 0 {
 		t.Fatalf("generous target: bound = %d; want 0", got)
 	}
 	rng := rand.New(rand.NewSource(75))
 	for trial := 0; trial < 20; trial++ {
-		inst := randomInstance(rng)
-		lo, hi := inst.MakespanLowerBound(), inst.ZeroFlowMakespan()
+		c := core.Compile(randomInstance(rng))
+		lo, hi := c.MinMakespan, c.ZeroFlowMakespan()
 		target := lo + rng.Int63n(hi-lo+1)
-		sol, stats, err := MinResource(inst, target, nil)
+		sol, stats, err := MinResource(context.Background(), c, target, nil)
 		if err != nil || !stats.Complete {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if lb := ResourceLowerBound(inst, target); lb > sol.Value {
+		if lb := ResourceLowerBound(c, target); lb > sol.Value {
 			t.Fatalf("trial %d (target %d): bound %d exceeds optimum %d", trial, target, lb, sol.Value)
 		}
 	}
@@ -330,7 +360,7 @@ func TestResourceLowerBound(t *testing.T) {
 // TestParallelNodeBudget: the node cap must stop the pool and be reported.
 func TestParallelNodeBudget(t *testing.T) {
 	inst := hardInstance()
-	_, stats, err := MinMakespan(inst, 40, &Options{MaxNodes: 200, Parallelism: 4})
+	_, stats, err := MinMakespan(context.Background(), core.Compile(inst), 40, &Options{MaxNodes: 200, Parallelism: 4})
 	if stats.Complete {
 		t.Fatal("want incomplete search under a 200-node cap")
 	}
@@ -345,7 +375,7 @@ func TestParallelNodeBudget(t *testing.T) {
 
 func ExampleOptions_parallelism() {
 	inst := chainInstance(5, 10, 1, 2)
-	sol, _, err := MinMakespan(inst, 2, &Options{Parallelism: 4})
+	sol, _, err := MinMakespan(context.Background(), core.Compile(inst), 2, &Options{Parallelism: 4})
 	if err != nil {
 		panic(err)
 	}

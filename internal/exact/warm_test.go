@@ -52,7 +52,7 @@ func TestIncumbentSeedingPreservesOptimum(t *testing.T) {
 	c := core.Compile(inst)
 	const budget = 5
 
-	cold, coldStats, err := MinMakespanCompiled(nil, c, budget, &Options{Parallelism: 1})
+	cold, coldStats, err := MinMakespan(nil, c, budget, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestIncumbentSeedingPreservesOptimum(t *testing.T) {
 	}
 
 	// Warm-self: seed with the cold optimum's own flow.
-	warm, warmStats, err := MinMakespanCompiled(nil, c, budget,
+	warm, warmStats, err := MinMakespan(nil, c, budget,
 		&Options{Parallelism: 1, Incumbent: cold.Flow})
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +84,11 @@ func TestIncumbentSeedingPreservesOptimum(t *testing.T) {
 	// Warm-neighbor: seed the perturbed instance with the base optimum.
 	ninst := warmInstance(t, 3)
 	nc := core.Compile(ninst)
-	ncold, ncoldStats, err := MinMakespanCompiled(nil, nc, budget, &Options{Parallelism: 1})
+	ncold, ncoldStats, err := MinMakespan(nil, nc, budget, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nwarm, nwarmStats, err := MinMakespanCompiled(nil, nc, budget,
+	nwarm, nwarmStats, err := MinMakespan(nil, nc, budget,
 		&Options{Parallelism: 1, Incumbent: cold.Flow})
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +102,11 @@ func TestIncumbentSeedingPreservesOptimum(t *testing.T) {
 
 	// Min-resource mode, warm-self.
 	target := cold.Makespan
-	rcold, _, err := MinResourceCompiled(nil, c, target, &Options{Parallelism: 1})
+	rcold, _, err := MinResource(nil, c, target, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rwarm, _, err := MinResourceCompiled(nil, c, target,
+	rwarm, _, err := MinResource(nil, c, target,
 		&Options{Parallelism: 1, Incumbent: rcold.Flow})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestIncumbentSeedingIgnoresBadSeeds(t *testing.T) {
 	inst := warmInstance(t, 0)
 	c := core.Compile(inst)
 	const budget = 5
-	cold, _, err := MinMakespanCompiled(nil, c, budget, &Options{Parallelism: 1})
+	cold, _, err := MinMakespan(nil, c, budget, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestIncumbentSeedingIgnoresBadSeeds(t *testing.T) {
 		"all zero value": {0, 0, 0, 0, 0, 0},
 	}
 	for name, seed := range bads {
-		sol, stats, err := MinMakespanCompiled(nil, c, budget,
+		sol, stats, err := MinMakespan(nil, c, budget,
 			&Options{Parallelism: 1, Incumbent: seed})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -153,7 +153,7 @@ func TestIncumbentSeedingIgnoresBadSeeds(t *testing.T) {
 	// slowest makespan, which is sound (just useless) — covered above.
 
 	// An infeasible-for-target seed in resource mode is ignored too.
-	if _, _, err := MinResourceCompiled(nil, c, c.MinMakespan,
+	if _, _, err := MinResource(nil, c, c.MinMakespan,
 		&Options{Parallelism: 1, Incumbent: []int64{0, 0, 0, 0, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestFlowPoolAcrossSolves(t *testing.T) {
 	neighbor := core.Compile(warmInstance(t, 3))
 	const budget = 5
 
-	s1, _, err := MinMakespanCompiled(nil, base, budget, &Options{Parallelism: 1, FlowPool: pool})
+	s1, _, err := MinMakespan(nil, base, budget, &Options{Parallelism: 1, FlowPool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := MinMakespanCompiled(nil, neighbor, budget, &Options{Parallelism: 1, FlowPool: pool})
+	s2, _, err := MinMakespan(nil, neighbor, budget, &Options{Parallelism: 1, FlowPool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestFlowPoolAcrossSolves(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("second solve did not reuse the pooled network")
 	}
-	ref1, _, err := MinMakespanCompiled(nil, base, budget, &Options{Parallelism: 1})
+	ref1, _, err := MinMakespan(nil, base, budget, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2, _, err := MinMakespanCompiled(nil, neighbor, budget, &Options{Parallelism: 1})
+	ref2, _, err := MinMakespan(nil, neighbor, budget, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,19 +114,14 @@ const eps = 1e-8
 // cycling impossible, so hitting this indicates numerical trouble.
 func maxPivots(m, n int) int { return 200 * (m + n + 10) }
 
-// Solve runs two-phase simplex and returns the solution.
-func (p *Problem) Solve() (Solution, error) {
-	return p.SolveCtx(context.Background())
-}
-
-// SolveCtx is Solve with cooperative cancellation: the pivot loop polls
-// ctx periodically and aborts with ctx.Err() when it is done, so
-// long-running relaxations become interruptible and deadline-bounded.
+// Solve runs two-phase simplex and returns the solution.  The pivot loop
+// polls ctx periodically and aborts with ctx.Err() when it is done, so
+// long-running relaxations are interruptible and deadline-bounded.
 //
 // All solve scratch (tableau, reduced costs, basis) comes from a pooled
 // workspace, so repeated solves - per approximation pipeline, per service
 // worker - reuse their arenas instead of reallocating them.
-func (p *Problem) SolveCtx(ctx context.Context) (Solution, error) {
+func (p *Problem) Solve(ctx context.Context) (Solution, error) {
 	m := len(p.rows)
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)

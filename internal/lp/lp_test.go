@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestInfeasible(t *testing.T) {
 	p := New(1)
 	p.AddConstraint(LE, []Term{{0, 1}}, 1)
 	p.AddConstraint(GE, []Term{{0, 1}}, 2)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestUnbounded(t *testing.T) {
 	p := New(1)
 	p.SetObjective(0, -1)
 	p.AddConstraint(GE, []Term{{0, 1}}, 1)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func BenchmarkSolveReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

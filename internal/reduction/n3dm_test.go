@@ -1,9 +1,11 @@
 package reduction
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 )
 
@@ -65,7 +67,7 @@ func TestN3DMWitnessAchievesTarget(t *testing.T) {
 	if err := r.Inst.ValidateFlow(flow, r.Budget); err != nil {
 		t.Fatalf("witness invalid: %v", err)
 	}
-	m, err := r.Inst.Makespan(flow)
+	m, err := core.Compile(r.Inst).Makespan(flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestN3DMEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, _, want := tc.p.Solve()
-			got, _, stats, err := exact.Feasible(r.Inst, r.Budget, r.Target, &exact.Options{MaxNodes: 1 << 21})
+			got, _, stats, err := exact.Feasible(context.Background(), core.Compile(r.Inst), r.Budget, r.Target, &exact.Options{MaxNodes: 1 << 21})
 			if errors.Is(err, exact.ErrTruncated) {
 				// Feasibility was neither proven nor refuted at this node
 				// budget; the three-valued contract now says so explicitly.
@@ -132,7 +134,7 @@ func TestN3DMWitnessAtN3(t *testing.T) {
 	if err := r.Inst.ValidateFlow(flow, r.Budget); err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.Inst.Makespan(flow)
+	m, err := core.Compile(r.Inst).Makespan(flow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package reduction
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 )
 
@@ -45,7 +47,7 @@ func TestPartitionWitness(t *testing.T) {
 	if err := p.Inst.ValidateFlow(flow, p.Budget); err != nil {
 		t.Fatalf("witness invalid: %v", err)
 	}
-	m, err := p.Inst.Makespan(flow)
+	m, err := core.Compile(p.Inst).Makespan(flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestPartitionExactEqualsBestBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, stats, err := exact.MinMakespan(p.Inst, p.Budget, &exact.Options{MaxNodes: 1 << 21})
+		sol, stats, err := exact.MinMakespan(context.Background(), core.Compile(p.Inst), p.Budget, &exact.Options{MaxNodes: 1 << 21})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +101,7 @@ func TestPartitionRandomAgainstBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, stats, err := exact.MinMakespan(p.Inst, p.Budget, &exact.Options{MaxNodes: 1 << 21})
+		sol, stats, err := exact.MinMakespan(context.Background(), core.Compile(p.Inst), p.Budget, &exact.Options{MaxNodes: 1 << 21})
 		if err != nil {
 			t.Fatal(err)
 		}

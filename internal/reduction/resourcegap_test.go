@@ -1,9 +1,11 @@
 package reduction
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 )
 
@@ -24,7 +26,7 @@ func TestResourceGapWitness(t *testing.T) {
 	if err := r.Inst.ValidateFlow(flow, 2); err != nil {
 		t.Fatalf("witness invalid: %v", err)
 	}
-	m, err := r.Inst.Makespan(flow)
+	m, err := core.Compile(r.Inst).Makespan(flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestResourceGapThreeUnitFlowAlwaysWorks(t *testing.T) {
 		if err := r.Inst.ValidateFlow(flow, 3); err != nil {
 			t.Fatalf("three-unit flow invalid: %v", err)
 		}
-		m, err := r.Inst.Makespan(flow)
+		m, err := core.Compile(r.Inst).Makespan(flow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +94,7 @@ func TestResourceGapTheorem44(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sol, stats, err := exact.MinResource(r.Inst, r.Target, &exact.Options{MaxNodes: 1 << 21})
+			sol, stats, err := exact.MinResource(context.Background(), core.Compile(r.Inst), r.Target, &exact.Options{MaxNodes: 1 << 21})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +129,7 @@ func TestResourceGapRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, stats, err := exact.MinResource(r.Inst, r.Target, &exact.Options{MaxNodes: 1 << 21})
+		sol, stats, err := exact.MinResource(context.Background(), core.Compile(r.Inst), r.Target, &exact.Options{MaxNodes: 1 << 21})
 		if err != nil {
 			t.Fatal(err)
 		}

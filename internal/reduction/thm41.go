@@ -294,10 +294,8 @@ func (r *Thm41) Table2Row(j int, assign []bool) ([3]int64, error) {
 	if err != nil {
 		return [3]int64{}, err
 	}
-	times, err := r.Inst.G.EventTimes(d)
-	if err != nil {
-		return [3]int64{}, err
-	}
+	times := make([]int64, r.Inst.G.NumNodes())
+	core.Compile(r.Inst).LongestPath(d, times)
 	cg := r.Clauses[j]
 	return [3]int64{times[cg.C5], times[cg.C6], times[cg.C7]}, nil
 }

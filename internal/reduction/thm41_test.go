@@ -1,10 +1,12 @@
 package reduction
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 )
 
@@ -58,7 +60,7 @@ func TestThm41WitnessAchievesTarget(t *testing.T) {
 	if err := r.Inst.ValidateFlow(flow, r.Budget); err != nil {
 		t.Fatalf("witness flow invalid: %v", err)
 	}
-	m, err := r.Inst.Makespan(flow)
+	m, err := core.Compile(r.Inst).Makespan(flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestThm41Equivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, want := tc.f.OneInThreeSatisfiable()
-			got, _, stats, err := exact.Feasible(r.Inst, r.Budget, r.Target, &exact.Options{MaxNodes: 1 << 21})
+			got, _, stats, err := exact.Feasible(context.Background(), core.Compile(r.Inst), r.Budget, r.Target, &exact.Options{MaxNodes: 1 << 21})
 			if errors.Is(err, exact.ErrTruncated) {
 				t.Skipf("undecided after %d nodes", stats.Nodes)
 			}
@@ -125,7 +127,7 @@ func TestThm41RandomFormulas(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, want := f.OneInThreeSatisfiable()
-		got, _, stats, err := exact.Feasible(r.Inst, r.Budget, r.Target, &exact.Options{MaxNodes: 1 << 21})
+		got, _, stats, err := exact.Feasible(context.Background(), core.Compile(r.Inst), r.Budget, r.Target, &exact.Options{MaxNodes: 1 << 21})
 		if errors.Is(err, exact.ErrTruncated) {
 			t.Logf("trial %d: undecided after %d nodes, skipping", trial, stats.Nodes)
 			continue
@@ -151,7 +153,7 @@ func TestTheorem43Gap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, stats, err := exact.MinMakespan(sat.Inst, sat.Budget, &exact.Options{MaxNodes: 1 << 21})
+	sol, stats, err := exact.MinMakespan(context.Background(), core.Compile(sat.Inst), sat.Budget, &exact.Options{MaxNodes: 1 << 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestTheorem43Gap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, stats2, err := exact.Feasible(unsat.Inst, unsat.Budget, 1, &exact.Options{MaxNodes: 1 << 21})
+	ok, _, stats2, err := exact.Feasible(context.Background(), core.Compile(unsat.Inst), unsat.Budget, 1, &exact.Options{MaxNodes: 1 << 21})
 	if errors.Is(err, exact.ErrTruncated) {
 		t.Skipf("undecided after %d nodes", stats2.Nodes)
 	}

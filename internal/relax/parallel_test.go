@@ -39,7 +39,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 			budget := inst.MaxUsefulBudget() / 2
 			var base *Result
 			for _, par := range []int{1, 2, 8} {
-				s := NewSolver(inst)
+				s := NewSolver(core.Compile(inst))
 				res, err := s.MinMakespan(context.Background(), budget, Options{Parallelism: par})
 				if err != nil {
 					t.Fatalf("p=%d: %v", par, err)
@@ -94,14 +94,15 @@ func TestParallelMinResourceDeterministic(t *testing.T) {
 			}
 			// Midpoint between the all-fastest floor and the zero-resource
 			// makespan: reachable, but not free.
-			zero, err := inst.NewSolution(make([]int64, inst.G.NumEdges()))
+			c := core.Compile(inst)
+			zero, err := c.NewSolution(make([]int64, inst.G.NumEdges()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			target := inst.MakespanLowerBound() + (zero.Makespan-inst.MakespanLowerBound())/2
+			target := c.MinMakespan + (zero.Makespan-c.MinMakespan)/2
 			var base *Result
 			for _, par := range []int{1, 8} {
-				res, err := NewSolver(inst).MinResource(context.Background(), target, Options{Parallelism: par})
+				res, err := NewSolver(core.Compile(inst)).MinResource(context.Background(), target, Options{Parallelism: par})
 				if err != nil {
 					t.Fatalf("p=%d: %v", par, err)
 				}

@@ -36,7 +36,11 @@
 // linear oracle - runs as pull-based DP over core.Levels' slot schedule:
 // node p's value is a pure function of its in-slots, durations and oracle
 // costs live in slot-indexed arrays, and the sweep walks three sequential
-// arrays front to back.  Envelope evaluations are SUPPORT-SPARSE: the
+// arrays front to back.  These float sweeps are kept apart from the
+// integral longest-path kernel (core.Compiled.LongestPath) on purpose:
+// envelope durations are fractional and slot-indexed, and folding them
+// into the int64 CSR kernel would make the shared code branch on its
+// caller.  Envelope evaluations are SUPPORT-SPARSE: the
 // slot-duration array always reflects the current iterate, a line-search
 // probe re-evaluates only the arcs whose flow the probe actually changes
 // (the iterate's support plus the oracle path) and restores them
@@ -223,20 +227,12 @@ type Solver struct {
 	mf *flow.MinFlowSolver
 }
 
-// NewSolver builds the reusable relaxation state for inst.  One-shot
-// convenience around NewSolverCompiled; callers that already hold a
-// compiled instance should use that directly so the topological order and
-// envelopes are shared instead of rebuilt.
-func NewSolver(inst *core.Instance) *Solver {
-	return NewSolverCompiled(core.Compile(inst))
-}
-
-// NewSolverCompiled builds the reusable relaxation state on a compiled
-// instance: the level schedule and duration envelopes come from the
-// compiled form (derived once, shared with every other consumer), and only
-// the Frank-Wolfe scratch and the integral min-flow network used by
-// rounding are allocated here.  The instance must not change afterwards.
-func NewSolverCompiled(c *core.Compiled) *Solver {
+// NewSolver builds the reusable relaxation state on a compiled instance:
+// the level schedule and duration envelopes come from the compiled form
+// (derived once, shared with every other consumer), and only the
+// Frank-Wolfe scratch and the integral min-flow network used by rounding
+// are allocated here.
+func NewSolver(c *core.Compiled) *Solver {
 	inst := c.Inst
 	g := inst.G
 	n, m := g.NumNodes(), g.NumEdges()
@@ -363,27 +359,6 @@ func (s *Solver) makespanRange(lo, hi int32) {
 	}
 }
 
-// makespanRangeNT is makespanRange without argmax tracking: line-search
-// probes only need the sink value, so they skip the critSlot stores.
-//
-//rt:hotpath — the probe-sweep kernel.
-func (s *Solver) makespanRangeNT(lo, hi int32) {
-	slotStart, slotFrom := s.lv.SlotStart, s.lv.SlotFrom
-	tval := s.tval
-	dur := s.durSlot
-	for p := lo; p < hi; p++ {
-		a, b := slotStart[p], slotStart[p+1]
-		frm, drw := slotFrom[a:b], dur[a:b]
-		best := 0.0
-		for i, f := range frm {
-			if cand := tval[f] + drw[i]; cand > best {
-				best = cand
-			}
-		}
-		tval[p] = best
-	}
-}
-
 // oracleRange runs the pull-based min-cost-path kernel over positions
 // [lo, hi) of one level, the dual of makespanRange: min over in-slots with
 // the first minimizing slot recorded, source pinned to distance 0.
@@ -414,21 +389,15 @@ func (s *Solver) oracleRange(lo, hi int32, cost []float64) {
 }
 
 // sweepMakespan computes the longest-path value under the current slot
-// durations, leaving per-position event times in tval — and, when track
-// is set, argmax slots in critSlot for critical-path backtracking.
-// Sequential in position order (a topological order) or level-parallel
-// over the gang; both produce identical state.
-func (s *Solver) sweepMakespan(track bool) float64 {
-	kind := sweepKindMakespanNT
-	if track {
-		kind = sweepKindMakespan
-	}
+// durations, leaving per-position event times in tval and argmax slots in
+// critSlot for critical-path backtracking.  Sequential in position order
+// (a topological order) or level-parallel over the gang; both produce
+// identical state.
+func (s *Solver) sweepMakespan() float64 {
 	if s.par > 1 {
-		s.runGang(kind, nil)
-	} else if track {
-		s.makespanRange(0, int32(len(s.tval)))
+		s.runGang(sweepKindMakespan, nil)
 	} else {
-		s.makespanRangeNT(0, int32(len(s.tval)))
+		s.makespanRange(0, int32(len(s.tval)))
 	}
 	return s.tval[s.snkPos]
 }
@@ -452,7 +421,6 @@ type sweepKind uint8
 
 const (
 	sweepKindMakespan sweepKind = iota
-	sweepKindMakespanNT
 	sweepKindOracle
 )
 
@@ -472,12 +440,9 @@ func (s *Solver) gangWorker(w int, kind sweepKind, cost []float64) {
 	lv := s.lv
 	for l := 0; l < lv.Count; l++ {
 		lo, hi := chunk(lv.Start[l], lv.Start[l+1], w, s.par)
-		switch kind {
-		case sweepKindMakespan:
+		if kind == sweepKindMakespan {
 			s.makespanRange(lo, hi)
-		case sweepKindMakespanNT:
-			s.makespanRangeNT(lo, hi)
-		default:
+		} else {
 			s.oracleRange(lo, hi, cost)
 		}
 		s.bar.wait()
@@ -561,7 +526,7 @@ func (s *Solver) probe(gamma, B float64) float64 {
 		s.savedDur = append(s.savedDur, s.durSlot[sl])
 		s.durSlot[sl] = d
 	}
-	phi := s.sweepMakespan(false)
+	phi := s.sweepMakespan()
 	for i := len(s.touchSlot) - 1; i >= 0; i-- {
 		s.durSlot[s.touchSlot[i]] = s.savedDur[i]
 	}
@@ -637,7 +602,7 @@ func (s *Solver) MinMakespan(ctx context.Context, budget int64, opt Options) (*R
 	// duration - sound because on a DAG no arc can carry more than the
 	// whole budget) is free, always positive when the optimum is, and
 	// often the better bound early.  Report the max of the two.
-	if floor := float64(exact.BudgetedMakespanLowerBoundCompiled(s.c, budget)); floor > res.LowerBound {
+	if floor := float64(exact.BudgetedMakespanLowerBound(s.c, budget)); floor > res.LowerBound {
 		res.LowerBound = floor
 	}
 	sol, err := s.round(budget, o.Alpha)
@@ -722,7 +687,7 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 				return err
 			}
 		}
-		phi := s.sweepMakespan(true)
+		phi := s.sweepMakespan()
 		if phi < bestObj {
 			bestObj = phi
 			copy(s.fbest, s.f)
@@ -790,7 +755,7 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 		res.Iters = k + 1
 	}
 	if math.IsInf(bestObj, 1) { // MaxIters == 0 cannot happen, but stay safe
-		bestObj = s.sweepMakespan(false)
+		bestObj = s.sweepMakespan()
 		copy(s.fbest, s.f)
 	}
 	res.RelaxValue = bestObj
@@ -951,7 +916,7 @@ func (s *Solver) round(budget int64, alpha float64) (core.Solution, error) {
 		return core.Solution{}, err
 	}
 	f := append([]int64(nil), res.EdgeFlow...)
-	return s.inst.NewSolution(f)
+	return s.c.NewSolution(f)
 }
 
 // MinResource approximately minimizes resource usage under a makespan
@@ -987,7 +952,7 @@ func (s *Solver) MinResource(ctx context.Context, target int64, opt Options) (*R
 	// The solver owns satRes.EdgeFlow and the searches below will overwrite
 	// it; materialize the saturation solution now.  It is the guaranteed
 	// fallback: its makespan is the unlimited-resource longest path.
-	satSol, err := s.inst.NewSolution(append([]int64(nil), satRes.EdgeFlow...))
+	satSol, err := s.c.NewSolution(append([]int64(nil), satRes.EdgeFlow...))
 	if err != nil {
 		return nil, err
 	}
@@ -999,7 +964,7 @@ func (s *Solver) MinResource(ctx context.Context, target int64, opt Options) (*R
 
 	// The slack-based combinatorial bound is free and often tight on loose
 	// targets; certified relaxation infeasibility tightens it below.
-	resLB := exact.ResourceLowerBound(s.inst, target)
+	resLB := exact.ResourceLowerBound(s.c, target)
 
 	probe := o
 	probe.MaxIters = o.MaxIters / 4
@@ -1030,7 +995,7 @@ func (s *Solver) MinResource(ctx context.Context, target int64, opt Options) (*R
 			// combinatorial budget floor) cannot reach the target at this
 			// budget, every solution needs more.
 			if pr.LowerBound <= float64(target) {
-				pr.LowerBound = float64(exact.BudgetedMakespanLowerBoundCompiled(s.c, mid))
+				pr.LowerBound = float64(exact.BudgetedMakespanLowerBound(s.c, mid))
 			}
 			if pr.LowerBound > float64(target) && mid+1 > resLB {
 				resLB = mid + 1

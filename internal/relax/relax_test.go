@@ -50,13 +50,14 @@ func smallInstances(t *testing.T) []*core.Instance {
 // (while staying within RelaxValue/alpha, the Theorem 3.4 bound).
 func TestMinMakespanSoundness(t *testing.T) {
 	for i, inst := range smallInstances(t) {
-		s := NewSolver(inst)
+		c := core.Compile(inst)
+		s := NewSolver(c)
 		for _, budget := range []int64{0, 1, 2, 4, 7} {
 			res, err := s.MinMakespan(context.Background(), budget, Options{})
 			if err != nil {
 				t.Fatalf("inst %d budget %d: %v", i, budget, err)
 			}
-			opt, _, err := exact.MinMakespan(inst, budget, nil)
+			opt, _, err := exact.MinMakespan(context.Background(), c, budget, nil)
 			if err != nil {
 				t.Fatalf("inst %d budget %d exact: %v", i, budget, err)
 			}
@@ -67,7 +68,7 @@ func TestMinMakespanSoundness(t *testing.T) {
 			// The rounded solution may spend up to B/(1-alpha) resources
 			// (bi-criteria), so it can beat the budget-B optimum; it must
 			// not beat the optimum at its own resource usage.
-			optOwn, _, err := exact.MinMakespan(inst, res.Sol.Value, nil)
+			optOwn, _, err := exact.MinMakespan(context.Background(), c, res.Sol.Value, nil)
 			if err != nil {
 				t.Fatalf("inst %d budget %d exact(own): %v", i, budget, err)
 			}
@@ -99,13 +100,10 @@ func TestMinMakespanSoundness(t *testing.T) {
 // soundness against the true optimum is TestMinMakespanSoundness's job.)
 func TestAgreesWithDenseLP(t *testing.T) {
 	for i, inst := range smallInstances(t) {
-		ex, err := core.Expand(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewSolver(inst)
+		c := core.Compile(inst)
+		s := NewSolver(c)
 		for _, budget := range []int64{0, 2, 5} {
-			rel, err := approx.SolveMakespanLP(ex, budget)
+			rel, err := approx.SolveMakespanLP(context.Background(), c, budget)
 			if err != nil {
 				t.Fatalf("inst %d budget %d dense LP: %v", i, budget, err)
 			}
@@ -128,8 +126,9 @@ func TestAgreesWithDenseLP(t *testing.T) {
 // unreachable targets error.
 func TestMinResource(t *testing.T) {
 	for i, inst := range smallInstances(t) {
-		s := NewSolver(inst)
-		for _, target := range []int64{inst.ZeroFlowMakespan(), (inst.ZeroFlowMakespan() + inst.MakespanLowerBound()) / 2, inst.MakespanLowerBound()} {
+		c := core.Compile(inst)
+		s := NewSolver(c)
+		for _, target := range []int64{c.ZeroFlowMakespan(), (c.ZeroFlowMakespan() + c.MinMakespan) / 2, c.MinMakespan} {
 			res, err := s.MinResource(context.Background(), target, Options{})
 			if err != nil {
 				t.Fatalf("inst %d target %d: %v", i, target, err)
@@ -137,7 +136,7 @@ func TestMinResource(t *testing.T) {
 			if res.Sol.Makespan > target {
 				t.Errorf("inst %d target %d: makespan %d misses the target", i, target, res.Sol.Makespan)
 			}
-			opt, _, err := exact.MinResource(inst, target, nil)
+			opt, _, err := exact.MinResource(context.Background(), c, target, nil)
 			if err != nil {
 				t.Fatalf("inst %d target %d exact: %v", i, target, err)
 			}
@@ -150,7 +149,7 @@ func TestMinResource(t *testing.T) {
 					i, target, res.Sol.Value, opt.Value)
 			}
 		}
-		if _, err := s.MinResource(context.Background(), inst.MakespanLowerBound()-1, Options{}); err == nil && inst.MakespanLowerBound() > 0 {
+		if _, err := s.MinResource(context.Background(), c.MinMakespan-1, Options{}); err == nil && c.MinMakespan > 0 {
 			t.Errorf("inst %d: sub-floor target did not error", i)
 		}
 	}
@@ -160,7 +159,8 @@ func TestMinResource(t *testing.T) {
 // buffer reuse leaks no state between solves.
 func TestSolverReuseDeterministic(t *testing.T) {
 	inst := scenario.NewGen(11).StepInstance(4, 3, 2, 4, 20, 5)
-	s := NewSolver(inst)
+	c := core.Compile(inst)
+	s := NewSolver(c)
 	first, err := s.MinMakespan(context.Background(), 5, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestSolverReuseDeterministic(t *testing.T) {
 	if _, err := s.MinMakespan(context.Background(), 9, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MinResource(context.Background(), inst.ZeroFlowMakespan(), Options{}); err != nil {
+	if _, err := s.MinResource(context.Background(), c.ZeroFlowMakespan(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	again, err := s.MinMakespan(context.Background(), 5, Options{})
@@ -180,7 +180,7 @@ func TestSolverReuseDeterministic(t *testing.T) {
 		first.RelaxValue != again.RelaxValue || first.LowerBound != again.LowerBound {
 		t.Fatalf("reused solver drifted: first %+v, again %+v", first, again)
 	}
-	fresh, err := NewSolver(inst).MinMakespan(context.Background(), 5, Options{})
+	fresh, err := NewSolver(c).MinMakespan(context.Background(), 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestLargeInstanceFast(t *testing.T) {
 		t.Skip("large instance solve in -short mode")
 	}
 	inst := scenario.NewGen(3).StepInstance(60, 20, 20, 4, 50, 6)
-	s := NewSolver(inst)
+	s := NewSolver(core.Compile(inst))
 	res, err := s.MinMakespan(context.Background(), 200, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestCanceledContext(t *testing.T) {
 	inst := scenario.NewGen(5).StepInstance(3, 3, 2, 4, 20, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := NewSolver(inst).MinMakespan(ctx, 5, Options{})
+	res, err := NewSolver(core.Compile(inst)).MinMakespan(ctx, 5, Options{})
 	if err == nil {
 		t.Fatal("canceled context did not error")
 	}
@@ -237,7 +237,7 @@ func TestCanceledContext(t *testing.T) {
 	big := scenario.NewGen(9).KWayInstance(24, 24, 12, 400)
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer dcancel()
-	res, err = NewSolver(big).MinMakespan(dctx, 40, Options{MaxIters: 1 << 30, Tol: 1e-300})
+	res, err = NewSolver(core.Compile(big)).MinMakespan(dctx, 40, Options{MaxIters: 1 << 30, Tol: 1e-300})
 	if err == nil {
 		t.Fatal("tolerance-free solve finished a 2^30-iteration budget inside 30ms?")
 	}

@@ -58,7 +58,7 @@ func warmRelaxInstance(t *testing.T) *core.Instance {
 func TestWarmStartSoundAndDeterministic(t *testing.T) {
 	inst := warmRelaxInstance(t)
 	c := core.Compile(inst)
-	s := NewSolverCompiled(c)
+	s := NewSolver(c)
 	ctx := context.Background()
 	const budget = 6
 
@@ -68,11 +68,11 @@ func TestWarmStartSoundAndDeterministic(t *testing.T) {
 	}
 
 	warmOpts := Options{WarmFlow: cold.Sol.Flow}
-	warm1, err := NewSolverCompiled(c).MinMakespan(ctx, budget, warmOpts)
+	warm1, err := NewSolver(c).MinMakespan(ctx, budget, warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm2, err := NewSolverCompiled(c).MinMakespan(ctx, budget, warmOpts)
+	warm2, err := NewSolver(c).MinMakespan(ctx, budget, warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestWarmStartSoundAndDeterministic(t *testing.T) {
 		"negative":      append([]int64{-1}, make([]int64, inst.G.NumEdges()-1)...),
 		"not conserved": append([]int64{5}, make([]int64, inst.G.NumEdges()-1)...),
 	} {
-		got, err := NewSolverCompiled(c).MinMakespan(ctx, budget, Options{WarmFlow: seed})
+		got, err := NewSolver(c).MinMakespan(ctx, budget, Options{WarmFlow: seed})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -125,7 +125,7 @@ func TestWarmStartSoundAndDeterministic(t *testing.T) {
 func TestWarmStartScalesOverspentSeed(t *testing.T) {
 	inst := warmRelaxInstance(t)
 	c := core.Compile(inst)
-	s := NewSolverCompiled(c)
+	s := NewSolver(c)
 	ctx := context.Background()
 
 	// Solve generously, then re-solve at a tight budget seeded with the
@@ -134,11 +134,11 @@ func TestWarmStartScalesOverspentSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := NewSolverCompiled(c).MinMakespan(ctx, 3, Options{WarmFlow: rich.Sol.Flow})
+	tight, err := NewSolver(c).MinMakespan(ctx, 3, Options{WarmFlow: rich.Sol.Flow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldTight, err := NewSolverCompiled(c).MinMakespan(ctx, 3, Options{})
+	coldTight, err := NewSolver(c).MinMakespan(ctx, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

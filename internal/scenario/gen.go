@@ -168,7 +168,7 @@ func (g *Gen) RequestStream(n, distinct int) []Request {
 		inst := pool[g.rng.Intn(distinct)]
 		req := Request{Inst: inst, Budget: -1, Target: -1}
 		if g.rng.Intn(4) == 0 {
-			req.Target = inst.ZeroFlowMakespan()
+			req.Target = core.Compile(inst).ZeroFlowMakespan()
 		} else {
 			req.Budget = 1 + g.rng.Int63n(4)
 		}

@@ -76,7 +76,7 @@ func TestSPTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sp.Recognize(inst); !ok {
+	if _, _, ok := sp.Recognize(core.Compile(inst)); !ok {
 		t.Fatal("generated SP instance not recognized as SP")
 	}
 }
@@ -98,7 +98,7 @@ func TestRequestStream(t *testing.T) {
 			budgets++
 		} else {
 			targets++
-			if req.Target < req.Inst.MakespanLowerBound() {
+			if req.Target < core.Compile(req.Inst).MinMakespan {
 				t.Fatalf("request %d: target %d below the reachability bound", i, req.Target)
 			}
 		}

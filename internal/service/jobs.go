@@ -397,13 +397,27 @@ func (r *jobRegistry) run(jb *job, ctx context.Context) {
 	// trajectory already ended at these exact values.
 	if resp.Report != nil {
 		jb.appendEvent(JobEvent{
-			Incumbent: float64(resp.Report.Makespan),
+			Incumbent: finalIncumbent(resp.Report),
 			Bound:     resp.Report.LowerBound,
 			Nodes:     int64(resp.Report.Nodes),
 			ElapsedMS: float64(time.Since(jb.created)) / float64(time.Millisecond),
 		}, true)
 	}
 	r.finish(jb, &resp, nil)
+}
+
+// finalIncumbent reads a report's incumbent in the units of its objective,
+// as the live events count it: resources for a min-resource report, the
+// makespan otherwise, and -1 when the report carries no solution (a
+// bound-only answer).
+func finalIncumbent(rep *solver.WireReport) float64 {
+	switch {
+	case rep.Flow == nil:
+		return -1
+	case rep.Objective == solver.MinResource.String():
+		return float64(rep.Resources)
+	}
+	return float64(rep.Makespan)
 }
 
 // finish records the outcome, resolves the final state, and applies the

@@ -190,6 +190,56 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// bridgeBody is an exact-solver request on the 5-arc Wheatstone bridge
+// with one step job per arc, under the given options JSON.
+func bridgeBody(options string) string {
+	step := `{"kind":"step","tuples":[{"r":0,"t":9},{"r":1,"t":5},{"r":3,"t":2}]}`
+	return `{"solver":"exact","options":` + options + `,"instance":{"nodes":["s","a","b","t"],"edges":[` +
+		`{"from":0,"to":1,"fn":` + step + `},{"from":0,"to":2,"fn":` + step + `},{"from":1,"to":2,"fn":` + step + `},` +
+		`{"from":1,"to":3,"fn":` + step + `},{"from":2,"to":3,"fn":` + step + `}]}}`
+}
+
+// TestJobFinalEventUnits pins the final trajectory point to the report's
+// objective: a min-resource job ends on its resource count, not its
+// makespan, and a bound-only report (no flow) ends with no incumbent.
+func TestJobFinalEventUnits(t *testing.T) {
+	_, ts := newTestServer(t, WithWorkers(1))
+	lastEvent := func(options string) (JobEvent, *solver.WireReport) {
+		t.Helper()
+		acc := postJob(t, ts, bridgeBody(options))
+		st := pollJob(t, ts, acc.ID)
+		if st.Result == nil || st.Result.Report == nil {
+			t.Fatalf("%s: job finished %s without a report", options, st.State)
+		}
+		resp, err := http.Get(ts.URL + acc.EventsURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		events, _ := sseEvents(t, bufio.NewReader(resp.Body))
+		if len(events) == 0 {
+			t.Fatalf("%s: no trajectory events", options)
+		}
+		return events[len(events)-1], st.Result.Report
+	}
+
+	ev, rep := lastEvent(`{"target":14}`)
+	if !rep.Complete || rep.Flow == nil {
+		t.Fatalf("target 14: report %+v; want a complete solution", rep)
+	}
+	if ev.Incumbent != float64(rep.Resources) || ev.Bound != rep.LowerBound || ev.Gap != 0 {
+		t.Fatalf("target 14: final event %+v; want incumbent %d resources, bound %v, gap 0", ev, rep.Resources, rep.LowerBound)
+	}
+
+	ev, rep = lastEvent(`{"target":10,"max_nodes":1}`)
+	if rep.Flow != nil || rep.LowerBound <= 0 {
+		t.Fatalf("node-capped: report %+v; want a bound-only report", rep)
+	}
+	if ev.Incumbent != -1 || ev.Gap != -1 || ev.Bound != rep.LowerBound {
+		t.Fatalf("node-capped: final event %+v; want incumbent -1, gap -1, bound %v", ev, rep.LowerBound)
+	}
+}
+
 // TestJobPollAfterComplete pins that finished jobs stay pollable (the
 // retention window) and repeated polls are stable.
 func TestJobPollAfterComplete(t *testing.T) {

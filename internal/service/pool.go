@@ -30,6 +30,10 @@ type pool struct {
 // the service answers it with 503 unavailable.
 var errClosed = errors.New("service: shutting down")
 
+// errPanicked wraps a solve that panicked: a server bug, not a bad
+// request, so the service answers it with 500 internal.
+var errPanicked = errors.New("service: solve panicked")
+
 // PoolStats is a snapshot of pool utilization.
 type PoolStats struct {
 	// Workers is the pool size: how many solves may run at once.
@@ -54,9 +58,11 @@ func (p *pool) size() int { return cap(p.slots) }
 // do runs fn on the calling goroutine once a slot is free and returns its
 // result.  Admission honors ctx: a caller that gives up while waiting
 // never runs.  Once admitted, fn runs to completion — it is expected to
-// carry the same ctx into solver.SolveOptions, whose solvers poll it
-// cooperatively, so cancellation still cuts the solve short.  A panic in
-// fn fails this solve, not the service, and still frees the slot.
+// carry the same ctx into solver.SolveCompiledOptions, whose solvers poll
+// it cooperatively, so cancellation still cuts the solve short.  A panic
+// in fn (solvers re-raise their worker goroutines' panics on this one)
+// fails this solve with errPanicked, not the service, and still frees the
+// slot.
 func (p *pool) do(ctx context.Context, fn func() (solver.WireReport, error)) (rep solver.WireReport, err error) {
 	select {
 	case p.slots <- struct{}{}:
@@ -77,7 +83,7 @@ func (p *pool) do(ctx context.Context, fn func() (solver.WireReport, error)) (re
 	defer func() {
 		if r := recover(); r != nil {
 			rep = solver.WireReport{}
-			err = fmt.Errorf("service: solve panicked: %v", r)
+			err = fmt.Errorf("%w: %v", errPanicked, r)
 		}
 		p.jobs.Add(1)
 		p.busyNS.Add(int64(time.Since(start)))

@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/solver"
 )
 
@@ -70,4 +73,32 @@ func TestPoolRecoversSolvePanics(t *testing.T) {
 		t.Fatalf("post-panic job = (%+v, %v); the slot must be free again", rep, err)
 	}
 	p.close() // not deferred: with a leaked slot it would never return
+}
+
+// panicSolver is a registered solver whose every solve panics.
+type panicSolver struct{}
+
+func (panicSolver) Name() string              { return "test-service-panic" }
+func (panicSolver) Capabilities() solver.Caps { return solver.Caps{Budget: true, Target: true} }
+func (panicSolver) Solve(context.Context, *core.Compiled, solver.Options) (*solver.Report, error) {
+	panic("test-service-panic: injected")
+}
+
+var panicSolverOnce sync.Once
+
+// TestSolvePanicAnswers500 drives a panicking solver through the HTTP
+// path: the request fails with 500 internal (a server bug, not a bad
+// request) and the server keeps serving.
+func TestSolvePanicAnswers500(t *testing.T) {
+	panicSolverOnce.Do(func() { solver.Register(panicSolver{}) })
+	_, ts := newTestServer(t, WithWorkers(1))
+	body := strings.Replace(bridgeBody(`{"budget":3}`), `"solver":"exact"`, `"solver":"test-service-panic"`, 1)
+	var e errorResponse
+	if status := postSolve(t, ts, body, &e); status != http.StatusInternalServerError || e.Error.Code != "internal" {
+		t.Fatalf("panicking solve answered %d %q; want 500 internal", status, e.Error.Code)
+	}
+	var resp SolveResponse
+	if status := postSolve(t, ts, bridgeBody(`{"budget":3}`), &resp); status != http.StatusOK || resp.Report == nil {
+		t.Fatalf("next solve answered %d (%s); want 200 with a report", status, resp.Error)
+	}
 }

@@ -648,6 +648,8 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
 			errors.Is(err, errClosed):
 			return resp, http.StatusServiceUnavailable
+		case errors.Is(err, errPanicked):
+			return resp, http.StatusInternalServerError
 		default:
 			return resp, http.StatusBadRequest
 		}

@@ -285,10 +285,7 @@ func TestSolvePastDeadlineReturnsPartialNotError(t *testing.T) {
 // that answer is never cached.
 func TestNodeCappedSolveReturnsBound(t *testing.T) {
 	_, ts := newTestServer(t, WithWorkers(1))
-	step := `{"kind":"step","tuples":[{"r":0,"t":9},{"r":1,"t":5},{"r":3,"t":2}]}`
-	body := `{"solver":"exact","options":{"target":10,"max_nodes":1},"instance":{"nodes":["s","a","b","t"],"edges":[` +
-		`{"from":0,"to":1,"fn":` + step + `},{"from":0,"to":2,"fn":` + step + `},{"from":1,"to":2,"fn":` + step + `},` +
-		`{"from":1,"to":3,"fn":` + step + `},{"from":2,"to":3,"fn":` + step + `}]}}`
+	body := bridgeBody(`{"target":10,"max_nodes":1}`)
 	for i := 0; i < 2; i++ {
 		var resp SolveResponse
 		if status := postSolve(t, ts, body, &resp); status != http.StatusOK {

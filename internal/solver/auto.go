@@ -76,16 +76,13 @@ func (autoSolver) Capabilities() Caps {
 func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts Options) {
 	obj := o.Objective()
 	m := c.Inst.G.NumEdges()
-	if tree, leafArc, ok := sp.RecognizeCompiled(c); ok {
+	if tree, _, ok := sp.Recognize(c); ok {
 		b := o.Budget
 		if obj == MinResource {
 			b = c.MaxUsefulBudget
 		}
 		if bp := b + 1; bp <= autoSPMaxBudget {
 			if cost := int64(tree.Nodes()) * bp * bp; cost <= autoSPCost {
-				// Hand the recognized decomposition to spdp so it does
-				// not repeat the reduction.
-				o.spTree, o.spLeafArc = tree, leafArc
 				return "spdp", fmt.Sprintf("series-parallel DAG (%d jobs, DP cost %d)", tree.Leaves(), cost), o
 			}
 		}

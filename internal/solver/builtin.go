@@ -72,7 +72,7 @@ func init() {
 		caps: Caps{Budget: true, Approximate: true,
 			Guarantee: "makespan <= OPT/alpha using <= B/(1-alpha) resources (Thm 3.4)"},
 		solve: func(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-			return fromApprox(approx.BiCriteriaCtx(ctx, c, o.Budget, o.Alpha))
+			return fromApprox(approx.BiCriteria(ctx, c, o.Budget, o.Alpha))
 		},
 	})
 	Register(&funcSolver{
@@ -80,7 +80,7 @@ func init() {
 		caps: Caps{Target: true, Approximate: true,
 			Guarantee: "resources <= OPT/(1-alpha) reaching makespan <= T/alpha (Thm 3.4)"},
 		solve: func(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-			return fromApprox(approx.BiCriteriaResourceCtx(ctx, c, o.Target, o.Alpha))
+			return fromApprox(approx.BiCriteriaResource(ctx, c, o.Target, o.Alpha))
 		},
 	})
 	Register(&funcSolver{
@@ -88,7 +88,7 @@ func init() {
 		caps: Caps{Budget: true, Approximate: true, Classes: []string{duration.KindKWay},
 			Guarantee: "makespan <= 5 OPT within budget (Thm 3.9)"},
 		solve: func(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-			return fromApprox(approx.KWay5Ctx(ctx, c, o.Budget))
+			return fromApprox(approx.KWay5(ctx, c, o.Budget))
 		},
 	})
 	Register(&funcSolver{
@@ -96,7 +96,7 @@ func init() {
 		caps: Caps{Budget: true, Approximate: true, Classes: []string{duration.KindBinary},
 			Guarantee: "makespan <= 4 OPT within budget (Thm 3.10)"},
 		solve: func(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-			return fromApprox(approx.Binary4Ctx(ctx, c, o.Budget))
+			return fromApprox(approx.Binary4(ctx, c, o.Budget))
 		},
 	})
 	Register(&funcSolver{
@@ -104,7 +104,7 @@ func init() {
 		caps: Caps{Budget: true, Approximate: true, Classes: []string{duration.KindBinary},
 			Guarantee: "makespan <= 14/5 OPT using <= 4B/3 resources (Thm 3.16)"},
 		solve: func(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-			return fromApprox(approx.BinaryBiCriteriaCtx(ctx, c, o.Budget))
+			return fromApprox(approx.BinaryBiCriteria(ctx, c, o.Budget))
 		},
 	})
 	Register(&funcSolver{
@@ -151,9 +151,9 @@ func solveExact(ctx context.Context, c *core.Compiled, o Options) (*Report, erro
 		err   error
 	)
 	if o.Objective() == MinResource {
-		sol, stats, err = exact.MinResourceCompiled(ctx, c, o.Target, eopts)
+		sol, stats, err = exact.MinResource(ctx, c, o.Target, eopts)
 	} else {
-		sol, stats, err = exact.MinMakespanCompiled(ctx, c, o.Budget, eopts)
+		sol, stats, err = exact.MinMakespan(ctx, c, o.Budget, eopts)
 	}
 	if errors.Is(err, exact.ErrTruncated) {
 		// No witness, but the bound is as sound as ever: answer with it,
@@ -191,28 +191,24 @@ func solveExact(ctx context.Context, c *core.Compiled, o Options) (*Report, erro
 // otherwise.
 func cheapLowerBound(c *core.Compiled, o Options) float64 {
 	if o.Objective() == MinResource {
-		return float64(exact.ResourceLowerBound(c.Inst, o.Target))
+		return float64(exact.ResourceLowerBound(c, o.Target))
 	}
-	return float64(exact.BudgetedMakespanLowerBoundCompiled(c, o.Budget))
+	return float64(exact.BudgetedMakespanLowerBound(c, o.Budget))
 }
 
 // solveSPDP recognizes the instance as series-parallel, runs the
 // pseudo-polynomial DP, and materializes the optimal table entry as a
 // validated flow on the original instance.
 func solveSPDP(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-	tree, leafArc := o.spTree, o.spLeafArc
-	if tree == nil {
-		var ok bool
-		tree, leafArc, ok = sp.RecognizeCompiled(c)
-		if !ok {
-			return nil, ErrNotSeriesParallel
-		}
+	tree, leafArc, ok := sp.Recognize(c)
+	if !ok {
+		return nil, ErrNotSeriesParallel
 	}
 	solveTo := o.Budget
 	if o.Objective() == MinResource {
 		solveTo = c.MaxUsefulBudget
 	}
-	tables, err := sp.SolveCtx(ctx, tree, solveTo)
+	tables, err := sp.Solve(ctx, tree, solveTo)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +224,7 @@ func solveSPDP(ctx context.Context, c *core.Compiled, o Options) (*Report, error
 	if err != nil {
 		return nil, err
 	}
-	sol, err := c.Inst.NewSolution(f)
+	sol, err := c.NewSolution(f)
 	if err != nil {
 		return nil, err
 	}

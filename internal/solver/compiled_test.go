@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/duration"
 	"repro/internal/scenario"
 )
 
@@ -96,26 +95,5 @@ func TestSolversFreshVsMemoizedCompiled(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSolveCompiledMatchesSolve pins the convenience wrappers to each
-// other: Solve (which compiles internally) and SolveCompiled (on a caller
-// compiled instance) must agree byte for byte.  The search runs on one
-// worker: with more, the node count (and, on tied optima, the witness)
-// depends on the schedule — see TestParallelismInvariantWireReports.
-func TestSolveCompiledMatchesSolve(t *testing.T) {
-	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
-	c := core.Compile(inst)
-	via, err := Solve(context.Background(), "auto", inst, WithBudget(4), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := SolveCompiled(context.Background(), "auto", c, WithBudget(4), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := wireBytes(t, via), wireBytes(t, direct); string(a) != string(b) {
-		t.Fatalf("Solve and SolveCompiled disagree:\n%s\n%s", a, b)
 	}
 }

@@ -34,7 +34,7 @@ func (c *collector) snapshot() []ProgressEvent {
 func TestExactProgressTrajectory(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
 	var col collector
-	rep, err := Solve(context.Background(), "exact", inst, WithBudget(4), WithProgress(col.fn))
+	rep, err := solveInst(context.Background(), "exact", inst, WithBudget(4), WithProgress(col.fn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExactProgressTrajectory(t *testing.T) {
 func TestFrankWolfeProgressTrajectory(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
 	var col collector
-	if _, err := Solve(context.Background(), "frankwolfe", inst, WithBudget(4), WithProgress(col.fn)); err != nil {
+	if _, err := solveInst(context.Background(), "frankwolfe", inst, WithBudget(4), WithProgress(col.fn)); err != nil {
 		t.Fatal(err)
 	}
 	events := col.snapshot()
@@ -98,7 +98,7 @@ func TestFrankWolfeProgressTrajectory(t *testing.T) {
 func TestMinResourceFrankWolfeStaysSilent(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
 	var col collector
-	if _, err := Solve(context.Background(), "frankwolfe", inst, WithTarget(10), WithProgress(col.fn)); err != nil {
+	if _, err := solveInst(context.Background(), "frankwolfe", inst, WithTarget(10), WithProgress(col.fn)); err != nil {
 		t.Fatal(err)
 	}
 	if events := col.snapshot(); len(events) != 0 {

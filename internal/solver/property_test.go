@@ -76,7 +76,7 @@ func TestApproximationSolverProperties(t *testing.T) {
 			if s.Name() != "frankwolfe" && inst.G.NumEdges() > 80 {
 				continue // keep the dense simplex off the big draws
 			}
-			rep, err := Solve(context.Background(), s.Name(), inst, WithBudget(budget))
+			rep, err := solveInst(context.Background(), s.Name(), inst, WithBudget(budget))
 			if err != nil {
 				t.Fatalf("draw %d (%s) %s: %v", i, spec.Family, s.Name(), err)
 			}

@@ -17,18 +17,28 @@ import (
 //
 // The racers share the process, not just the context, so auto only routes
 // here when the caller explicitly opted in with Options.Parallelism >= 2.
+// raceSolve returns only once every racer has: a racer that panics is
+// recovered on its own goroutine, the others are canceled, and the first
+// panic is re-raised here, on the caller's goroutine, so it fails this
+// solve and never the process.
 func raceSolve(ctx context.Context, c *core.Compiled, o Options, names ...string) (rep *Report, winner string, err error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		name string
-		rep  *Report
-		err  error
+		name  string
+		rep   *Report
+		err   error
+		fault any // a recovered panic
 	}
-	// Buffered so losers finishing after the verdict never block or leak.
+	// One send per racer, so no racer ever blocks on it.
 	results := make(chan outcome, len(names))
 	for _, name := range names {
 		go func(name string) {
+			defer func() {
+				if r := recover(); r != nil {
+					results <- outcome{name: name, fault: r}
+				}
+			}()
 			s, err := Get(name)
 			if err != nil {
 				results <- outcome{name: name, err: err}
@@ -47,19 +57,34 @@ func raceSolve(ctx context.Context, c *core.Compiled, o Options, names ...string
 		}
 		return 0
 	}
-	var fallback outcome
-	haveFallback := false
+	var (
+		won, fallback outcome
+		haveWinner    bool
+		haveFallback  bool
+		fault         any
+	)
 	for range names {
 		out := <-results
-		if out.err == nil && out.rep != nil && out.rep.Complete {
+		switch {
+		case out.fault != nil:
+			if fault == nil {
+				fault = out.fault
+			}
+			cancel()
+		case haveWinner:
+		case out.err == nil && out.rep != nil && out.rep.Complete:
+			won, haveWinner = out, true
 			cancel() // first complete result wins; stop the losers
-			return out.rep, out.name, nil
-		}
-		if !haveFallback || score(out) > score(fallback) {
+		case !haveFallback || score(out) > score(fallback):
 			fallback, haveFallback = out, true
 		}
 	}
-	if !haveFallback {
+	switch {
+	case fault != nil:
+		panic(fault)
+	case haveWinner:
+		return won.rep, won.name, nil
+	case !haveFallback:
 		return nil, "", fmt.Errorf("solver: race with no entrants")
 	}
 	return fallback.rep, fallback.name, fallback.err

@@ -15,9 +15,9 @@ import (
 	"repro/internal/scenario"
 )
 
-// raceFakes registers a pair of probe solvers once: "test-race-fast"
-// completes immediately, "test-race-slow" blocks until its context is
-// canceled and records that it saw the cancellation.
+// raceFakes registers the probe solvers once: "test-race-fast" completes
+// immediately, "test-race-slow" blocks until its context is canceled and
+// records that it saw the cancellation, "test-race-panic" panics.
 var (
 	raceFakesOnce sync.Once
 	slowCanceled  chan struct{}
@@ -45,6 +45,13 @@ func registerRaceFakes() {
 				default:
 				}
 				return nil, ctx.Err()
+			},
+		})
+		Register(&funcSolver{
+			name: "test-race-panic",
+			caps: Caps{Budget: true, Target: true},
+			solve: func(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
+				panic("test-race-panic: injected")
 			},
 		})
 	})
@@ -84,6 +91,28 @@ func TestRaceNoWinnerReturnsBestFallback(t *testing.T) {
 	_, _, err := raceSolve(ctx, core.Compile(inst), NewOptions(WithBudget(3)), "test-race-slow", "test-race-slow")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v; want context.Canceled from the fallback outcome", err)
+	}
+}
+
+// TestRacePanicReraisedOnCaller: a racer's panic must not escape on its
+// own goroutine (that would kill the process); it is recovered there and
+// re-raised on the caller, where the service's pool turns it into a
+// failed request, and the other racer is canceled.
+func TestRacePanicReraisedOnCaller(t *testing.T) {
+	registerRaceFakes()
+	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
+	func() {
+		defer func() {
+			if r := recover(); r != "test-race-panic: injected" {
+				t.Fatalf("recovered %v; want the racer's panic re-raised on the caller", r)
+			}
+		}()
+		raceSolve(context.Background(), core.Compile(inst), NewOptions(WithBudget(3)), "test-race-panic", "test-race-slow")
+	}()
+	select {
+	case <-slowCanceled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the other racer never saw its context canceled")
 	}
 }
 
@@ -129,7 +158,7 @@ func TestAutoRacingRoute(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Solve(context.Background(), "auto", tc.inst, tc.opts...)
+			rep, err := solveInst(context.Background(), "auto", tc.inst, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,14 +187,14 @@ func TestAutoRacingRoute(t *testing.T) {
 func TestAutoRaceNeverWorseThanExactAlone(t *testing.T) {
 	inst := raceBandInstance(t)
 	const budget = 5
-	ex, err := Solve(context.Background(), "exact", inst, WithBudget(budget))
+	ex, err := solveInst(context.Background(), "exact", inst, WithBudget(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ex.Complete {
 		t.Skip("exact could not finish this instance; nothing to compare")
 	}
-	rep, err := Solve(context.Background(), "auto", inst, WithBudget(budget), WithParallelism(2))
+	rep, err := solveInst(context.Background(), "auto", inst, WithBudget(budget), WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +211,20 @@ func TestAutoRaceNeverWorseThanExactAlone(t *testing.T) {
 func TestParallelismCapabilityChecked(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
 	for _, name := range []string{"bicriteria", "kway5", "binary4", "binarybi", "spdp"} {
-		_, err := Solve(context.Background(), name, inst, WithBudget(3), WithParallelism(4))
+		_, err := solveInst(context.Background(), name, inst, WithBudget(3), WithParallelism(4))
 		if err == nil || !strings.Contains(err.Error(), "single-threaded") {
 			t.Fatalf("%s: err = %v; want capability error", name, err)
 		}
 	}
 	// Parallel-capable solvers accept it; 0 and 1 are always accepted.
-	if _, err := Solve(context.Background(), "exact", inst, WithBudget(3), WithParallelism(4)); err != nil {
+	if _, err := solveInst(context.Background(), "exact", inst, WithBudget(3), WithParallelism(4)); err != nil {
 		t.Fatalf("exact with parallelism: %v", err)
 	}
-	if _, err := Solve(context.Background(), "bicriteria", inst, WithBudget(3), WithParallelism(1)); err != nil {
+	if _, err := solveInst(context.Background(), "bicriteria", inst, WithBudget(3), WithParallelism(1)); err != nil {
 		t.Fatalf("bicriteria with parallelism 1: %v", err)
 	}
 	// Negative parallelism is a mistake, not a request for all cores.
-	if _, err := Solve(context.Background(), "exact", inst, WithBudget(3), WithParallelism(-1)); err == nil ||
+	if _, err := solveInst(context.Background(), "exact", inst, WithBudget(3), WithParallelism(-1)); err == nil ||
 		!strings.Contains(err.Error(), "negative parallelism") {
 		t.Fatalf("parallelism -1: err = %v; want rejection", err)
 	}
@@ -207,7 +236,7 @@ func TestExactParallelDeterministicThroughSolver(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
 	want := int64(-1)
 	for par := 1; par <= 8; par++ {
-		rep, err := Solve(context.Background(), "exact", inst, WithBudget(4), WithParallelism(par))
+		rep, err := solveInst(context.Background(), "exact", inst, WithBudget(4), WithParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +261,7 @@ func TestIncompleteMinResourceReportsLowerBound(t *testing.T) {
 	// exact.TestResourceLowerBound): the bound is 3 even when the search
 	// is cut off after the root.
 	inst := chainInstance4x7()
-	rep, err := Solve(context.Background(), "exact", inst, WithTarget(8), WithMaxNodes(1))
+	rep, err := solveInst(context.Background(), "exact", inst, WithTarget(8), WithMaxNodes(1))
 	if err != nil && !errors.Is(err, exact.ErrTruncated) {
 		t.Fatalf("err = %v; want a partial report or ErrTruncated", err)
 	}

@@ -22,7 +22,7 @@ import (
 // regardless of iteration count, the same per-worker state-reuse pattern
 // as exact's MinFlowSolver.
 func solveFrankWolfe(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-	s := relax.NewSolverCompiled(c)
+	s := relax.NewSolver(c)
 	opt := relax.Options{Alpha: o.Alpha, WarmFlow: o.Incumbent, Parallelism: o.Parallelism}
 	if o.Progress != nil {
 		// Adapt the Frank-Wolfe (objective, bound, iters) stream to the

@@ -18,8 +18,8 @@
 //
 // All solvers accept a context.Context; the exact search and the LP
 // relaxations poll it cooperatively, so long solves are interruptible and
-// deadline-bounded (WithDeadline).  On interruption Solve may return a
-// non-nil partial Report together with the context error.
+// deadline-bounded (WithDeadline).  On interruption SolveCompiledOptions
+// may return a non-nil partial Report together with the context error.
 //
 // WithParallelism sizes the exact search's worker pool (Caps.Parallel
 // marks the solvers that honor it) and additionally arms auto's racing
@@ -38,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/duration"
 	"repro/internal/flow"
-	"repro/internal/sp"
 )
 
 // Objective distinguishes the two optimization directions of the paper.
@@ -111,7 +110,7 @@ func (c Caps) SupportsClass(kind string) bool {
 
 // Options carries the resolved knobs of one solve call.  Build it with
 // the With* functional options; the zero value is not valid (use
-// NewOptions or Solve).
+// NewOptions).
 type Options struct {
 	// Budget is the resource budget; >= 0 selects min-makespan mode.
 	Budget int64
@@ -126,8 +125,8 @@ type Options struct {
 	// more also arm auto's exact-vs-approximation racing.  Only solvers
 	// whose Caps declare Parallel accept values above 1.
 	Parallelism int
-	// Deadline bounds the wall time; zero means none.  Solve derives a
-	// context deadline from it.
+	// Deadline bounds the wall time; zero means none.
+	// SolveCompiledOptions derives a context deadline from it.
 	Deadline time.Time
 	// Incumbent optionally seeds warm-startable solvers with a
 	// known-feasible flow, typically a stored neighbor's solution: the
@@ -154,11 +153,6 @@ type Options struct {
 	// observational: results never depend on it.
 	Progress ProgressFunc
 
-	// spTree and spLeafArc carry an already-recognized series-parallel
-	// decomposition from the auto router to the spdp solver, saving a
-	// second recognition pass.  Unexported: an internal hint, not API.
-	spTree    *sp.Tree
-	spLeafArc map[*sp.Tree]int
 	// raceRival carries auto's size-routed choice of rounding rival into
 	// the racing path.  Unexported: an internal hint, not API.
 	raceRival string
@@ -172,7 +166,7 @@ func (o Options) Objective() Objective {
 	return MinMakespan
 }
 
-// Option mutates Options; pass them to Solve or NewOptions.
+// Option mutates Options; pass them to NewOptions.
 type Option func(*Options)
 
 // WithBudget selects min-makespan mode under a resource budget.
@@ -333,41 +327,13 @@ type Solver interface {
 	Solve(ctx context.Context, c *core.Compiled, opts Options) (*Report, error)
 }
 
-// Solve resolves name in the registry, validates the options against the
-// solver's capabilities, applies the deadline, runs the solver and stamps
-// the wall time.  It is the single entry point commands and examples use;
-// it compiles the instance first, so callers that solve the same instance
-// repeatedly should compile once themselves and use SolveCompiledOptions.
-func Solve(ctx context.Context, name string, inst *core.Instance, opts ...Option) (*Report, error) {
-	return SolveOptions(ctx, name, inst, NewOptions(opts...))
-}
-
-// SolveOptions is Solve with an already-resolved Options value: the entry
-// point for callers that decode options from a wire form (WireOptions)
-// instead of composing functional options.
-func SolveOptions(ctx context.Context, name string, inst *core.Instance, o Options) (*Report, error) {
-	// Fail fast on an unknown solver or invalid options before paying the
-	// O(m) compilation; SolveCompiledOptions re-checks, which is cheap.
-	s, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkOptions(s, o); err != nil {
-		return nil, err
-	}
-	return SolveCompiledOptions(ctx, name, core.Compile(inst), o)
-}
-
-// SolveCompiled is Solve on an already-compiled instance: compile once
-// with core.Compile, then solve under as many solvers, budgets and targets
-// as needed without repeating the preprocessing.
-func SolveCompiled(ctx context.Context, name string, c *core.Compiled, opts ...Option) (*Report, error) {
-	return SolveCompiledOptions(ctx, name, c, NewOptions(opts...))
-}
-
-// SolveCompiledOptions runs a registered solver on an already-compiled
-// instance: the hot path of the solving service, where a cached
-// core.Compiled skips every per-solve re-derivation.
+// SolveCompiledOptions is the one solve entry point: it resolves name in
+// the registry, validates the options against the solver's capabilities,
+// applies the deadline, runs the solver on the compiled instance and
+// stamps the wall time.  Compile once with core.Compile, then solve under
+// as many solvers, budgets and targets as needed without repeating the
+// preprocessing; options decoded from a wire form (WireOptions) or
+// composed with NewOptions both arrive here.
 func SolveCompiledOptions(ctx context.Context, name string, c *core.Compiled, o Options) (*Report, error) {
 	s, err := Get(name)
 	if err != nil {

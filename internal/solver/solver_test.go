@@ -15,6 +15,12 @@ import (
 	"repro/internal/sp"
 )
 
+// solveInst compiles inst and runs the named solver on it through the one
+// solve entry point, with functional options.
+func solveInst(ctx context.Context, name string, inst *core.Instance, opts ...Option) (*Report, error) {
+	return SolveCompiledOptions(ctx, name, core.Compile(inst), NewOptions(opts...))
+}
+
 // bridgeInstance builds the Wheatstone bridge - the forbidden subgraph of
 // two-terminal series-parallel DAGs - with one duration function class on
 // every arc, so class-based routing can be tested in isolation from the
@@ -78,19 +84,19 @@ func TestRegistryResolvesAllBuiltins(t *testing.T) {
 func TestCapabilitiesRejectUnsupportedMode(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return duration.NewKWay(30) })
 	for _, name := range []string{"kway5", "binary4", "binarybi", "bicriteria"} {
-		_, err := Solve(context.Background(), name, inst, WithTarget(5))
+		_, err := solveInst(context.Background(), name, inst, WithTarget(5))
 		if err == nil || !strings.Contains(err.Error(), "does not support min-resource") {
 			t.Fatalf("%s with target: err = %v; want unsupported-mode error", name, err)
 		}
 	}
-	if _, err := Solve(context.Background(), "bicriteria-resource", inst, WithBudget(5)); err == nil ||
+	if _, err := solveInst(context.Background(), "bicriteria-resource", inst, WithBudget(5)); err == nil ||
 		!strings.Contains(err.Error(), "does not support min-makespan") {
 		t.Fatalf("bicriteria-resource with budget: err = %v; want unsupported-mode error", err)
 	}
-	if _, err := Solve(context.Background(), "exact", inst); err == nil {
+	if _, err := solveInst(context.Background(), "exact", inst); err == nil {
 		t.Fatal("no budget and no target should be rejected")
 	}
-	if _, err := Solve(context.Background(), "exact", inst, WithBudget(2), WithTarget(2)); err == nil {
+	if _, err := solveInst(context.Background(), "exact", inst, WithBudget(2), WithTarget(2)); err == nil {
 		t.Fatal("both budget and target should be rejected")
 	}
 }
@@ -122,7 +128,7 @@ func TestAutoRouting(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Solve(context.Background(), "auto", tc.inst, tc.opts...)
+			rep, err := solveInst(context.Background(), "auto", tc.inst, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +150,7 @@ func TestAutoRoutesLargeStepToBiCriteria(t *testing.T) {
 	// search's assignment-space threshold, not series-parallel, and not a
 	// recognized special class.
 	inst := scenario.NewGen(3).StepInstance(8, 8, 6, 5, 200, 3)
-	rep, err := Solve(context.Background(), "auto", inst, WithBudget(10))
+	rep, err := solveInst(context.Background(), "auto", inst, WithBudget(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +172,11 @@ func TestAutoAgreesWithExactOnSP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{0, 2, 5, 9} {
-		auto, err := Solve(context.Background(), "auto", inst, WithBudget(budget))
+		auto, err := solveInst(context.Background(), "auto", inst, WithBudget(budget))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := Solve(context.Background(), "exact", inst, WithBudget(budget))
+		ex, err := solveInst(context.Background(), "exact", inst, WithBudget(budget))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +195,7 @@ func TestCanceledContextAbortsExactWithPartialReport(t *testing.T) {
 	// a few nodes, keeping the best solution found so far.
 	inst := scenario.NewGen(7).KWayInstance(5, 5, 3, 400)
 	start := time.Now()
-	rep, err := Solve(context.Background(), "exact", inst,
+	rep, err := solveInst(context.Background(), "exact", inst,
 		WithBudget(40), WithDeadline(time.Now().Add(150*time.Millisecond)))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -223,11 +229,11 @@ func TestPastDeadlineReturnsImmediateLowerBoundReport(t *testing.T) {
 		"budget": WithBudget(40),
 		// The tightest possible target forces resources onto every
 		// critical-path arc, so the slack-based resource bound is positive.
-		"target": WithTarget(inst.MakespanLowerBound()),
+		"target": WithTarget(core.Compile(inst).MinMakespan),
 	} {
 		t.Run(name, func(t *testing.T) {
 			start := time.Now()
-			rep, err := Solve(context.Background(), "exact", inst,
+			rep, err := solveInst(context.Background(), "exact", inst,
 				opt, WithDeadline(time.Now().Add(-time.Second)))
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -264,17 +270,17 @@ func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
-	if _, err := Solve(ctx, "exact", inst, WithBudget(3)); !errors.Is(err, context.Canceled) {
+	if _, err := solveInst(ctx, "exact", inst, WithBudget(3)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("exact: err = %v; want context.Canceled", err)
 	}
-	if _, err := Solve(ctx, "bicriteria", inst, WithBudget(3)); !errors.Is(err, context.Canceled) {
+	if _, err := solveInst(ctx, "bicriteria", inst, WithBudget(3)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("bicriteria: err = %v; want context.Canceled (LP iteration must poll ctx)", err)
 	}
 }
 
 func TestSPDPRejectsNonSeriesParallel(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
-	if _, err := Solve(context.Background(), "spdp", inst, WithBudget(3)); !errors.Is(err, ErrNotSeriesParallel) {
+	if _, err := solveInst(context.Background(), "spdp", inst, WithBudget(3)); !errors.Is(err, ErrNotSeriesParallel) {
 		t.Fatalf("err = %v; want ErrNotSeriesParallel", err)
 	}
 }
@@ -288,7 +294,7 @@ func TestSPDPFlowMatchesTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		const budget = 5
-		tables, err := sp.Solve(tree, budget)
+		tables, err := sp.Solve(context.Background(), tree, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +302,7 @@ func TestSPDPFlowMatchesTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Solve(context.Background(), "spdp", inst, WithBudget(budget))
+		rep, err := solveInst(context.Background(), "spdp", inst, WithBudget(budget))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,21 +321,21 @@ func TestSPDPTargetMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Solve(context.Background(), "spdp", inst, WithTarget(30))
+	rep, err := solveInst(context.Background(), "spdp", inst, WithTarget(30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Sol.Makespan > 30 {
 		t.Fatalf("makespan %d exceeds target 30", rep.Sol.Makespan)
 	}
-	ex, err := Solve(context.Background(), "exact", inst, WithTarget(30))
+	ex, err := solveInst(context.Background(), "exact", inst, WithTarget(30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Sol.Value != ex.Sol.Value {
 		t.Fatalf("spdp min resources %d != exact %d", rep.Sol.Value, ex.Sol.Value)
 	}
-	if _, err := Solve(context.Background(), "spdp", inst, WithTarget(0)); err == nil {
+	if _, err := solveInst(context.Background(), "spdp", inst, WithTarget(0)); err == nil {
 		t.Fatal("unreachable target should error")
 	}
 }
@@ -342,7 +348,7 @@ func TestAutoSPBudgetGuardDoesNotOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Solve(context.Background(), "auto", inst, WithBudget(4_000_000_000))
+	rep, err := solveInst(context.Background(), "auto", inst, WithBudget(4_000_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +377,7 @@ func TestOutOfClassGuaranteeIsVoided(t *testing.T) {
 	// binary4 runs fine on general step functions, but Thm 3.10 does not
 	// apply; the Report must not advertise the 4-approximation.
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
-	rep, err := Solve(context.Background(), "binary4", inst, WithBudget(3))
+	rep, err := solveInst(context.Background(), "binary4", inst, WithBudget(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +386,7 @@ func TestOutOfClassGuaranteeIsVoided(t *testing.T) {
 	}
 	// In-class input keeps the proven bound.
 	kway := bridgeInstance(t, func() duration.Func { return duration.NewKWay(30) })
-	rep, err = Solve(context.Background(), "kway5", kway, WithBudget(3))
+	rep, err = solveInst(context.Background(), "kway5", kway, WithBudget(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +399,11 @@ func TestTruncatedMinResourceIsNotNoSolution(t *testing.T) {
 	// A node-capped search that found nothing must say "unknown", not
 	// assert infeasibility: the target here is reachable.
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
-	full, err := Solve(context.Background(), "exact", inst, WithTarget(10))
+	full, err := solveInst(context.Background(), "exact", inst, WithTarget(10))
 	if err != nil {
 		t.Fatalf("target 10 should be reachable: %v", err)
 	}
-	_, err = Solve(context.Background(), "exact", inst, WithTarget(10), WithMaxNodes(1))
+	_, err = solveInst(context.Background(), "exact", inst, WithTarget(10), WithMaxNodes(1))
 	if !errors.Is(err, exact.ErrTruncated) {
 		t.Fatalf("err = %v; want ErrTruncated (target is reachable with %d units)", err, full.Sol.Value)
 	}
@@ -407,7 +413,7 @@ func TestConstantInstanceKeepsGuarantee(t *testing.T) {
 	// Constant functions belong to every class; a class-restricted
 	// solver's guarantee must not be voided on them.
 	inst := bridgeInstance(t, func() duration.Func { return duration.Constant(5) })
-	rep, err := Solve(context.Background(), "kway5", inst, WithBudget(3))
+	rep, err := solveInst(context.Background(), "kway5", inst, WithBudget(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +430,7 @@ func TestSPDPHonorsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(ctx, "spdp", inst, WithBudget(4)); !errors.Is(err, context.Canceled) {
+	if _, err := solveInst(ctx, "spdp", inst, WithBudget(4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v; want context.Canceled (DP must poll ctx)", err)
 	}
 }
@@ -457,7 +463,7 @@ func TestAutoRoutesHugeToFrankWolfe(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Solve(context.Background(), "auto", tc.inst, tc.opts...)
+			rep, err := solveInst(context.Background(), "auto", tc.inst, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

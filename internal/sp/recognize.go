@@ -4,32 +4,47 @@ import (
 	"repro/internal/core"
 )
 
+// recognition is the memoized result of Recognize.
+type recognition struct {
+	tree    *Tree
+	leafArc map[*Tree]int
+	ok      bool
+}
+
 // Recognize decides whether the instance's DAG is two-terminal
 // series-parallel and, if so, returns a decomposition tree whose leaves
-// carry the instance's duration functions.  It uses the classical
+// carry the instance's duration functions, together with the map from each
+// leaf to the arc ID it came from, in the form Tables.Flow expects - so a
+// DP solution over the recognized tree can be materialized as a validated
+// flow on the original instance.
+//
+// The result is memoized on the compiled instance: the reduction runs at
+// most once per core.Compiled, no matter how many solvers (the auto
+// router, the spdp solver, repeated service requests on a hot instance)
+// ask.  The returned tree and map are shared and must be treated as
+// immutable; the DP (Solve) never mutates the tree.
+func Recognize(c *core.Compiled) (*Tree, map[*Tree]int, bool) {
+	v := c.Memo("sp.recognize", func() any {
+		tree, leafArc, ok := recognize(c.Inst)
+		return recognition{tree: tree, leafArc: leafArc, ok: ok}
+	})
+	r := v.(recognition)
+	return r.tree, r.leafArc, r.ok
+}
+
+// recognize runs the reduction behind Recognize.  It uses the classical
 // confluence property of TTSP graphs: repeatedly merge parallel arcs and
 // contract internal vertices with in-degree and out-degree one until either
 // a single source-sink arc remains (series-parallel) or no reduction
 // applies (not series-parallel).
-func Recognize(inst *core.Instance) (*Tree, bool) {
-	t, _, ok := RecognizeMap(inst)
-	return t, ok
-}
-
-// RecognizeMap is Recognize returning, in addition, the map from each
-// decomposition-tree leaf to the arc ID it came from, in the form
-// Tables.Flow expects - so a DP solution over the recognized tree can be
-// materialized as a validated flow on the original instance.
 //
 // The reduction is worklist-driven and near-linear: every applied
 // reduction removes one arc and performs O(1) amortized hash-map updates,
 // and a vertex or endpoint pair is re-examined only when one of its arcs
-// changed.  (The previous implementation rescanned every arc and rebuilt
-// its degree maps per reduction, which was quadratic and forced callers to
-// gate recognition behind arc-count limits.)
+// changed.
 //
 //rt:deterministic — the tree is memoized on core.Compiled and shared; its shape must not depend on map iteration order.
-func RecognizeMap(inst *core.Instance) (*Tree, map[*Tree]int, bool) {
+func recognize(inst *core.Instance) (*Tree, map[*Tree]int, bool) {
 	m := inst.G.NumEdges()
 	type arc struct {
 		from, to int
@@ -200,25 +215,4 @@ func RecognizeMap(inst *core.Instance) (*Tree, map[*Tree]int, bool) {
 		}
 	}
 	return nil, nil, false
-}
-
-// recognition is the memoized result of RecognizeCompiled.
-type recognition struct {
-	tree    *Tree
-	leafArc map[*Tree]int
-	ok      bool
-}
-
-// RecognizeCompiled is RecognizeMap memoized on the compiled instance: the
-// reduction runs at most once per core.Compiled, no matter how many
-// solvers (the auto router, the spdp solver, repeated service requests on
-// a hot instance) ask.  The returned tree and map are shared and must be
-// treated as immutable; the DP (SolveCtx) already never mutates the tree.
-func RecognizeCompiled(c *core.Compiled) (*Tree, map[*Tree]int, bool) {
-	v := c.Memo("sp.recognize", func() any {
-		tree, leafArc, ok := RecognizeMap(c.Inst)
-		return recognition{tree: tree, leafArc: leafArc, ok: ok}
-	})
-	r := v.(recognition)
-	return r.tree, r.leafArc, r.ok
 }

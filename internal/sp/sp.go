@@ -140,15 +140,9 @@ type Tables struct {
 }
 
 // Solve runs the Section 3.4 dynamic program up to the given budget and
-// returns the filled tables.
-func Solve(t *Tree, budget int64) (*Tables, error) {
-	return SolveCtx(context.Background(), t, budget)
-}
-
-// SolveCtx is Solve with cooperative cancellation: the table fill polls
-// ctx between rows, so large-budget DPs are interruptible and
-// deadline-bounded.
-func SolveCtx(ctx context.Context, t *Tree, budget int64) (*Tables, error) {
+// returns the filled tables.  The table fill polls ctx between rows, so
+// large-budget DPs are interruptible and deadline-bounded.
+func Solve(ctx context.Context, t *Tree, budget int64) (*Tables, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

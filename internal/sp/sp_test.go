@@ -1,9 +1,11 @@
 package sp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/duration"
 	"repro/internal/exact"
 )
@@ -41,7 +43,7 @@ func TestSeriesSharesBudget(t *testing.T) {
 	// Two jobs in series, each {<0,10>, <2,1>}: with 2 units both drop
 	// (reuse over a path), makespan 2.
 	tr := Series(Leaf(step(10, 1, 2)), Leaf(step(10, 1, 2)))
-	tb, err := Solve(tr, 2)
+	tb, err := Solve(context.Background(), tr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestParallelSplitsBudget(t *testing.T) {
 	// Two jobs in parallel, each {<0,10>, <2,1>}: 2 units fix only one
 	// branch (makespan 10); 4 fix both (makespan 1).
 	tr := Parallel(Leaf(step(10, 1, 2)), Leaf(step(10, 1, 2)))
-	tb, err := Solve(tr, 4)
+	tb, err := Solve(context.Background(), tr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestParallelSplitsBudget(t *testing.T) {
 
 func TestMinResourceFromTables(t *testing.T) {
 	tr := Series(Leaf(step(10, 1, 2)), Leaf(step(10, 1, 2)))
-	tb, err := Solve(tr, 5)
+	tb, err := Solve(context.Background(), tr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestAllocationAndFlow(t *testing.T) {
 	left := Leaf(step(10, 1, 2))
 	right := Leaf(step(8, 2, 3))
 	tr := Parallel(Series(left, Leaf(step(6, 1, 2))), right)
-	tb, err := Solve(tr, 5)
+	tb, err := Solve(context.Background(), tr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestAllocationAndFlow(t *testing.T) {
 		t.Fatalf("flow invalid: %v", err)
 	}
 	want, _ := tb.Makespan(5)
-	got, err := inst.Makespan(f)
+	got, err := core.Compile(inst).Makespan(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +140,12 @@ func TestToInstanceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := core.Compile(inst)
 	if inst.G.NumEdges() != 3 || len(leafArc) != 3 {
 		t.Fatalf("edges = %d leafArc = %d", inst.G.NumEdges(), len(leafArc))
 	}
-	if inst.ZeroFlowMakespan() != 3 {
-		t.Fatalf("zero makespan = %d; want 3", inst.ZeroFlowMakespan())
+	if c.ZeroFlowMakespan() != 3 {
+		t.Fatalf("zero makespan = %d; want 3", c.ZeroFlowMakespan())
 	}
 }
 
@@ -172,7 +175,7 @@ func TestDPMatchesExactSolver(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		tr := randomTree(rng, 2+rng.Intn(4))
 		budget := int64(rng.Intn(5))
-		tb, err := Solve(tr, budget)
+		tb, err := Solve(context.Background(), tr, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +183,9 @@ func TestDPMatchesExactSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := core.Compile(inst)
 		dpVal, _ := tb.Makespan(budget)
-		sol, stats, err := exact.MinMakespan(inst, budget, nil)
+		sol, stats, err := exact.MinMakespan(context.Background(), c, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +203,7 @@ func TestDPMatchesExactSolver(t *testing.T) {
 		if err := inst.ValidateFlow(f, budget); err != nil {
 			t.Fatal(err)
 		}
-		m, _ := inst.Makespan(f)
+		m, _ := c.Makespan(f)
 		if m != dpVal {
 			t.Fatalf("trial %d: witness makespan %d != DP %d", trial, m, dpVal)
 		}
@@ -210,7 +214,7 @@ func TestDPMatchesExactSolver(t *testing.T) {
 		if !ok {
 			t.Fatal("table says target reachable but MinResource disagrees")
 		}
-		rsol, rstats, err := exact.MinResource(inst, target, nil)
+		rsol, rstats, err := exact.MinResource(context.Background(), c, target, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +236,7 @@ func TestRecognizeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := Recognize(inst)
+		got, _, ok := Recognize(core.Compile(inst))
 		if !ok {
 			t.Fatalf("trial %d: SP instance not recognized", trial)
 		}
@@ -241,11 +245,11 @@ func TestRecognizeRoundTrip(t *testing.T) {
 		if got.Leaves() != tr.Leaves() {
 			t.Fatalf("trial %d: leaves %d != %d", trial, got.Leaves(), tr.Leaves())
 		}
-		a, err := Solve(tr, 4)
+		a, err := Solve(context.Background(), tr, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Solve(got, 4)
+		b, err := Solve(context.Background(), got, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,19 +277,19 @@ func TestRecognizeRejectsNonSP(t *testing.T) {
 	g.AddEdge(b, tt)
 	g.AddEdge(a, b)
 	inst := mustInstance(g, 5)
-	if _, ok := Recognize(inst); ok {
+	if _, _, ok := Recognize(core.Compile(inst)); ok {
 		t.Fatal("the N-graph must not be recognized as series-parallel")
 	}
 }
 
 func TestSolveErrors(t *testing.T) {
-	if _, err := Solve(Leaf(step(3, 1, 1)), -1); err == nil {
+	if _, err := Solve(context.Background(), Leaf(step(3, 1, 1)), -1); err == nil {
 		t.Fatal("want error for negative budget")
 	}
-	if _, err := Solve(&Tree{Kind: LeafKind}, 1); err == nil {
+	if _, err := Solve(context.Background(), &Tree{Kind: LeafKind}, 1); err == nil {
 		t.Fatal("want error for invalid tree")
 	}
-	tb, err := Solve(Leaf(step(3, 1, 1)), 2)
+	tb, err := Solve(context.Background(), Leaf(step(3, 1, 1)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

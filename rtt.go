@@ -45,6 +45,8 @@
 package rtt
 
 import (
+	"context"
+
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/duration"
@@ -87,15 +89,21 @@ type Compiled = core.Compiled
 // Compile derives the compiled form of a validated instance.
 var Compile = core.Compile
 
-// Solver registry and dispatch.
+// Solve resolves a solver by name, validates options against its
+// capabilities and runs it under the context.  It compiles the instance
+// first; callers solving the same instance repeatedly should Compile once
+// and use SolveCompiled.
+func Solve(ctx context.Context, name string, inst *Instance, opts ...SolveOption) (*Report, error) {
+	return SolveCompiled(ctx, name, core.Compile(inst), opts...)
+}
+
+// SolveCompiled is Solve on an already-compiled instance.
+func SolveCompiled(ctx context.Context, name string, c *Compiled, opts ...SolveOption) (*Report, error) {
+	return solver.SolveCompiledOptions(ctx, name, c, solver.NewOptions(opts...))
+}
+
+// Solver registry.
 var (
-	// Solve resolves a solver by name, validates options against its
-	// capabilities and runs it under the context.  It compiles the
-	// instance first; callers solving the same instance repeatedly should
-	// Compile once and use SolveCompiled.
-	Solve = solver.Solve
-	// SolveCompiled is Solve on an already-compiled instance.
-	SolveCompiled = solver.SolveCompiled
 	// RegisterSolver adds a custom solver to the registry.
 	RegisterSolver = solver.Register
 	// GetSolver resolves a registered solver by name.
@@ -195,16 +203,11 @@ var NewVertexInstance = core.NewVertexInstance
 // 1.3 from a race DAG, with the chosen reducer class at every vertex.
 var NewRaceInstance = core.NewRaceInstance
 
-// The PR 1 deprecated aliases for the raw approximation and exact entry
-// points (BiCriteria, KWay5, Binary4, BinaryBiCriteria, ExactMinMakespan,
-// ExactMinResource, ...) are gone: dispatch through Solve with the solver
-// names "bicriteria", "bicriteria-resource", "kway5", "binary4",
-// "binarybi" and "exact" instead — the registry validates capabilities,
-// honors the context, and returns a structured Report.
-
-// ExactFeasible decides the (budget, target) decision problem; it has no
-// registry twin because the registry solves optimization modes only.
-var ExactFeasible = exact.Feasible
+// The approximation and exact algorithms have no facade functions of
+// their own: dispatch through Solve with the solver names "bicriteria",
+// "bicriteria-resource", "kway5", "binary4", "binarybi" and "exact" - the
+// registry validates capabilities, honors the context, and returns a
+// structured Report.
 
 // Series-parallel machinery (Section 3.4).
 var (
@@ -212,17 +215,19 @@ var (
 	SPLeaf     = sp.Leaf
 	SPSeries   = sp.Series
 	SPParallel = sp.Parallel
-	// SPSolve runs the O(m B^2) dynamic program; SPSolveCtx is its
-	// cancellable variant.
-	SPSolve    = sp.Solve
-	SPSolveCtx = sp.SolveCtx
-	// SPRecognize extracts a decomposition tree from an instance when its
-	// DAG is two-terminal series-parallel.
-	SPRecognize = sp.Recognize
-	// SPRecognizeMap additionally returns the leaf-to-arc map used to
-	// materialize DP solutions as flows on the original instance.
-	SPRecognizeMap = sp.RecognizeMap
 )
+
+// SPSolve runs the O(m B^2) series-parallel dynamic program up to budget.
+func SPSolve(t *SPTree, budget int64) (*SPTables, error) {
+	return sp.Solve(context.Background(), t, budget)
+}
+
+// SPRecognize extracts a decomposition tree from an instance when its DAG
+// is two-terminal series-parallel.
+func SPRecognize(inst *Instance) (*SPTree, bool) {
+	t, _, ok := sp.Recognize(core.Compile(inst))
+	return t, ok
+}
 
 // Race simulation (Section 1).
 var (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/scenario"
 )
 
@@ -92,7 +93,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if _, err := Solve(ctx, "exact", inst, WithTarget(20)); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _, _, err := ExactFeasible(inst, 100, 100, nil); err != nil || !ok {
+	if ok, _, _, err := exact.Feasible(ctx, Compile(inst), 100, 100, nil); err != nil || !ok {
 		t.Fatalf("feasible = %v, %v", ok, err)
 	}
 }
