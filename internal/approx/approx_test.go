@@ -290,7 +290,11 @@ func TestClampToBreakpoint(t *testing.T) {
 }
 
 func TestPrevPow2(t *testing.T) {
-	cases := map[int64]int64{0: 0, 1: 1, 2: 2, 3: 2, 4: 4, 7: 4, 8: 8, 1000: 512}
+	cases := map[int64]int64{
+		0: 0, 1: 1, 2: 2, 3: 2, 4: 4, 7: 4, 8: 8, 1000: 512,
+		// float64(x) rounds these up to the next power of two.
+		1<<49 - 1: 1 << 48, 1<<62 - 1: 1 << 61, math.MaxInt64: 1 << 62,
+	}
 	for in, want := range cases {
 		if got := prevPow2(in); got != want {
 			t.Errorf("prevPow2(%d) = %d; want %d", in, got, want)

@@ -20,7 +20,7 @@ package approx
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/duration"
@@ -229,5 +229,5 @@ func prevPow2(x int64) int64 {
 	if x < 1 {
 		return 0
 	}
-	return int64(1) << uint(math.Floor(math.Log2(float64(x))))
+	return int64(1) << (bits.Len64(uint64(x)) - 1)
 }

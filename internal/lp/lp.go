@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
+// Package lp implements a two-phase primal simplex solver for linear
 // programs in the form
 //
 //	minimize    c . x
@@ -7,10 +7,21 @@
 //
 // It is the LP engine behind the approximation algorithms of Section 3 of
 // Das et al. (SPAA 2019): the makespan relaxation LP 6-10 and its
-// minimum-resource dual-use variant are both solved with it.  The solver is
-// deliberately simple - a full tableau with Dantzig pricing and a Bland's
-// rule fallback that guarantees termination - because the LPs arising here
-// have at most a few thousand nonzeros.
+// minimum-resource dual-use variant are both solved with it.  The solver
+// keeps a full tableau, with Dantzig pricing and a Bland's rule fallback
+// that guarantees termination, but its elimination skips zeros: the
+// relaxation tableaux stay sparse (about a tenth of a pivot row and a fifth
+// of a pivot column are nonzero), so a pivot collects the nonzero columns
+// of the normalized pivot row into an index list and eliminates only at
+// those columns, only in rows whose pivot-column entry is nonzero.
+//
+// Every entry a pivot touches gets the same floating-point expression a
+// dense elimination gives it, and every entry it skips would have changed
+// by an exact zero at most.  So pricing, the ratio test and the pivot
+// order see the same bits as a dense solver, and every returned value is
+// the same; only the sign of a zero entry can differ, and no comparison
+// reads it.  Memory stays quadratic: the tableau holds one float per
+// constraint per structural, slack or artificial variable.
 package lp
 
 import (
@@ -154,8 +165,9 @@ func (p *Problem) Solve(ctx context.Context) (Solution, error) {
 	// [n+slack, total) artificial.
 	nCols := p.n + nSlack + nArt
 	// Arena demand: the tableau rows, two objective vectors, and the
-	// simplex's reduced-cost row.
-	ws.prepare(m*(nCols+1)+2*nCols+(nCols+1), m, m)
+	// simplex's reduced-cost row; the basis and the pivot's nonzero-column
+	// list.
+	ws.prepare(m*(nCols+1)+2*nCols+(nCols+1), m+nCols+1, m)
 
 	tab := ws.rowSlice(m)
 	basis := ws.intSlice(m)
@@ -196,7 +208,8 @@ func (p *Problem) Solve(ctx context.Context) (Solution, error) {
 	}
 	artStart := p.n + nSlack
 
-	s := &simplex{tab: tab, basis: basis, nCols: nCols, ctx: ctx, zbuf: ws.floats(nCols + 1)}
+	s := &simplex{tab: tab, basis: basis, nCols: nCols, ctx: ctx,
+		zbuf: ws.floats(nCols + 1), nz: ws.intSlice(nCols + 1)}
 
 	// Phase 1: minimize the sum of artificials.
 	if nArt > 0 {
@@ -264,6 +277,7 @@ type simplex struct {
 	forbidden int // columns >= forbidden may not enter (0 = none forbidden)
 	z         []float64
 	zbuf      []float64 // reduced-cost row scratch, reused across phases
+	nz        []int     // pivot scratch: nonzero columns of the pivot row
 	ctx       context.Context
 }
 
@@ -278,7 +292,7 @@ func (s *simplex) run(obj []float64, maxIter int) (float64, error) {
 	}
 	// Reduced-cost row: z[j] = obj[j] - sum over basic rows of
 	// obj[basis[i]] * tab[i][j]; with the tableau kept in canonical form
-	// this is exact.
+	// this is exact.  A zero tableau entry leaves z[j] as it is.
 	z := s.zbuf
 	copy(z, obj)
 	z[nCols] = 0
@@ -287,8 +301,10 @@ func (s *simplex) run(obj []float64, maxIter int) (float64, error) {
 		if c == 0 {
 			continue
 		}
-		for j := 0; j <= nCols; j++ {
-			z[j] -= c * s.tab[i][j]
+		for j, a := range s.tab[i] {
+			if a != 0 {
+				z[j] -= c * a
+			}
 		}
 	}
 	s.z = z
@@ -357,31 +373,39 @@ func (s *simplex) chooseLeaving(col int) int {
 	return best
 }
 
+// pivot makes col basic in row rowi.  Only the nonzero entries of the
+// normalized pivot row can move another row, so their columns are listed
+// in s.nz first and every elimination - the other rows and the
+// reduced-cost row - runs over that list alone.
+//
 //rt:hotpath
 func (s *simplex) pivot(rowi, col int) {
-	nCols := s.nCols
 	prow := s.tab[rowi]
 	pv := prow[col]
-	for j := 0; j <= nCols; j++ {
-		prow[j] /= pv
+	k := 0
+	for j, a := range prow {
+		if a != 0 {
+			prow[j] = a / pv
+			s.nz[k] = j
+			k++
+		}
 	}
-	for i := range s.tab {
+	nz := s.nz[:k]
+	for i, trow := range s.tab {
 		if i == rowi {
 			continue
 		}
-		f := s.tab[i][col]
+		f := trow[col]
 		if f == 0 {
 			continue
 		}
-		trow := s.tab[i]
-		for j := 0; j <= nCols; j++ {
+		for _, j := range nz {
 			trow[j] -= f * prow[j]
 		}
 	}
 	if s.z != nil {
-		f := s.z[col]
-		if f != 0 {
-			for j := 0; j <= nCols; j++ {
+		if f := s.z[col]; f != 0 {
+			for _, j := range nz {
 				s.z[j] -= f * prow[j]
 			}
 		}

@@ -237,6 +237,148 @@ func TestRandomAgainstEnumeration(t *testing.T) {
 	}
 }
 
+// densePivot is the reference elimination pivot must match: every row
+// with a nonzero pivot-column entry, and the reduced-cost row, is updated
+// at every column, zeros included.
+func densePivot(tab [][]float64, z []float64, rowi, col int) {
+	nCols := len(tab[rowi]) - 1
+	prow := tab[rowi]
+	pv := prow[col]
+	for j := 0; j <= nCols; j++ {
+		prow[j] /= pv
+	}
+	for i := range tab {
+		if i == rowi {
+			continue
+		}
+		f := tab[i][col]
+		if f == 0 {
+			continue
+		}
+		trow := tab[i]
+		for j := 0; j <= nCols; j++ {
+			trow[j] -= f * prow[j]
+		}
+	}
+	if z != nil {
+		f := z[col]
+		if f != 0 {
+			for j := 0; j <= nCols; j++ {
+				z[j] -= f * prow[j]
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b carry the same bits, counting +0 and -0
+// as equal: the only difference pivot may make is the sign of a zero.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+// randomRow fills a row of n entries at the given density with values of
+// mixed sign and magnitude; a fifth of the remaining entries are -0.
+func randomRow(rng *rand.Rand, n int, density float64) []float64 {
+	r := make([]float64, n)
+	for j := range r {
+		switch {
+		case rng.Float64() < density:
+			r[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+		case rng.Intn(5) == 0:
+			r[j] = math.Copysign(0, -1)
+		}
+	}
+	return r
+}
+
+// TestPivotMatchesDenseBits applies chains of admissible pivots to random
+// sparse tableaux, with pivot and with densePivot on a copy, and requires
+// every tableau and reduced-cost entry to keep the reference's bits.
+func TestPivotMatchesDenseBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		m, nCols := 3+rng.Intn(20), 4+rng.Intn(40)
+		density := 0.05 + 0.35*rng.Float64()
+		tab := make([][]float64, m)
+		ref := make([][]float64, m)
+		for i := range tab {
+			tab[i] = randomRow(rng, nCols+1, density)
+			ref[i] = append([]float64(nil), tab[i]...)
+		}
+		z := randomRow(rng, nCols+1, density)
+		refZ := append([]float64(nil), z...)
+		s := &simplex{tab: tab, basis: make([]int, m), nCols: nCols, z: z, nz: make([]int, nCols+1)}
+		for step := 0; step < 2*m; step++ {
+			rowi := rng.Intn(m)
+			var cols []int
+			for j := 0; j < nCols; j++ {
+				if math.Abs(tab[rowi][j]) > eps {
+					cols = append(cols, j)
+				}
+			}
+			if len(cols) == 0 {
+				continue
+			}
+			col := cols[rng.Intn(len(cols))]
+			s.pivot(rowi, col)
+			densePivot(ref, refZ, rowi, col)
+			for i := range tab {
+				for j := range tab[i] {
+					if !sameBits(tab[i][j], ref[i][j]) {
+						t.Fatalf("trial %d step %d pivot (%d,%d): tab[%d][%d] = %v; dense %v",
+							trial, step, rowi, col, i, j, tab[i][j], ref[i][j])
+					}
+				}
+			}
+			for j := range z {
+				if !sameBits(z[j], refZ[j]) {
+					t.Fatalf("trial %d step %d pivot (%d,%d): z[%d] = %v; dense %v",
+						trial, step, rowi, col, j, z[j], refZ[j])
+				}
+			}
+			if s.basis[rowi] != col {
+				t.Fatalf("trial %d step %d: basis[%d] = %d; want %d", trial, step, rowi, s.basis[rowi], col)
+			}
+		}
+	}
+}
+
+// TestReducedCostsMatchDenseBits checks run's reduced-cost rebuild, which
+// skips zero tableau entries, against the dense sum over every entry.
+func TestReducedCostsMatchDenseBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 200; trial++ {
+		m, nCols := 3+rng.Intn(20), 4+rng.Intn(40)
+		density := 0.05 + 0.35*rng.Float64()
+		tab := make([][]float64, m)
+		basis := make([]int, m)
+		for i := range tab {
+			tab[i] = randomRow(rng, nCols+1, density)
+			basis[i] = rng.Intn(nCols)
+		}
+		obj := randomRow(rng, nCols, density)
+		want := make([]float64, nCols+1)
+		copy(want, obj)
+		for i, bv := range basis {
+			if c := obj[bv]; c != 0 {
+				for j := 0; j <= nCols; j++ {
+					want[j] -= c * tab[i][j]
+				}
+			}
+		}
+		s := &simplex{tab: tab, basis: basis, nCols: nCols, zbuf: make([]float64, nCols+1)}
+		// No pivots allowed: run only prices, then reports the pivot limit.
+		if _, err := s.run(obj, 0); err == nil {
+			t.Fatal("run with no pivots allowed: want pivot-limit error")
+		}
+		for j := range want {
+			if !sameBits(s.z[j], want[j]) {
+				t.Fatalf("trial %d: z[%d] = %v; dense %v", trial, j, s.z[j], want[j])
+			}
+		}
+	}
+}
+
 // BenchmarkSolveReuse measures steady-state solving of one LP shape: with
 // the pooled workspace the tableau arenas are reused across solves, so
 // allocs/op stays flat regardless of problem size (the allocs gate in CI

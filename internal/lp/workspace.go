@@ -2,13 +2,15 @@ package lp
 
 import "sync"
 
-// workspace is the pooled scratch of one simplex solve: the normalized
-// coefficient rows, the tableau, the reduced-cost rows and the basis all
-// carve slices out of two flat arenas sized once per solve.  Solving the
-// same relaxation shape repeatedly - the approximation pipeline does, and
-// rtserve's workers do it for a living - used to rebuild every row slice
-// from the allocator; with the pool a steady-state solve performs a
-// constant number of allocations regardless of problem size.
+// workspace is the pooled scratch of one simplex solve: the tableau rows,
+// the objective and reduced-cost rows, the basis and the pivot's
+// nonzero-column index list all carve slices out of two flat arenas (one
+// of float64s, one of ints) sized once per solve.  Solving the same
+// relaxation shape repeatedly - the approximation pipeline does, and
+// rtserve's workers do it for a living - reuses the arenas, so a
+// steady-state solve performs a constant number of allocations regardless
+// of problem size, and the zero-skipping pivot needs no allocation of its
+// own.
 //
 // Handed-out slices alias the arena, so nothing taken from a workspace may
 // outlive the solve: Solution.X is copied out before release.  The pool

@@ -34,9 +34,11 @@ const (
 	// safety net, so the cap only bounds wasted work.
 	autoRaceNodes = 1 << 20
 	// autoDenseLPArcs caps the EXPANDED arc count (sum of per-arc chain
-	// arcs) fed to the dense-simplex solvers (bicriteria*, kway5, binary4,
-	// binarybi), whose tableau is quadratic in that size.  Past it, auto
-	// routes to the frankwolfe scale tier, which is linear per iteration.
+	// arcs) fed to the full-tableau simplex solvers (bicriteria*, kway5,
+	// binary4, binarybi).  Their pivots skip zero entries, but the tableau
+	// is still stored whole, so memory is quadratic in that size.  Past
+	// it, auto routes to the frankwolfe scale tier, which is linear per
+	// iteration.  Moving the cap reroutes instances and changes answers.
 	autoDenseLPArcs = 768
 )
 
