@@ -38,12 +38,9 @@ func BenchmarkScaleFrankWolfe(b *testing.B) {
 
 // BenchmarkScaleFrankWolfe50k is the raw-speed tier's headline number: a
 // 50k+-arc layered DAG solved through the scale tier in well under a
-// second per solve.  Parallelism 0 sizes the sweep gang to GOMAXPROCS,
-// so on multi-core runners this exercises the level-parallel sweep
-// (which produces bit-identical results to the sequential one, so the
-// reported quality metrics are stable across machines).  The instance is
-// compiled once outside the timer - the compile-once-solve-many serving
-// pattern - leaving the per-op cost the Frank-Wolfe solve itself.
+// second per solve, on one goroutine.  The instance is compiled once
+// outside the timer - the compile-once-solve-many serving pattern -
+// leaving the per-op cost the Frank-Wolfe solve itself.
 func BenchmarkScaleFrankWolfe50k(b *testing.B) {
 	budget := int64(500)
 	spec := scenario.Spec{Name: "bench", Family: "layered", Seed: 1,
@@ -62,8 +59,7 @@ func BenchmarkScaleFrankWolfe50k(b *testing.B) {
 	b.ResetTimer()
 	var rep *solver.Report
 	for i := 0; i < b.N; i++ {
-		rep, err = SolveCompiled(context.Background(), "frankwolfe", c,
-			solver.WithBudget(budget), solver.WithParallelism(0))
+		rep, err = SolveCompiled(context.Background(), "frankwolfe", c, solver.WithBudget(budget))
 		if err != nil {
 			b.Fatal(err)
 		}

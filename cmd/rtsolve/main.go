@@ -15,9 +15,8 @@
 // With -server the sweep runs remotely through POST /v1/frontier instead,
 // sharing the service's caches and durable store.
 //
-// -parallel sizes the parallel solvers' worker gangs (0 means
-// GOMAXPROCS): the exact branch-and-bound's work-stealing pool, the
-// scale tier's level-parallel sweeps, and auto's option to race exact
+// -parallel sizes the exact branch-and-bound's work-stealing pool (0
+// means GOMAXPROCS) and, at 2 or more, arms auto's option to race exact
 // against the bi-criteria rounding near the exact-search threshold.
 //
 // With -budget the makespan is minimized; with -target the resource
@@ -49,7 +48,7 @@ func main() {
 	algo := flag.String("algo", "auto", "solver name; see -list")
 	alpha := flag.Float64("alpha", 0.5, "alpha for the bi-criteria solvers")
 	maxNodes := flag.Int("maxnodes", 0, "search-node budget for exact (0: default)")
-	parallel := flag.Int("parallel", 0, "solver workers: search pool and sweep gang (0: GOMAXPROCS, 1: sequential)")
+	parallel := flag.Int("parallel", 0, "exact search workers (0: GOMAXPROCS, 1: sequential); 2+ also lets auto race exact")
 	deadline := flag.Duration("deadline", 0, "wall-time limit (e.g. 30s; 0: none)")
 	frontier := flag.String("frontier", "", "budget sweep lo:hi[:steps]; prints the tradeoff curve")
 	server := flag.String("server", "", "rtserve base URL; runs the -frontier sweep remotely")
@@ -133,9 +132,6 @@ func printReport(rep *solver.Report) {
 	}
 	if rep.Nodes > 0 {
 		fmt.Printf("search:   %d nodes, complete %v\n", rep.Nodes, rep.Complete)
-	}
-	if rep.Sweep != "" {
-		fmt.Printf("sweep:    %s\n", rep.Sweep)
 	}
 	fmt.Printf("wall:     %v\n", rep.Wall)
 }

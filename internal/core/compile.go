@@ -112,33 +112,54 @@ func Compile(inst *Instance) *Compiled {
 		panic(err) // instance was validated
 	}
 	c := &Compiled{
-		Inst:            inst,
-		OutStart:        make([]int32, n+1),
-		OutArcs:         make([]int32, m),
-		InStart:         make([]int32, n+1),
-		InArcs:          make([]int32, m),
-		ArcFrom:         make([]int32, m),
-		ArcTo:           make([]int32, m),
-		Topo:            topo,
-		Tuples:          make([][]duration.Tuple, m),
-		MinDur:          make([]int64, m),
-		AssignmentSpace: 1,
+		Inst:     inst,
+		OutStart: make([]int32, n+1),
+		OutArcs:  make([]int32, m),
+		InStart:  make([]int32, n+1),
+		InArcs:   make([]int32, m),
+		ArcFrom:  make([]int32, m),
+		ArcTo:    make([]int32, m),
+		Topo:     topo,
+		Tuples:   make([][]duration.Tuple, m),
+		MinDur:   make([]int64, m),
 	}
-	// CSR prefix sums first: both the sequential and the gang fill need the
-	// complete offsets before any adjacency is copied.
+	// CSR adjacency: node v's offsets are final once v-1's arcs are in.
 	for v := 0; v < n; v++ {
-		c.OutStart[v+1] = c.OutStart[v] + int32(g.OutDegree(v))
-		c.InStart[v+1] = c.InStart[v] + int32(g.InDegree(v))
+		out, in := c.OutStart[v], c.InStart[v]
+		for _, e := range g.Out(v) {
+			c.OutArcs[out] = int32(e)
+			out++
+		}
+		for _, e := range g.In(v) {
+			c.InArcs[in] = int32(e)
+			in++
+		}
+		c.OutStart[v+1], c.InStart[v+1] = out, in
 	}
-	if workers := compileGang(m); workers > 1 {
-		c.fillParallel(workers)
-	} else {
-		c.csrRange(0, n)
-		budget, expanded, space := c.arcRange(0, m)
-		c.MaxUsefulBudget = budget
-		c.ExpandedArcs = expanded
-		c.AssignmentSpace = space
+	// Per-arc derivations: endpoints, materialized breakpoint tuples,
+	// unlimited-resource durations, and the aggregate bounds.
+	budget, expanded, space := int64(0), int64(0), int64(1)
+	for e := 0; e < m; e++ {
+		ed := g.Edge(e)
+		c.ArcFrom[e] = int32(ed.From)
+		c.ArcTo[e] = int32(ed.To)
+		ts := inst.Fns[e].Tuples()
+		c.Tuples[e] = ts
+		c.MinDur[e] = ts[len(ts)-1].T
+		budget += ts[len(ts)-1].R
+		if space < SpaceSaturation {
+			space *= int64(len(ts))
+			if space > SpaceSaturation {
+				space = SpaceSaturation
+			}
+		}
+		if len(ts) == 1 {
+			expanded++
+		} else {
+			expanded += 2 * int64(len(ts))
+		}
 	}
+	c.MaxUsefulBudget, c.ExpandedArcs, c.AssignmentSpace = budget, expanded, space
 	c.MinMakespan = c.LongestPath(c.MinDur, make([]int64, n))
 	return c
 }
@@ -160,16 +181,9 @@ func (c *Compiled) Class() string {
 
 // Envelopes returns the per-arc lower convex envelopes of the duration
 // breakpoints, built once and cached.  The relaxation engine evaluates
-// them on every Frank-Wolfe iteration.  Large instances build hulls
-// across the construction gang (byte-identical to the sequential build).
+// them on every Frank-Wolfe iteration.
 func (c *Compiled) Envelopes() *Envelopes {
-	c.envOnce.Do(func() {
-		if workers := compileGang(len(c.Tuples)); workers > 1 {
-			c.env = buildEnvelopesParallel(c.Tuples, workers)
-		} else {
-			c.env = buildEnvelopes(c.Tuples)
-		}
-	})
+	c.envOnce.Do(func() { c.env = buildEnvelopes(c.Tuples) })
 	return c.env
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/duration"
 	"repro/internal/scenario"
 )
@@ -103,6 +104,47 @@ func TestCompiledMatchesInstanceDerivations(t *testing.T) {
 			if int(c.ArcFrom[e]) != ed.From || int(c.ArcTo[e]) != ed.To {
 				t.Fatalf("%s: CSR endpoints mismatch at arc %d", spec.Name, e)
 			}
+		}
+	}
+}
+
+// TestCompileAssignmentSpaceSaturates pins Compile's saturating product
+// of per-arc breakpoint counts on chains: exact below the cap, exactly
+// SpaceSaturation at and beyond it.
+func TestCompileAssignmentSpaceSaturates(t *testing.T) {
+	repeat := func(count, k int) []int {
+		out := make([]int, k)
+		for i := range out {
+			out[i] = count
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		counts []int // breakpoints per chain arc, in arc order
+		want   int64
+	}{
+		{"39 two-breakpoint arcs", repeat(2, 39), 1 << 39},
+		{"40 two-breakpoint arcs", repeat(2, 40), core.SpaceSaturation},
+		{"41 two-breakpoint arcs", repeat(2, 41), core.SpaceSaturation},
+		{"mixed, just below the cap", append([]int{1023, 1}, repeat(2, 30)...), 1<<40 - 1<<30},
+		{"mixed, just above the cap", append([]int{1025, 1}, repeat(2, 30)...), core.SpaceSaturation},
+	} {
+		g := dag.New()
+		prev := g.AddNode("v0")
+		fns := make([]duration.Func, len(tc.counts))
+		for i, cnt := range tc.counts {
+			next := g.AddNode("")
+			g.AddEdge(prev, next)
+			prev = next
+			tuples := make([]duration.Tuple, cnt)
+			for j := range tuples {
+				tuples[j] = duration.Tuple{R: int64(j), T: int64(cnt - j)}
+			}
+			fns[i] = duration.MustStep(tuples...)
+		}
+		if got := core.Compile(core.MustInstance(g, fns)).AssignmentSpace; got != tc.want {
+			t.Errorf("%s: AssignmentSpace = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,46 +1,29 @@
 package core
 
-// Levels is the level decomposition of a compiled DAG plus the pull-based
-// sweep schedule derived from it.  Both the relaxation engine's makespan /
-// oracle sweeps and any other longest/shortest-path DP over the instance
-// consume it.
+// Levels is the pull-based sweep schedule of a compiled DAG, in level
+// order.  The relaxation engine's makespan and oracle sweeps, and any
+// other longest/shortest-path DP over the instance, consume it.
 //
-// Nodes are bucketed by *depth*: Depth[v] is the length (in arcs) of the
-// longest path ending at v, so every arc goes from a strictly shallower
-// level to a strictly deeper one.  All nodes of one level are therefore
-// independent — a DP that reads only predecessor values can process a whole
-// level in parallel, level by level, and produce results bit-identical to
-// the sequential sweep (parallelism changes WHEN a node is computed, never
-// WHAT it computes).
-//
-// Order lists nodes level by level (ascending node id within a level); it
-// is itself a valid topological order, and Pos is its inverse.  The sweep
-// schedule re-indexes the CSR in-adjacency by position: position p's
-// in-arcs occupy slots [SlotStart[p], SlotStart[p+1]), with SlotFrom[s] the
-// *position* of the arc's tail and SlotArc[s] the arc id.  A pull sweep
-// then walks three sequential arrays front to back — measurably faster
-// than gathering through InArcs/ArcFrom — and per-slot payloads (envelope
-// durations, oracle costs) live in slot-indexed arrays kept in sync via
-// ArcSlot.
+// A node's level is its depth: the length (in arcs) of the longest path
+// ending at it, so every arc goes from a strictly shallower level to a
+// strictly deeper one.  Order lists nodes level by level (ascending node
+// id within a level); it is therefore a valid topological order, and Pos
+// is its inverse.  The sweep schedule re-indexes the CSR in-adjacency by
+// position: position p's in-arcs occupy slots [SlotStart[p],
+// SlotStart[p+1]), with SlotFrom[s] the *position* of the arc's tail and
+// SlotArc[s] the arc id.  A pull sweep then walks three sequential arrays
+// front to back — measurably faster than gathering through InArcs/ArcFrom
+// — and per-slot payloads (envelope durations, oracle costs) live in
+// slot-indexed arrays kept in sync via ArcSlot.
 //
 // Levels are built once per compiled instance (Compiled.Levels) and are
 // read-only afterwards; concurrent readers need no synchronization.
 type Levels struct {
-	// Depth[v] is node v's level: 0 for nodes with no in-arcs, otherwise
-	// 1 + max Depth over in-neighbors.
-	Depth []int32
-	// Count is the number of levels (max depth + 1).
-	Count int
-	// Start bounds each level's position range: level l holds positions
-	// [Start[l], Start[l+1]) of Order.  len(Start) == Count+1.
-	Start []int32
 	// Order lists node ids level by level, ascending id within a level.
 	// It is a valid topological order.
 	Order []int32
 	// Pos[v] is v's position in Order (the inverse permutation).
 	Pos []int32
-	// MaxWidth is the node count of the widest level.
-	MaxWidth int
 
 	// SlotStart bounds each position's in-arc slots: position p owns
 	// slots [SlotStart[p], SlotStart[p+1]).  len(SlotStart) == n+1.
@@ -55,57 +38,51 @@ type Levels struct {
 	ArcSlot []int32
 }
 
-// Levels returns the level decomposition and pull-sweep schedule, built
-// once and cached.  The relaxation engine runs its makespan and oracle
-// sweeps level-parallel over it.
+// Levels returns the level-ordered pull-sweep schedule, built once and
+// cached.  The relaxation engine runs its makespan and oracle sweeps over
+// it.
 func (c *Compiled) Levels() *Levels {
 	c.levelsOnce.Do(func() { c.levels = buildLevels(c) })
 	return c.levels
 }
 
-// buildLevels derives the level decomposition from the compiled CSR.
+// buildLevels derives the level order and slot schedule from the compiled
+// CSR.
 func buildLevels(c *Compiled) *Levels {
 	n := len(c.OutStart) - 1
 	m := len(c.ArcFrom)
 	lv := &Levels{
-		Depth: make([]int32, n),
 		Order: make([]int32, n),
 		Pos:   make([]int32, n),
 	}
 	// Depth by pulling over in-arcs in topological order: every tail is
 	// assigned before its heads.
+	depth := make([]int32, n)
 	maxDepth := int32(0)
 	for _, v := range c.Topo {
 		d := int32(0)
 		for i := c.InStart[v]; i < c.InStart[v+1]; i++ {
-			if pd := lv.Depth[c.ArcFrom[c.InArcs[i]]] + 1; pd > d {
+			if pd := depth[c.ArcFrom[c.InArcs[i]]] + 1; pd > d {
 				d = pd
 			}
 		}
-		lv.Depth[v] = d
+		depth[v] = d
 		if d > maxDepth {
 			maxDepth = d
 		}
 	}
-	lv.Count = int(maxDepth) + 1
 	// Counting sort by depth; scanning node ids ascending makes the order
 	// within each level ascending by id, independent of Topo's tie-breaks.
-	lv.Start = make([]int32, lv.Count+1)
+	// next[d] is the first free position of level d.
+	next := make([]int32, maxDepth+2)
 	for v := 0; v < n; v++ {
-		lv.Start[lv.Depth[v]+1]++
+		next[depth[v]+1]++
 	}
-	maxW := int32(0)
-	for l := 0; l < lv.Count; l++ {
-		if lv.Start[l+1] > maxW {
-			maxW = lv.Start[l+1]
-		}
-		lv.Start[l+1] += lv.Start[l]
+	for d := int32(0); d <= maxDepth; d++ {
+		next[d+1] += next[d]
 	}
-	lv.MaxWidth = int(maxW)
-	next := make([]int32, lv.Count)
-	copy(next, lv.Start[:lv.Count])
 	for v := 0; v < n; v++ {
-		d := lv.Depth[v]
+		d := depth[v]
 		p := next[d]
 		next[d]++
 		lv.Order[p] = int32(v)

@@ -9,12 +9,11 @@ import (
 )
 
 // TestLevelsStructure checks every structural invariant of the level
-// decomposition and the pull-sweep schedule on the whole scenario corpus:
-// depths are exact longest-path depths, every arc crosses strictly upward,
-// Order is a level-bucketed topological order with Pos as its inverse, and
-// the slot schedule is a bijection onto the arcs consistent with the CSR
-// in-adjacency.  The level-parallel sweeps' determinism argument ("levels
-// are independent") rests on these invariants.
+// order and the pull-sweep schedule on the whole scenario corpus: Order
+// is a topological order grouped by level (longest-path depth, computed
+// here independently) and ascending by node id within a level, Pos is its
+// inverse, and the slot schedule is a bijection onto the arcs consistent
+// with the CSR in-adjacency.
 func TestLevelsStructure(t *testing.T) {
 	for _, spec := range scenario.DefaultCorpus() {
 		spec := spec
@@ -27,52 +26,40 @@ func TestLevelsStructure(t *testing.T) {
 			lv := c.Levels()
 			n, m := inst.G.NumNodes(), inst.G.NumEdges()
 
-			// Depth: 0 iff no in-arcs; otherwise 1 + max over in-neighbors.
-			for v := 0; v < n; v++ {
-				want := int32(0)
+			// Depth: 0 for nodes with no in-arcs, otherwise 1 + max over
+			// in-neighbors, pulled in the compiled topological order.
+			depth := make([]int32, n)
+			for _, v := range c.Topo {
 				for i := c.InStart[v]; i < c.InStart[v+1]; i++ {
-					if d := lv.Depth[c.ArcFrom[c.InArcs[i]]] + 1; d > want {
-						want = d
+					if d := depth[c.ArcFrom[c.InArcs[i]]] + 1; d > depth[v] {
+						depth[v] = d
 					}
 				}
-				if lv.Depth[v] != want {
-					t.Fatalf("Depth[%d] = %d, want %d", v, lv.Depth[v], want)
+			}
+			// Order/Pos are inverse permutations, grouped by level with
+			// depths non-decreasing, ascending by node id within a level.
+			if len(lv.Order) != n || len(lv.Pos) != n {
+				t.Fatalf("order/pos sizes %d/%d, want %d", len(lv.Order), len(lv.Pos), n)
+			}
+			for p := 0; p < n; p++ {
+				v := lv.Order[p]
+				if lv.Pos[v] != int32(p) {
+					t.Fatalf("Pos[%d] = %d, want %d", v, lv.Pos[v], p)
+				}
+				if p == 0 {
+					continue
+				}
+				u := lv.Order[p-1]
+				if depth[u] > depth[v] || (depth[u] == depth[v] && u >= v) {
+					t.Fatalf("Order not grouped by level at position %d: node %d (depth %d) before node %d (depth %d)",
+						p, u, depth[u], v, depth[v])
 				}
 			}
-			// Every arc goes to a strictly deeper level.
+			// Every arc goes forward in Order (a topological order).
 			for e := 0; e < m; e++ {
-				if lv.Depth[c.ArcFrom[e]] >= lv.Depth[c.ArcTo[e]] {
-					t.Fatalf("arc %d does not cross levels upward", e)
+				if lv.Pos[c.ArcFrom[e]] >= lv.Pos[c.ArcTo[e]] {
+					t.Fatalf("arc %d does not go forward in Order", e)
 				}
-			}
-			// Order/Pos are inverse permutations, level-bucketed, ascending
-			// by node id within a level.
-			if len(lv.Order) != n || len(lv.Start) != lv.Count+1 {
-				t.Fatalf("order/start sizes: %d nodes, %d starts, %d levels", len(lv.Order), len(lv.Start), lv.Count)
-			}
-			if lv.Start[0] != 0 || int(lv.Start[lv.Count]) != n {
-				t.Fatalf("Start bounds [%d, %d], want [0, %d]", lv.Start[0], lv.Start[lv.Count], n)
-			}
-			maxW := 0
-			for l := 0; l < lv.Count; l++ {
-				if w := int(lv.Start[l+1] - lv.Start[l]); w > maxW {
-					maxW = w
-				}
-				for p := lv.Start[l]; p < lv.Start[l+1]; p++ {
-					v := lv.Order[p]
-					if lv.Pos[v] != p {
-						t.Fatalf("Pos[%d] = %d, want %d", v, lv.Pos[v], p)
-					}
-					if lv.Depth[v] != int32(l) {
-						t.Fatalf("node %d at level %d has depth %d", v, l, lv.Depth[v])
-					}
-					if p > lv.Start[l] && lv.Order[p-1] >= v {
-						t.Fatalf("level %d not ascending by node id at position %d", l, p)
-					}
-				}
-			}
-			if lv.MaxWidth != maxW {
-				t.Fatalf("MaxWidth = %d, want %d", lv.MaxWidth, maxW)
 			}
 			// Slot schedule: position p's slots mirror the CSR in-arcs of
 			// Order[p], tails named by position; ArcSlot inverts SlotArc.

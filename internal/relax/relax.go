@@ -33,28 +33,19 @@
 // # Execution model
 //
 // All O(m) inner work - the makespan sweep, the line-search probes and the
-// linear oracle - runs as pull-based DP over core.Levels' slot schedule:
-// node p's value is a pure function of its in-slots, durations and oracle
-// costs live in slot-indexed arrays, and the sweep walks three sequential
-// arrays front to back.  These float sweeps are kept apart from the
-// integral longest-path kernel (core.Compiled.LongestPath) on purpose:
-// envelope durations are fractional and slot-indexed, and folding them
-// into the int64 CSR kernel would make the shared code branch on its
-// caller.  Envelope evaluations are SUPPORT-SPARSE: the
-// slot-duration array always reflects the current iterate, a line-search
-// probe re-evaluates only the arcs whose flow the probe actually changes
-// (the iterate's support plus the oracle path) and restores them
-// afterwards, so a probe costs O(support + sweep) instead of O(m)
-// envelope evaluations.
-//
-// Above ParallelArcThreshold arcs (and when Options.Parallelism allows),
-// sweeps run LEVEL-PARALLEL: all nodes of one level depend only on
-// shallower levels, so a worker gang processes each level's positions in
-// disjoint chunks with a barrier between levels.  Chunks write disjoint
-// entries and read only completed levels, so the parallel sweep is
-// bit-identical to the sequential one - parallelism changes when a node is
-// computed, never what.  Below the threshold the sequential sweep runs on
-// the caller's goroutine and small instances pay nothing.
+// linear oracle - runs on the solving goroutine as pull-based DP over
+// core.Levels' slot schedule: node p's value is a pure function of its
+// in-slots, durations and oracle costs live in slot-indexed arrays, and
+// the sweep walks three sequential arrays front to back.  These float
+// sweeps are kept apart from the integral longest-path kernel
+// (core.Compiled.LongestPath) on purpose: envelope durations are
+// fractional and slot-indexed, and folding them into the int64 CSR kernel
+// would make the shared code branch on its caller.  Envelope evaluations
+// are SUPPORT-SPARSE: the slot-duration array always reflects the current
+// iterate, a line-search probe re-evaluates only the arcs whose flow the
+// probe actually changes (the iterate's support plus the oracle path) and
+// restores them afterwards, so a probe costs O(support + sweep) instead of
+// O(m) envelope evaluations.
 //
 // A Solver is built once per instance and reuses all scratch - flow
 // vectors, duration and event-time buffers, oracle DP arrays, and the
@@ -68,20 +59,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/flow"
 )
-
-// ParallelArcThreshold is the arc count below which every sweep runs
-// sequentially regardless of Options.Parallelism: level-parallel execution
-// pays goroutine and barrier costs that only amortize on large instances.
-// It is a tunable, not a contract; results are identical on both sides of
-// it.
-var ParallelArcThreshold = 16384
 
 // Options tunes one relaxation solve.
 type Options struct {
@@ -94,12 +76,6 @@ type Options struct {
 	MaxIters int
 	// Tol is the relative duality-gap stopping tolerance; 0 means 1%.
 	Tol float64
-	// Parallelism sizes the level-parallel sweep gang: 0 uses GOMAXPROCS,
-	// 1 forces sequential sweeps.  Instances below ParallelArcThreshold
-	// arcs always sweep sequentially.  Purely a scheduling knob: the
-	// computed iterates, certificates and rounded solution are identical
-	// at every setting.
-	Parallelism int
 	// WarmFlow optionally seeds the Frank-Wolfe iteration with a starting
 	// point (typically a stored neighbor's integral solution).  A valid
 	// conserved flow is scaled into the budget if it overspends and used
@@ -164,10 +140,6 @@ type Result struct {
 	LowerBound float64
 	// Iters counts Frank-Wolfe iterations actually run.
 	Iters int
-	// Sweep names the sweep execution mode the solve used ("seq", or
-	// "level-par p=N" for an N-worker level-parallel gang).  Purely
-	// diagnostic: results are identical across modes.
-	Sweep string
 }
 
 // Solver solves the envelope relaxation on one fixed instance repeatedly,
@@ -221,9 +193,6 @@ type Solver struct {
 	dropEps  float64 // flows at or below this are snapped to zero
 	lastRung int     // previous accepted line-search rung, seeds the next walk
 
-	par int // sweep gang size for the current solve (1 = sequential)
-	bar spinBarrier
-
 	mf *flow.MinFlowSolver
 }
 
@@ -271,81 +240,19 @@ func NewSolver(c *core.Compiled) *Solver {
 	return s
 }
 
-// gangSize resolves the sweep gang for one solve: sequential below the
-// arc threshold or when parallelism is pinned to 1, otherwise the
-// requested (or GOMAXPROCS) worker count capped by the widest level.
-func (s *Solver) gangSize(requested int) int {
-	if len(s.f) < ParallelArcThreshold {
-		return 1
-	}
-	par := requested
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > s.lv.MaxWidth {
-		par = s.lv.MaxWidth
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
-}
-
-// sweepName names the sweep mode for Result.Sweep.
-func (s *Solver) sweepName() string {
-	if s.par > 1 {
-		return fmt.Sprintf("level-par p=%d", s.par)
-	}
-	return "seq"
-}
-
-// spinBarrier is a reusable sense-reversing barrier for the sweep gang.
-// Arrival is an atomic add; the last arriver resets the count and bumps
-// the generation, releasing the spinners.  Generations only ever increase,
-// so a straggler from a previous sweep can never confuse a later one.  n
-// is atomic because gang goroutines are not joined: after the caller
-// passes the FINAL barrier of a sweep (which proves every worker has
-// already made its arrival add), a released straggler may still be
-// re-reading barrier fields on its way out while the caller sizes the
-// barrier for the next sweep.
-type spinBarrier struct {
-	n     atomic.Int32
-	count atomic.Int32
-	gen   atomic.Uint32
-}
-
-// wait blocks until all n gang members have arrived.
-func (b *spinBarrier) wait() {
-	g := b.gen.Load()
-	if b.count.Add(1) == b.n.Load() {
-		b.count.Store(0)
-		b.gen.Add(1)
-		return
-	}
-	for b.gen.Load() == g {
-		runtime.Gosched()
-	}
-}
-
-// chunk splits [lo, hi) into par near-equal ranges and returns the w-th.
-func chunk(lo, hi int32, w, par int) (int32, int32) {
-	size := int(hi - lo)
-	return lo + int32(size*w/par), lo + int32(size*(w+1)/par)
-}
-
-// makespanRange runs the pull-based longest-path kernel over positions
-// [lo, hi) of one level: each position's event time is the max over its
-// in-slots of tail time plus slot duration, with the FIRST slot achieving
-// the max recorded for critical-path backtracking (the deterministic
-// tie-break, identical at every gang size).
+// sweepMakespan computes the longest-path value under the current slot
+// durations by the pull-based DP over positions (a topological order):
+// each position's event time is the max over its in-slots of tail time
+// plus slot duration, with the FIRST slot achieving the max recorded in
+// critSlot for critical-path backtracking (the deterministic tie-break).
 //
-//rt:hotpath — the inner level-sweep kernel, every probe and iteration.
-func (s *Solver) makespanRange(lo, hi int32) {
+//rt:hotpath — the inner sweep kernel, every probe and iteration.
+func (s *Solver) sweepMakespan() float64 {
 	slotStart, slotFrom := s.lv.SlotStart, s.lv.SlotFrom
 	tval := s.tval
 	dur := s.durSlot
 	crit := s.critSlot
-	for p := lo; p < hi; p++ {
+	for p := int32(0); p < int32(len(tval)); p++ {
 		best := 0.0
 		bs := int32(-1)
 		for sl := slotStart[p]; sl < slotStart[p+1]; sl++ {
@@ -357,18 +264,23 @@ func (s *Solver) makespanRange(lo, hi int32) {
 		tval[p] = best
 		crit[p] = bs
 	}
+	return tval[s.snkPos]
 }
 
-// oracleRange runs the pull-based min-cost-path kernel over positions
-// [lo, hi) of one level, the dual of makespanRange: min over in-slots with
-// the first minimizing slot recorded, source pinned to distance 0.
+// sweepOracle solves the linear minimization min <cost, y> over the flow
+// polytope {y >= 0, value(y) <= B}: route all B units along the single
+// min-cost source-to-sink path, or route nothing if even the best path
+// costs >= 0.  It returns the best path cost c* (<= 0); the chosen path is
+// left in oraSlot predecessors.  The pull-based DP is the dual of
+// sweepMakespan: min over in-slots with the first minimizing slot
+// recorded, source pinned to distance 0.
 //
 //rt:hotpath — the inner oracle kernel.
-func (s *Solver) oracleRange(lo, hi int32, cost []float64) {
+func (s *Solver) sweepOracle(cost []float64) float64 {
 	slotStart, slotFrom := s.lv.SlotStart, s.lv.SlotFrom
 	dist := s.dist
 	ora := s.oraSlot
-	for p := lo; p < hi; p++ {
+	for p := int32(0); p < int32(len(dist)); p++ {
 		best := math.Inf(1)
 		bs := int32(-1)
 		for sl := slotStart[p]; sl < slotStart[p+1]; sl++ {
@@ -386,67 +298,7 @@ func (s *Solver) oracleRange(lo, hi int32, cost []float64) {
 		dist[p] = best
 		ora[p] = bs
 	}
-}
-
-// sweepMakespan computes the longest-path value under the current slot
-// durations, leaving per-position event times in tval and argmax slots in
-// critSlot for critical-path backtracking.  Sequential in position order
-// (a topological order) or level-parallel over the gang; both produce
-// identical state.
-func (s *Solver) sweepMakespan() float64 {
-	if s.par > 1 {
-		s.runGang(sweepKindMakespan, nil)
-	} else {
-		s.makespanRange(0, int32(len(s.tval)))
-	}
-	return s.tval[s.snkPos]
-}
-
-// sweepOracle solves the linear minimization min <cost, y> over the flow
-// polytope {y >= 0, value(y) <= B}: route all B units along the single
-// min-cost source-to-sink path, or route nothing if even the best path
-// costs >= 0.  It returns the best path cost c* (<= 0); the chosen path is
-// left in oraSlot predecessors.
-func (s *Solver) sweepOracle(cost []float64) float64 {
-	if s.par > 1 {
-		s.runGang(sweepKindOracle, cost)
-	} else {
-		s.oracleRange(0, int32(len(s.dist)), cost)
-	}
-	return s.dist[s.snkPos]
-}
-
-// sweepKind selects the kernel a gang run executes.
-type sweepKind uint8
-
-const (
-	sweepKindMakespan sweepKind = iota
-	sweepKindOracle
-)
-
-// runGang executes one level-parallel sweep: par workers each take a
-// disjoint chunk of every level and meet at a barrier between levels, so
-// a position is computed only after every shallower level is complete.
-func (s *Solver) runGang(kind sweepKind, cost []float64) {
-	s.bar.n.Store(int32(s.par))
-	for w := 1; w < s.par; w++ {
-		go s.gangWorker(w, kind, cost)
-	}
-	s.gangWorker(0, kind, cost)
-}
-
-// gangWorker sweeps one worker's chunk of every level.
-func (s *Solver) gangWorker(w int, kind sweepKind, cost []float64) {
-	lv := s.lv
-	for l := 0; l < lv.Count; l++ {
-		lo, hi := chunk(lv.Start[l], lv.Start[l+1], w, s.par)
-		if kind == sweepKindMakespan {
-			s.makespanRange(lo, hi)
-		} else {
-			s.oracleRange(lo, hi, cost)
-		}
-		s.bar.wait()
-	}
+	return dist[s.snkPos]
 }
 
 // criticalPath appends the arcs of one critical path (sink to source) to
@@ -620,8 +472,6 @@ func (s *Solver) MinMakespan(ctx context.Context, budget int64, opt Options) (*R
 // best fractional flow in s.fbest and filling res's relaxation fields.
 func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *Result) error {
 	m := s.inst.G.NumEdges()
-	s.par = s.gangSize(o.Parallelism)
-	res.Sweep = s.sweepName()
 	B := float64(budget)
 	s.dropEps = 1e-12 * B
 	// Seed the line-search ladder afresh: results must not depend on what
@@ -1032,6 +882,5 @@ func (s *Solver) MinResource(ctx context.Context, target int64, opt Options) (*R
 	res.Sol = sol
 	res.RelaxValue = float64(sol.Value)
 	res.LowerBound = float64(resLB)
-	res.Sweep = s.sweepName()
 	return res, nil
 }

@@ -3,6 +3,8 @@ package relax
 import (
 	"context"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,37 +157,146 @@ func TestMinResource(t *testing.T) {
 	}
 }
 
-// TestSolverReuseDeterministic re-solves through one Solver and checks the
-// buffer reuse leaks no state between solves.
+// sameResult fails t unless got is bit-identical to want: same iteration
+// count, same objective and certificate to the last float bit, same
+// rounded solution.
+func sameResult(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if got.Iters != want.Iters ||
+		math.Float64bits(got.RelaxValue) != math.Float64bits(want.RelaxValue) ||
+		math.Float64bits(got.LowerBound) != math.Float64bits(want.LowerBound) ||
+		!reflect.DeepEqual(got.Sol, want.Sol) {
+		t.Fatalf("%s drifted from a lone fresh solve:\ngot  %+v\nwant %+v", what, got, want)
+	}
+}
+
+// midpointTarget is a target-mode makespan between the all-fastest floor
+// and the zero-resource makespan: reachable, but not free.
+func midpointTarget(c *core.Compiled) int64 {
+	return c.MinMakespan + (c.ZeroFlowMakespan()-c.MinMakespan)/2
+}
+
+// concurrentSolves runs n solves at once, each on its own Solver over the
+// one shared c, and returns their results in launch order.
+func concurrentSolves(t *testing.T, c *core.Compiled, n int, solve func(*Solver) (*Result, error)) []*Result {
+	t.Helper()
+	res := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = solve(NewSolver(c))
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent solve %d: %v", i, err)
+		}
+	}
+	return res
+}
+
+// TestParallelSweepDeterministic is the relaxation side of the determinism
+// invariant ("parallelism changes when, never what") in the form a worker
+// pool exercises it: budget-mode solves running at once, each on its own
+// Solver over one shared core.Compiled, must each return bit-identically
+// what a lone solve returns. The shared Compiled is fresh, so the solves
+// also race to build its lazy Levels and Envelopes; run with -race (this
+// package is in the CI race job) to check they only read shared state.
+func TestParallelSweepDeterministic(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range scenario.DefaultCorpus() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			inst, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := inst.MaxUsefulBudget() / 2
+			want, err := NewSolver(core.Compile(inst)).MinMakespan(ctx, budget, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range concurrentSolves(t, core.Compile(inst), 2, func(s *Solver) (*Result, error) {
+				return s.MinMakespan(ctx, budget, Options{})
+			}) {
+				sameResult(t, "concurrent MinMakespan", got, want)
+			}
+		})
+	}
+}
+
+// TestParallelMinResourceDeterministic is TestParallelSweepDeterministic
+// for the target-mode binary search - many Frank-Wolfe solves back to
+// back on each Solver - at the midpoint target.
+func TestParallelMinResourceDeterministic(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range scenario.DefaultCorpus() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			inst, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := core.Compile(inst)
+			target := midpointTarget(c)
+			want, err := NewSolver(c).MinResource(ctx, target, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range concurrentSolves(t, core.Compile(inst), 2, func(s *Solver) (*Result, error) {
+				return s.MinResource(ctx, target, Options{})
+			}) {
+				sameResult(t, "concurrent MinResource", got, want)
+			}
+		})
+	}
+}
+
+// TestSolverReuseDeterministic checks, on every corpus instance and in
+// both modes, that a reused Solver leaks no state between solves: after
+// dirtying solves at other budgets (a target-mode binary search among
+// them), it must return exactly what a fresh Solver returns.
 func TestSolverReuseDeterministic(t *testing.T) {
-	inst := scenario.NewGen(11).StepInstance(4, 3, 2, 4, 20, 5)
-	c := core.Compile(inst)
-	s := NewSolver(c)
-	first, err := s.MinMakespan(context.Background(), 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interleave different budgets and a target solve to dirty the scratch.
-	if _, err := s.MinMakespan(context.Background(), 9, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.MinResource(context.Background(), c.ZeroFlowMakespan(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	again, err := s.MinMakespan(context.Background(), 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Sol.Makespan != again.Sol.Makespan || first.Sol.Value != again.Sol.Value ||
-		first.RelaxValue != again.RelaxValue || first.LowerBound != again.LowerBound {
-		t.Fatalf("reused solver drifted: first %+v, again %+v", first, again)
-	}
-	fresh, err := NewSolver(c).MinMakespan(context.Background(), 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Sol.Makespan != fresh.Sol.Makespan || first.RelaxValue != fresh.RelaxValue {
-		t.Fatalf("reused solver disagrees with a fresh one: %+v vs %+v", first, fresh)
+	ctx := context.Background()
+	for _, spec := range scenario.DefaultCorpus() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			inst, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := core.Compile(inst)
+			budget := inst.MaxUsefulBudget() / 2
+			target := midpointTarget(c)
+
+			freshMk, err := NewSolver(c).MinMakespan(ctx, budget, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			freshRes, err := NewSolver(c).MinResource(ctx, target, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s := NewSolver(c)
+			if _, err := s.MinMakespan(ctx, budget/2+1, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.MinResource(ctx, target, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "reused MinResource", res, freshRes)
+			mk, err := s.MinMakespan(ctx, budget, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "reused MinMakespan", mk, freshMk)
+		})
 	}
 }
 

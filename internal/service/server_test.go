@@ -184,6 +184,8 @@ func TestSolveRejectsAdversarialRequests(t *testing.T) {
 			"does not support min-resource"},
 		{"parallel-unsupported", `{"solver":"bicriteria","options":{"budget":3,"parallelism":4},"instance":` + valid + `}`,
 			"single-threaded"},
+		{"parallel-frankwolfe", `{"solver":"frankwolfe","options":{"budget":3,"parallelism":4},"instance":` + valid + `}`,
+			"single-threaded"},
 		{"batch-and-inline", `{"instance":` + valid + `,"batch":[{"options":{"budget":1},"instance":` + valid + `}]}`,
 			"both a batch and an inline instance"},
 	}

@@ -115,7 +115,7 @@ func init() {
 	})
 	Register(&funcSolver{
 		name: "frankwolfe",
-		caps: Caps{Budget: true, Target: true, Approximate: true, Parallel: true,
+		caps: Caps{Budget: true, Target: true, Approximate: true,
 			Guarantee: "makespan <= relax/alpha using <= B/(1-alpha) resources; certified relaxation bound (scale tier)"},
 		solve: solveFrankWolfe,
 	})

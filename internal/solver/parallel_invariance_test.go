@@ -10,28 +10,33 @@ import (
 	"repro/internal/scenario"
 )
 
-// parallelWireBytes renders a report for cross-parallelism byte
-// comparison.  Wall time is always zeroed (measured, not computed).  When
-// dropScheduleDependent is set — the exact solver — two more fields are
-// normalized out, for reasons the exact package documents:
+// exactWireBytes renders an exact report for cross-parallelism byte
+// comparison.  Wall time is zeroed (measured, not computed), and so are
+// the fields that depend on the schedule, for reasons the exact package
+// documents:
 //
 //   - nodes: a parallel branch-and-bound's pruning depends on WHEN the
 //     incumbent improves, so the work done is schedule-dependent even
 //     though the result is not; the count is effort accounting, like
 //     wall_ms, not part of the answer.
-//   - flow: when several flows are optimal, which witness the strictly-
-//     improving incumbent ends up holding depends on visit order ("the
-//     witness flow may differ when several flows are optimal" — the
+//   - the witness: when several flows are optimal, which one the
+//     strictly-improving incumbent ends up holding depends on visit order
+//     ("the witness flow may differ when several flows are optimal" — the
 //     package contract, and the reason Parallelism is part of the result
-//     cache key).  The witness is checked separately for validity and
-//     optimality instead; the VALUE fields it certifies are compared.
-func parallelWireBytes(t *testing.T, rep *Report, dropScheduleDependent bool) []byte {
+//     cache key).  That covers its flow and its metric the optimum does
+//     not fix: resources in budget mode, makespan in target mode.  The
+//     witness is checked separately for validity and optimality instead;
+//     the objective and bound fields it certifies are compared.
+func exactWireBytes(t *testing.T, rep *Report) []byte {
 	t.Helper()
 	w := rep.Wire()
 	w.WallMS = 0
-	if dropScheduleDependent {
-		w.Nodes = 0
-		w.Flow = nil
+	w.Nodes = 0
+	w.Flow = nil
+	if rep.Objective == MinMakespan {
+		w.Resources = 0
+	} else {
+		w.Makespan = 0
 	}
 	data, err := json.Marshal(w)
 	if err != nil {
@@ -42,21 +47,15 @@ func parallelWireBytes(t *testing.T, rep *Report, dropScheduleDependent bool) []
 
 // TestParallelismInvariantWireReports is the corpus-wide determinism
 // property behind the "parallelism changes when, never what" contract,
-// checked at Parallelism 1, 2 and 8 for the two solvers that honor the
-// option:
-//
-//   - frankwolfe reports must be byte-identical IN FULL, iteration count
-//     included: the level-parallel sweep partitions each level's
-//     max-reductions, which are order-independent, so the iterates — and
-//     hence every downstream field — are identical at every worker count.
-//   - exact reports must be byte-identical in every answer field
-//     (optimum, resources, bounds, guarantee, exactness, completeness),
-//     and every run's witness flow must be a valid budget-feasible
-//     optimal solution; the witness bytes and node count themselves are
-//     schedule-dependent (see parallelWireBytes) and are normalized out.
-//     Exact runs that hit the node cap are skipped, not compared: a
-//     truncated search's best-so-far legitimately depends on which
-//     subtrees the budget covered.
+// checked at Parallelism 1, 2 and 8 for exact, the one solver that
+// spends the option on its own search: reports must be byte-identical in
+// every answer field (optimum, bounds, guarantee, exactness,
+// completeness), and every run's witness flow must be a valid
+// budget-feasible (or target-meeting) solution; the witness itself and
+// the node count are schedule-dependent (see exactWireBytes) and are
+// normalized out.  Runs that hit the node cap are skipped, not compared:
+// a truncated search's best-so-far legitimately depends on which
+// subtrees the budget covered.
 func TestParallelismInvariantWireReports(t *testing.T) {
 	levels := []int{1, 2, 8}
 	for _, spec := range scenario.DefaultCorpus() {
@@ -75,27 +74,7 @@ func TestParallelismInvariantWireReports(t *testing.T) {
 			}
 			opts.MaxNodes = 20000
 
-			// frankwolfe: full byte equality across worker counts.
-			var fwWant []byte
-			for _, par := range levels {
-				o := opts
-				o.Parallelism = par
-				rep, err := SolveCompiledOptions(context.Background(), "frankwolfe", warm, o)
-				if err != nil {
-					t.Fatalf("frankwolfe p=%d: %v", par, err)
-				}
-				got := parallelWireBytes(t, rep, false)
-				if fwWant == nil {
-					fwWant = got
-				} else if string(got) != string(fwWant) {
-					t.Fatalf("frankwolfe report changed at parallelism %d:\np=1: %s\np=%d: %s",
-						par, fwWant, par, got)
-				}
-			}
-
-			// exact: answer-field byte equality plus per-run witness
-			// optimality, complete runs only.
-			var exWant []byte
+			var want []byte
 			for _, par := range levels {
 				o := opts
 				o.Parallelism = par
@@ -118,12 +97,12 @@ func TestParallelismInvariantWireReports(t *testing.T) {
 					t.Fatalf("exact p=%d: witness makespan %d misses target %d",
 						par, rep.Sol.Makespan, *spec.Target)
 				}
-				got := parallelWireBytes(t, rep, true)
-				if exWant == nil {
-					exWant = got
-				} else if string(got) != string(exWant) {
+				got := exactWireBytes(t, rep)
+				if want == nil {
+					want = got
+				} else if string(got) != string(want) {
 					t.Fatalf("exact report changed at parallelism %d:\np=1: %s\np=%d: %s",
-						par, exWant, par, got)
+						par, want, par, got)
 				}
 			}
 		})
@@ -132,14 +111,14 @@ func TestParallelismInvariantWireReports(t *testing.T) {
 
 // TestParallelismRejectedOrInvariant closes the quantifier over the
 // registry: every solver either honors parallelism with invariant results
-// (exact, frankwolfe — covered above), is the documented exception (auto,
+// (exact — covered above), is the documented exception (auto,
 // whose opt-in racing mode makes the ROUTING schedule-dependent: the
 // winner's name and guarantee reach the report, which is exactly why
 // Parallelism sits in the result cache key), or must refuse
 // Parallelism > 1 so "identical across parallelism levels" holds by
 // explicit rejection rather than silently ignoring the option.
 func TestParallelismRejectedOrInvariant(t *testing.T) {
-	covered := map[string]bool{"exact": true, "frankwolfe": true, "auto": true}
+	covered := map[string]bool{"exact": true, "auto": true}
 	opts := NewOptions()
 	opts.Budget = 2
 	opts.Parallelism = 4

@@ -133,12 +133,18 @@ func raceBandInstance(t *testing.T) *core.Instance {
 
 // TestAutoRacingRoute is the table-driven check of auto's new route: with
 // parallelism, near-threshold instances race in both objectives; without
-// it, or far past the threshold, they fall back to the rounding solvers.
+// it, or far past the threshold, they fall back to the rounding solvers -
+// the scale tier included, which takes no parallelism of its own but is
+// still reached through auto when parallelism is asked for.
 func TestAutoRacingRoute(t *testing.T) {
 	inst := raceBandInstance(t)
 	big := scenario.NewGen(3).StepInstance(8, 8, 6, 5, 200, 3) // beyond autoRaceSpace
 	if space := core.Compile(big).AssignmentSpace; space <= autoRaceSpace {
 		t.Fatalf("assignment space %d; want beyond the race band", space)
+	}
+	huge := scenario.NewGen(3).StepInstance(16, 12, 8, 4, 40, 5) // beyond autoDenseLPArcs
+	if x := core.Compile(huge).ExpandedArcs; x <= autoDenseLPArcs {
+		t.Fatalf("expansion of %d arcs; want beyond the dense-LP cap", x)
 	}
 	tests := []struct {
 		name    string
@@ -155,6 +161,8 @@ func TestAutoRacingRoute(t *testing.T) {
 			"auto -> bicriteria:", []string{"bicriteria"}},
 		{"beyond-band-no-race", big, []Option{WithBudget(10), WithParallelism(4)},
 			"auto -> bicriteria:", []string{"bicriteria"}},
+		{"scale-tier-with-parallelism", huge, []Option{WithBudget(30), WithParallelism(4)},
+			"auto -> frankwolfe:", []string{"frankwolfe"}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,7 +218,7 @@ func TestAutoRaceNeverWorseThanExactAlone(t *testing.T) {
 // explicit parallelism instead of silently ignoring it.
 func TestParallelismCapabilityChecked(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
-	for _, name := range []string{"bicriteria", "kway5", "binary4", "binarybi", "spdp"} {
+	for _, name := range []string{"bicriteria", "kway5", "binary4", "binarybi", "spdp", "frankwolfe"} {
 		_, err := solveInst(context.Background(), name, inst, WithBudget(3), WithParallelism(4))
 		if err == nil || !strings.Contains(err.Error(), "single-threaded") {
 			t.Fatalf("%s: err = %v; want capability error", name, err)

@@ -23,7 +23,7 @@ import (
 // as exact's MinFlowSolver.
 func solveFrankWolfe(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
 	s := relax.NewSolver(c)
-	opt := relax.Options{Alpha: o.Alpha, WarmFlow: o.Incumbent, Parallelism: o.Parallelism}
+	opt := relax.Options{Alpha: o.Alpha, WarmFlow: o.Incumbent}
 	if o.Progress != nil {
 		// Adapt the Frank-Wolfe (objective, bound, iters) stream to the
 		// package-neutral ProgressEvent (relax cannot import solver).  The
@@ -57,6 +57,5 @@ func solveFrankWolfe(ctx context.Context, c *core.Compiled, o Options) (*Report,
 		LPLowerBound: res.LowerBound,
 		Complete:     err == nil,
 		Nodes:        res.Iters,
-		Sweep:        res.Sweep,
 	}, err
 }

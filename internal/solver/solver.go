@@ -279,12 +279,6 @@ type Report struct {
 	// for exact, Frank-Wolfe iterations for the scale tier, 0 for the
 	// dense-LP solvers.
 	Nodes int
-	// Sweep names the scale tier's sweep execution mode ("seq", or
-	// "level-par p=N" for an N-worker gang); empty for other solvers.
-	// Diagnostic only - it describes HOW the solve ran, not what it
-	// found - so it stays off the wire report, whose bytes are identical
-	// across parallelism levels.
-	Sweep string
 	// Wall is the measured wall-clock solve time.
 	Wall time.Duration
 }
