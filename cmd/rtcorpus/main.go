@@ -76,10 +76,10 @@ type ScenarioRecord struct {
 
 // Report is the machine-readable quality report.
 type Report struct {
-	Scale     int64               `json:"scale"`
-	Scenarios []ScenarioRecord    `json:"scenarios"`
-	Stats     service.GlobalStats `json:"service_stats"`
-	Failures  int                 `json:"failures"`
+	Scale     int64                 `json:"scale"`
+	Scenarios []ScenarioRecord      `json:"scenarios"`
+	Stats     service.StatsResponse `json:"service_stats"`
+	Failures  int                   `json:"failures"`
 }
 
 func main() {

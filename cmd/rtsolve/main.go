@@ -9,11 +9,13 @@
 //	rtsolve -in instance.json -frontier 0:10:6 -server http://localhost:8080
 //	rtsolve -list                                        # solver table
 //
-// -frontier lo:hi[:steps] sweeps the budget range and prints the
-// resource-time tradeoff curve, compiling the instance once and
-// warm-starting each solve from its smaller-budget neighbor's witness.
-// With -server the sweep runs remotely through POST /v1/frontier instead,
-// sharing the service's caches and durable store.
+// -frontier lo:hi[:steps] sweeps the budget range through rtserve's
+// frontier sweep (service.Server.Frontier) and prints the resource-time
+// tradeoff curve: the instance compiles once and each solve warm-starts
+// from its smaller-budget neighbor's witness.  Without -server the sweep
+// runs on an in-process server; with -server it runs remotely through
+// POST /v1/frontier, sharing that service's caches and durable store.
+// Both modes validate the range the same way and print the same table.
 //
 // -parallel sizes the exact branch-and-bound's work-stealing pool (0
 // means GOMAXPROCS) and, at 2 or more, arms auto's option to race exact
@@ -67,7 +69,9 @@ func main() {
 		if *budget >= 0 || *target >= 0 {
 			log.Fatal("-frontier supplies its own budgets; drop -budget/-target")
 		}
-		runFrontier(*in, *frontier, *algo, *server, *alpha, *maxNodes, *parallel)
+		if err := runFrontier(os.Stdout, *in, *frontier, *algo, *server, *alpha, *maxNodes, *parallel); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	if *server != "" {

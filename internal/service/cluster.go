@@ -102,10 +102,6 @@ func (s *Server) clusterStats() *ClusterStats {
 // count toward the public request counter — /v1/stats requests measures
 // client traffic, and the proxying node already counted this request.
 func (s *Server) handleInternalSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	var req SolveRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err := dec.Decode(&req); err != nil {
@@ -120,10 +116,6 @@ func (s *Server) handleInternalSolve(w http.ResponseWriter, r *http.Request) {
 // without triggering any solve: cached results, stored instance, and who
 // owns the hash under this node's ring.
 func (s *Server) handleInternalProbe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	hash := r.PathValue("hash")
 	resp := ProbeResponse{
 		Hash:      hash,
@@ -143,10 +135,6 @@ func (s *Server) handleInternalProbe(w http.ResponseWriter, r *http.Request) {
 // handleInternalHealth answers liveness plus this node's configured
 // ring, so peers and smoke tests can detect membership disagreement.
 func (s *Server) handleInternalHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	resp := ClusterHealthResponse{
 		Status:   "ok",
 		UptimeMS: float64(time.Since(s.start)) / float64(time.Millisecond),

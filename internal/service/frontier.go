@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/solver"
 )
 
 // maxFrontierPoints caps one sweep's budget list.
@@ -47,10 +49,11 @@ type FrontierRequest struct {
 	// Hash names a stored instance by canonical hash (requires the durable
 	// store); the GET form's only way to identify the instance.
 	Hash string `json:"hash,omitempty"`
-	// Options carries per-point solve knobs.  Budget and target must be
-	// absent: the sweep supplies the budget, and the frontier is by
-	// definition a budget sweep.
-	Options WireOptionsNoMode `json:"options,omitempty"`
+	// Options is the /v1/solve options object, applied to every point.
+	// Budget and target must be absent (the sweep supplies the budget, and
+	// the frontier is by definition a budget sweep); DeadlineMS bounds the
+	// WHOLE sweep's wall time, anchored at admission.
+	Options solver.WireOptions `json:"options,omitempty"`
 	// Budgets lists the sweep's budgets explicitly (deduplicated and
 	// sorted ascending); when empty the range fields below apply.
 	Budgets []int64 `json:"budgets,omitempty"`
@@ -60,21 +63,6 @@ type FrontierRequest struct {
 	BudgetMin int64 `json:"budget_min,omitempty"`
 	BudgetMax int64 `json:"budget_max,omitempty"`
 	Steps     int   `json:"steps,omitempty"`
-}
-
-// WireOptionsNoMode is solver.WireOptions minus the mode selectors: the
-// per-point options of a frontier sweep, which supplies budgets itself.
-type WireOptionsNoMode struct {
-	// Alpha is the bi-criteria rounding parameter in (0,1); absent means
-	// the 0.5 default.
-	Alpha *float64 `json:"alpha,omitempty"`
-	// MaxNodes caps the exact search per point; 0 uses the default.
-	MaxNodes int `json:"max_nodes,omitempty"`
-	// Parallelism sizes the worker pool of parallel solvers.
-	Parallelism int `json:"parallelism,omitempty"`
-	// DeadlineMS bounds the WHOLE sweep's wall time, anchored at
-	// admission; 0 means no deadline.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
 // FrontierPoint is one point of the tradeoff curve: the best makespan
@@ -154,15 +142,14 @@ func (s *Server) planFrontier(req FrontierRequest, now time.Time) (*frontierPlan
 	} else if req.Hash != "" {
 		return nil, errors.New("request has both an inline instance and a hash; send one or the other")
 	}
+	if req.Options.Budget != nil || req.Options.Target != nil {
+		return nil, errors.New("frontier options must not set budget or target: the sweep supplies the budgets")
+	}
 	budgets, err := sweepBudgets(req)
 	if err != nil {
 		return nil, err
 	}
-	sr := SolveRequest{Solver: req.Solver, Instance: raw}
-	sr.Options.Alpha = req.Options.Alpha
-	sr.Options.MaxNodes = req.Options.MaxNodes
-	sr.Options.Parallelism = req.Options.Parallelism
-	sr.Options.DeadlineMS = req.Options.DeadlineMS
+	sr := SolveRequest{Solver: req.Solver, Instance: raw, Options: req.Options}
 	// Validate under the first budget; solveFrontier overwrites the budget
 	// per point, which cannot invalidate an otherwise-valid request.
 	sr.Options.Budget = &budgets[0]
@@ -228,8 +215,9 @@ func sweepBudgets(req FrontierRequest) ([]int64, error) {
 // point through the shared solvePrepared path (result cache, durable
 // store, pool).  onPoint, when non-nil, observes each completed point in
 // order with the count of points done so far (the frontier job's event
-// feed).  The int result is the HTTP status for the synchronous endpoint.
-func (s *Server) solveFrontier(ctx context.Context, plan *frontierPlan, onPoint func(pt FrontierPoint, completed int)) (FrontierResponse, int) {
+// feed).  Point failures and a mid-sweep cancellation are reported inside
+// the response, never as a failed sweep.
+func (s *Server) solveFrontier(ctx context.Context, plan *frontierPlan, onPoint func(pt FrontierPoint, completed int)) FrontierResponse {
 	start := time.Now()
 	resp := FrontierResponse{
 		Hash:     plan.p.c.Hash(),
@@ -289,7 +277,20 @@ func (s *Server) solveFrontier(ctx context.Context, plan *frontierPlan, onPoint 
 		}
 	}
 	resp.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, http.StatusOK
+	return resp
+}
+
+// Frontier validates req, compiles its instance once and sweeps it: the
+// one statement of the tradeoff-curve sweep behind GET and POST
+// /v1/frontier, frontier jobs and embedders such as rtsolve.  An error
+// means the request was rejected before any point ran; once the sweep
+// starts, point failures and cancellation are reported in the response.
+func (s *Server) Frontier(ctx context.Context, req FrontierRequest) (FrontierResponse, error) {
+	plan, err := s.planFrontier(req, time.Now())
+	if err != nil {
+		return FrontierResponse{}, err
+	}
+	return s.solveFrontier(ctx, plan, nil), nil
 }
 
 // handleFrontier serves GET and POST /v1/frontier.  POST carries a
@@ -297,25 +298,21 @@ func (s *Server) solveFrontier(ctx context.Context, plan *frontierPlan, onPoint 
 // takes the sweep parameters from the query string.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	var req FrontierRequest
-	switch r.Method {
-	case http.MethodPost:
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-			return
-		}
-	case http.MethodGet:
+	if r.Method == http.MethodGet {
 		var err error
 		if req, err = frontierQuery(r.URL.Query()); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
+	} else {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+		if err := dec.Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+			return
+		}
 	}
 	s.requests.Add(1)
-	plan, err := s.planFrontier(req, time.Now())
+	resp, err := s.Frontier(r.Context(), req)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, errUnknownHash) {
@@ -324,8 +321,7 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	resp, status := s.solveFrontier(r.Context(), plan, nil)
-	writeJSON(w, status, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // frontierQuery decodes the GET form's query parameters: hash (required),

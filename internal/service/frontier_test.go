@@ -226,6 +226,8 @@ func TestFrontierRejections(t *testing.T) {
 		"one step":            {frontierBody(t, 55, `"budget_max":6,"steps":1`), http.StatusBadRequest},
 		"negative budget":     {frontierBody(t, 55, `"budgets":[-2,4]`), http.StatusBadRequest},
 		"oversized list":      {frontierBody(t, 55, `"steps":1000,"budget_max":100000`), http.StatusBadRequest},
+		"options.budget":      {frontierBody(t, 55, `"budget_max":6,"options":{"budget":3}`), http.StatusBadRequest},
+		"options.target":      {frontierBody(t, 55, `"budget_max":6,"options":{"target":40}`), http.StatusBadRequest},
 	}
 	for name, tc := range cases {
 		if _, status := postFrontier(t, ts, tc.body); status != tc.want {

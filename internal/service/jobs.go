@@ -370,7 +370,7 @@ func (r *jobRegistry) run(jb *job, ctx context.Context) {
 	}()
 	start := time.Now()
 	if jb.plan != nil {
-		resp, _ := r.s.solveFrontier(ctx, jb.plan, func(pt FrontierPoint, completed int) {
+		resp := r.s.solveFrontier(ctx, jb.plan, func(pt FrontierPoint, completed int) {
 			jb.appendEvent(JobEvent{
 				Incumbent: float64(pt.Makespan),
 				Bound:     pt.LowerBound,
@@ -570,31 +570,28 @@ func (r *jobRegistry) close() {
 
 // handleJobs serves POST /v1/jobs (submit) and GET /v1/jobs (list).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
+	if r.Method == http.MethodGet {
 		writeJSON(w, http.StatusOK, JobsResponse{Jobs: s.jobs.list()})
-	case http.MethodPost:
-		s.requests.Add(1)
-		var req JobRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-			return
-		}
-		jb, err := s.jobs.submit(req, time.Now())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, JobAccepted{
-			ID:        jb.id,
-			State:     JobQueued,
-			StatusURL: "/v1/jobs/" + jb.id,
-			EventsURL: "/v1/jobs/" + jb.id + "/events",
-		})
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		return
 	}
+	s.requests.Add(1)
+	var req JobRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return
+	}
+	jb, err := s.jobs.submit(req, time.Now())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, JobAccepted{
+		ID:        jb.id,
+		State:     JobQueued,
+		StatusURL: "/v1/jobs/" + jb.id,
+		EventsURL: "/v1/jobs/" + jb.id + "/events",
+	})
 }
 
 // handleJob serves GET /v1/jobs/{id} (poll) and DELETE /v1/jobs/{id}
@@ -605,21 +602,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeErrorDetail(w, http.StatusNotFound, r.PathValue("id"), "unknown job %q", r.PathValue("id"))
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, jb.status())
-	case http.MethodDelete:
-		if s.jobs.requestCancel(jb) {
-			// Cancellation initiated; report the state it reached.
-			writeJSON(w, http.StatusOK, jb.status())
-			return
-		}
-		// Already finished: forget it.
+	if r.Method == http.MethodDelete && !s.jobs.requestCancel(jb) {
+		// Already finished: forget it.  A live job's cancellation was
+		// initiated instead, and the status reports the state it reached.
 		s.jobs.remove(jb.id)
-		writeJSON(w, http.StatusOK, jb.status())
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET or DELETE")
 	}
+	writeJSON(w, http.StatusOK, jb.status())
 }
 
 // handleJobEvents serves GET /v1/jobs/{id}/events: the job's trajectory
@@ -627,10 +615,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // follows the live trajectory; it ends with one "done" event carrying the
 // final JobStatus once the job finishes.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	jb, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeErrorDetail(w, http.StatusNotFound, r.PathValue("id"), "unknown job %q", r.PathValue("id"))

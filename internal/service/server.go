@@ -27,7 +27,10 @@
 //	GET    /internal/v1/health       liveness plus ring membership
 //
 // Every endpoint, public and internal, answers non-2xx with the unified
-// Error envelope ({"error": {code, message, detail}}).
+// Error envelope ({"error": {code, message, detail}}).  Each route's
+// methods are stated once, in the routes table (Endpoints): any other
+// method gets 405 before its handler runs.  One sweep, Server.Frontier,
+// serves both /v1/frontier forms, frontier jobs and rtsolve.
 //
 // Solves are pure functions of (instance, solver, options), so the result
 // cache key is solver.ResultCacheKey: the compiled instance's canonical
@@ -46,6 +49,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,20 +197,22 @@ func New(opts ...Option) (*Server, error) {
 	}
 	s.jobs = newJobRegistry(s, s.pool.size(), retain)
 	for _, ep := range s.routes() {
-		s.mux.HandleFunc(ep.Pattern, ep.handler)
+		s.mux.HandleFunc(ep.Pattern, allowMethods(ep.Methods, ep.handler))
 	}
 	return s, nil
 }
 
 // Endpoint is one registered route: the ServeMux pattern it is mounted at
 // and the methods its handler accepts.  The list is the single source of
-// truth shared by the mux registration, the documentation-coverage test,
-// and CI's docs-consistency gate.
+// truth shared by the mux registration, the method check, the
+// documentation-coverage test, and CI's docs-consistency gate.
 type Endpoint struct {
-	// Pattern is the ServeMux pattern (path only; handlers dispatch on
-	// method themselves so unsupported methods get JSON errors).
+	// Pattern is the ServeMux pattern (path only, so a method outside
+	// Methods reaches allowMethods and gets the JSON 405 envelope rather
+	// than ServeMux's plain-text one).
 	Pattern string
-	// Methods lists the HTTP methods the handler accepts.
+	// Methods lists the HTTP methods the route accepts; New answers any
+	// other method with 405 before the handler runs.
 	Methods []string
 
 	handler http.HandlerFunc
@@ -226,6 +233,19 @@ func (s *Server) routes() []Endpoint {
 		{Pattern: "/internal/v1/solve", Methods: []string{"POST"}, handler: s.handleInternalSolve},
 		{Pattern: "/internal/v1/probe/{hash}", Methods: []string{"GET"}, handler: s.handleInternalProbe},
 		{Pattern: "/internal/v1/health", Methods: []string{"GET"}, handler: s.handleInternalHealth},
+	}
+}
+
+// allowMethods wraps h so that a request whose method is outside methods
+// gets the 405 envelope before h runs: no handler checks its own method.
+func allowMethods(methods []string, h http.HandlerFunc) http.HandlerFunc {
+	msg := "use " + strings.Join(methods, " or ")
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !slices.Contains(methods, r.Method) {
+			writeError(w, http.StatusMethodNotAllowed, "%s", msg)
+			return
+		}
+		h(w, r)
 	}
 }
 
@@ -310,10 +330,6 @@ func writeErrorDetail(w http.ResponseWriter, status int, detail, format string, 
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
 		UptimeMS: float64(time.Since(s.start)) / float64(time.Millisecond),
@@ -321,19 +337,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	writeJSON(w, http.StatusOK, SolversResponse{Solvers: solver.Infos()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{
+	writeJSON(w, http.StatusOK, s.Stats())
+}
+
+// Stats snapshots the service counters: exactly what GET /v1/stats
+// writes, for embedders (rtcorpus records it in its quality report).
+func (s *Server) Stats() StatsResponse {
+	return StatsResponse{
 		UptimeMS: float64(time.Since(s.start)) / float64(time.Millisecond),
 		Requests: s.requests.Load(),
 		WarmHits: s.warmHits.Load(),
@@ -343,7 +357,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Jobs:     s.jobs.stats(),
 		Store:    s.storeStats(),
 		Cluster:  s.clusterStats(),
-	})
+	}
 }
 
 // storeStats snapshots the durable store, nil without one.
@@ -355,40 +369,7 @@ func (s *Server) storeStats() *store.Stats {
 	return &st
 }
 
-// GlobalStats snapshots the service counters: the programmatic twin of
-// GET /v1/stats, used by embedders (rtcorpus records it in its quality
-// report).
-type GlobalStats struct {
-	Requests int64 `json:"requests"`
-	// WarmHits counts solves seeded from a stored neighbor's solution.
-	WarmHits int64              `json:"warm_hits"`
-	Cache    CacheStats         `json:"cache"`
-	Compiled CompiledCacheStats `json:"compiled"`
-	Pool     PoolStats          `json:"pool"`
-	// Jobs counts async-job activity (see JobsStats).
-	Jobs JobsStats `json:"jobs"`
-	// Store describes the durable store; nil without Config.StoreDir.
-	Store *store.Stats `json:"store,omitempty"`
-}
-
-// Stats returns the current counters.
-func (s *Server) Stats() GlobalStats {
-	return GlobalStats{
-		Requests: s.requests.Load(),
-		WarmHits: s.warmHits.Load(),
-		Cache:    s.cache.stats(),
-		Compiled: s.compiled.stats(),
-		Pool:     s.pool.stats(),
-		Jobs:     s.jobs.stats(),
-		Store:    s.storeStats(),
-	}
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
 	s.requests.Add(1)
 	var env solveEnvelope
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))

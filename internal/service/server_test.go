@@ -116,6 +116,37 @@ func TestHealthzAndSolvers(t *testing.T) {
 	}
 }
 
+// TestMethodNotAllowedOnEveryRoute pins the routes table as the one
+// statement of each route's methods: a method outside Endpoint.Methods
+// gets the 405 envelope naming the allowed methods before any handler
+// runs, so an unknown job id answers 405, not 404.
+func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
+	svc, _ := newTestServer(t, WithWorkers(1))
+	paths := strings.NewReplacer("{id}", "j99", "{hash}", "deadbeef")
+	for _, ep := range Endpoints() {
+		methods := []string{http.MethodPut}
+		if len(ep.Methods) == 1 && ep.Methods[0] == http.MethodGet {
+			methods = append(methods, http.MethodHead)
+		}
+		want := "use " + strings.Join(ep.Methods, " or ")
+		for _, method := range methods {
+			path := paths.Replace(ep.Pattern)
+			rec := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+			var envelope errorResponse
+			if err := json.NewDecoder(rec.Body).Decode(&envelope); err != nil {
+				t.Errorf("%s %s: status %d, undecodable body: %v", method, path, rec.Code, err)
+				continue
+			}
+			if rec.Code != http.StatusMethodNotAllowed || envelope.Error.Code != "method_not_allowed" ||
+				envelope.Error.Message != want {
+				t.Errorf("%s %s: status %d, %+v; want 405 method_not_allowed %q",
+					method, path, rec.Code, envelope.Error, want)
+			}
+		}
+	}
+}
+
 func TestSolveSingleAndCache(t *testing.T) {
 	_, ts := newTestServer(t, WithWorkers(2))
 	req := marshalRequest(t, scenario.NewGen(5).RequestStream(1, 1)[0])

@@ -47,10 +47,8 @@ package rtt
 import (
 	"context"
 
-	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/duration"
-	"repro/internal/exact"
 	"repro/internal/racesim"
 	"repro/internal/solver"
 	"repro/internal/sp"
@@ -153,12 +151,6 @@ type (
 	DurationFunc = duration.Func
 	// Tuple is a resource-time breakpoint.
 	Tuple = duration.Tuple
-	// ApproxResult is the outcome of an approximation algorithm.
-	ApproxResult = approx.Result
-	// ExactOptions tunes the exact branch-and-bound search.
-	ExactOptions = exact.Options
-	// ExactStats reports exact-search effort and completeness.
-	ExactStats = exact.Stats
 	// SPTree is a series-parallel decomposition tree.
 	SPTree = sp.Tree
 	// SPTables holds solved series-parallel DP tables.
