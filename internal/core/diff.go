@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/bits"
 )
 
 // Structural sketches and instance diffs.
@@ -16,7 +17,10 @@ import (
 // topology — node count, arc count, and every arc's endpoints in arc-index
 // order.  Two instances with equal sketches have identical arc indexing,
 // so a flow on one is a candidate flow on the other, arc by arc, and
-// Diff can compare their duration tables positionally in O(m).
+// Diff can compare their duration tables positionally in O(m).  The
+// per-arc DIGESTS (ArcDigests) summarize those tables in 32 bits each, so
+// a store can keep a neighbor's summary in memory and count its touched
+// arcs (DiffDigests) without the neighbor's instance.
 //
 // Unlike CanonicalHash, the sketch deliberately does NOT sort the arc
 // encodings: sorting would make the sketch insensitive to arc order, but
@@ -80,9 +84,9 @@ type InstanceDiff struct {
 
 // Diff compares two compiled instances positionally: same topology or
 // not, and which arcs' duration tables changed.  It is O(m + total
-// breakpoints) and allocates only the touched-arc list.  The warm-start
-// path uses it to decide whether a stored neighbor's solution is close
-// enough to seed the new solve.
+// breakpoints) and allocates only the touched-arc list.  It is the
+// reference implementation of DiffDigests, which the warm-start path uses
+// to count a stored neighbor's touched arcs from digests alone.
 func Diff(a, b *Compiled) InstanceDiff {
 	var d InstanceDiff
 	if a.Inst.G.NumNodes() != b.Inst.G.NumNodes() || len(a.ArcFrom) != len(b.ArcFrom) {
@@ -116,4 +120,65 @@ func Diff(a, b *Compiled) InstanceDiff {
 		}
 	}
 	return d
+}
+
+// Per-arc digests.
+//
+// Stores persist ArcDigests vectors (store.Meta.Arcs), so the function is
+// part of their on-disk format: a changed definition would silently
+// mis-count touched arcs against every vector already stored.  Arc e's
+// digest is computed over its canonical tuples c.Tuples[e], the tables
+// Diff compares, so equivalent specs (a "kway" and its explicit "step")
+// digest alike.  In 64-bit unsigned arithmetic, one word at a time:
+//
+//	h = digestSeed ^ len(tuples)
+//	for each tuple (R, T), for w in R, T:
+//	    h = rotl64((h ^ w) * digestMul, 31)
+//	digest = high 32 bits of fmix64(h)   // MurmurHash3's finalizer
+//
+// Each step is a bijection of h for a fixed word, so two equal-length
+// tables that differ in a single word never share the 64-bit state; only
+// the truncation to 32 bits can collide.  TestArcDigestsGolden pins the
+// definition.
+const (
+	digestSeed = 0x9e3779b97f4a7c15
+	digestMul  = 0x87c37b91114253d5
+)
+
+// ArcDigests returns one 32-bit digest per arc of c's breakpoint tables,
+// in arc-index order (see the definition above).  It is computed afresh
+// on every call, in O(m + total breakpoints).
+func (c *Compiled) ArcDigests() []uint32 {
+	out := make([]uint32, len(c.Tuples))
+	for e, ts := range c.Tuples {
+		h := uint64(digestSeed) ^ uint64(len(ts))
+		for _, tp := range ts {
+			h = bits.RotateLeft64((h^uint64(tp.R))*digestMul, 31)
+			h = bits.RotateLeft64((h^uint64(tp.T))*digestMul, 31)
+		}
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		h *= 0xc4ceb9fe1a85ec53
+		h ^= h >> 33
+		out[e] = uint32(h >> 32)
+	}
+	return out
+}
+
+// DiffDigests counts the positions at which two ArcDigests vectors
+// differ: for two same-topology instances, len(Diff(a, b).TouchedArcs)
+// computed from their digests alone, undercounting only where a touched
+// arc's digests collide.  ok is false when the lengths differ, since the
+// vectors then cannot describe index-aligned arcs.
+func DiffDigests(a, b []uint32) (touched int, ok bool) {
+	if len(a) != len(b) {
+		return 0, false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			touched++
+		}
+	}
+	return touched, true
 }

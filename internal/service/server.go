@@ -584,7 +584,7 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 			// not availability.  The raw request bytes are a valid stored
 			// encoding of the instance even when the compiled form came from
 			// an isomorphic earlier request — all encodings share the hash.
-			meta := store.Meta{Hash: c.Hash(), Sketch: c.Sketch(), Solver: name, OptKey: opts.CacheKey()}
+			meta := store.Meta{Hash: c.Hash(), Sketch: c.Sketch(), Solver: name, OptKey: opts.CacheKey(), Arcs: c.ArcDigests()}
 			_ = s.store.PutReport(key, meta, rep)
 			_ = s.store.PutInstance(c.Hash(), c.Sketch(), p.req.Instance)
 		}
@@ -644,23 +644,16 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 // sketches mean index-aligned identical topology, so the donor's flow is
 // conserved arc for arc here; the seed is only worth taking when few arcs
 // changed their duration functions, so instances differing on more than
-// half their arcs solve cold.  Returns nil when no donor qualifies.
+// half their arcs solve cold.  The touched arcs are counted from the
+// donor's stored digests (core.DiffDigests), in memory: the donor's
+// instance is never read.  Returns nil when no donor qualifies.
 func (s *Server) warmSeed(c *core.Compiled, name string, opts solver.Options) []int64 {
 	meta, donor, ok := s.store.Neighbor(c.Sketch(), name, opts.CacheKey(), c.Hash())
 	if !ok {
 		return nil
 	}
-	raw, ok := s.store.GetInstance(meta.Hash)
-	if !ok {
-		return nil
-	}
-	var ninst core.Instance
-	if err := json.Unmarshal(raw, &ninst); err != nil {
-		return nil
-	}
-	nc := core.Compile(&ninst)
-	d := core.Diff(c, nc)
-	if !d.SameTopology || 2*len(d.TouchedArcs) > c.Inst.G.NumEdges() {
+	touched, ok := core.DiffDigests(c.ArcDigests(), meta.Arcs)
+	if !ok || 2*touched > c.Inst.G.NumEdges() {
 		return nil
 	}
 	return donor.Flow

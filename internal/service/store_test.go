@@ -1,20 +1,34 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/duration"
+	"repro/internal/scenario"
 )
 
 // storeInstanceJSON builds the wire form of a small two-path instance;
 // bump shifts one arc's base duration, producing a same-topology neighbor
 // differing on exactly one arc.
 func storeInstanceJSON(t testing.TB, bump int64) []byte {
+	t.Helper()
+	return storeEditJSON(t, [6]int64{2: bump})
+}
+
+// storeEditJSON builds the same six-arc instance with arc e's base
+// duration raised by bump[e]: every nonzero entry touches one arc.
+func storeEditJSON(t testing.TB, bump [6]int64) []byte {
 	t.Helper()
 	g := dag.New()
 	s := g.AddNode("s")
@@ -32,12 +46,12 @@ func storeInstanceJSON(t testing.TB, bump int64) []byte {
 		return duration.MustStep(duration.Tuple{R: 0, T: t0}, duration.Tuple{R: r, T: t1})
 	}
 	fns := []duration.Func{
-		step(10, 4, 2),
-		step(9, 3, 2),
-		step(8+bump, 2, 3),
-		step(12, 5, 2),
-		step(11, 6, 2),
-		duration.Constant(1),
+		step(10+bump[0], 4, 2),
+		step(9+bump[1], 3, 2),
+		step(8+bump[2], 2, 3),
+		step(12+bump[3], 5, 2),
+		step(11+bump[4], 6, 2),
+		duration.Constant(1 + bump[5]),
 	}
 	inst, err := core.NewInstance(g, fns)
 	if err != nil {
@@ -51,8 +65,11 @@ func storeInstanceJSON(t testing.TB, bump int64) []byte {
 }
 
 func storeSolveBody(t testing.TB, bump int64) string {
-	return fmt.Sprintf(`{"solver":"exact","options":{"budget":5,"parallelism":1},"instance":%s}`,
-		storeInstanceJSON(t, bump))
+	return storeBody(storeInstanceJSON(t, bump))
+}
+
+func storeBody(inst []byte) string {
+	return fmt.Sprintf(`{"solver":"exact","options":{"budget":5,"parallelism":1},"instance":%s}`, inst)
 }
 
 // TestStoreRestartRoundTrip is the durability contract end to end: a
@@ -182,3 +199,217 @@ func TestStatsExposesStore(t *testing.T) {
 		t.Fatal("the cold solve should have counted a store miss")
 	}
 }
+
+// TestWarmStartWithoutInstanceFiles restarts a server over a store whose
+// instance files are gone: the donor is chosen by the digests in its
+// report, so a one-arc edit still warm-starts, and still certifies the
+// edit's own optimum.
+func TestWarmStartWithoutInstanceFiles(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := newTestServer(t, WithWorkers(1), WithStore(dir))
+	var base SolveResponse
+	if code := postSolve(t, tsA, storeSolveBody(t, 0), &base); code != 200 {
+		t.Fatalf("base solve: status %d, error %q", code, base.Error)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "instances", "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want 1 instance file, got %v (%v)", files, err)
+	}
+	for _, f := range files {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svcB, tsB := newTestServer(t, WithWorkers(1), WithStore(dir))
+	if lr, _ := svcB.StoreLoad(); lr.Reports != 1 || lr.Instances != 0 {
+		t.Fatalf("restarted server loaded %+v, want 1 report and no instance", lr)
+	}
+	var warm SolveResponse
+	if code := postSolve(t, tsB, storeSolveBody(t, 3), &warm); code != 200 {
+		t.Fatalf("edit solve: status %d, error %q", code, warm.Error)
+	}
+	if !warm.Warm || warm.StoreHit {
+		t.Fatalf("edit: warm %v, store hit %v; want a warm-started solve", warm.Warm, warm.StoreHit)
+	}
+	if got := svcB.Stats().WarmHits; got != 1 {
+		t.Fatalf("warm_hits = %d, want 1", got)
+	}
+	_, tsCold := newTestServer(t, WithWorkers(1))
+	var cold SolveResponse
+	if code := postSolve(t, tsCold, storeSolveBody(t, 3), &cold); code != 200 {
+		t.Fatalf("cold reference solve: status %d, error %q", code, cold.Error)
+	}
+	if warm.Report.Makespan != cold.Report.Makespan || warm.Report.Resources != cold.Report.Resources {
+		t.Fatalf("warm optimum (%d,%d) != cold (%d,%d)",
+			warm.Report.Makespan, warm.Report.Resources, cold.Report.Makespan, cold.Report.Resources)
+	}
+}
+
+// TestWarmStartThreshold pins the donor rule: an edit touching exactly
+// half the arcs warm-starts, one touching more than half solves cold.
+func TestWarmStartThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bump [6]int64
+		warm bool
+	}{
+		{"half", [6]int64{1, 1, 1, 0, 0, 0}, true},
+		{"more than half", [6]int64{1, 1, 1, 1, 0, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, ts := newTestServer(t, WithWorkers(1), WithStore(t.TempDir()))
+			var base, edit SolveResponse
+			if code := postSolve(t, ts, storeSolveBody(t, 0), &base); code != 200 {
+				t.Fatalf("base solve: status %d, error %q", code, base.Error)
+			}
+			if code := postSolve(t, ts, storeBody(storeEditJSON(t, tc.bump)), &edit); code != 200 {
+				t.Fatalf("edit solve: status %d, error %q", code, edit.Error)
+			}
+			if edit.Warm != tc.warm {
+				t.Fatalf("edit warm = %v, want %v", edit.Warm, tc.warm)
+			}
+			if got, want := svc.Stats().WarmHits, map[bool]int64{true: 1}[tc.warm]; got != want {
+				t.Fatalf("warm_hits = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestLegacyReportNeverDonates opens a store whose report was written
+// without digests, as before they existed: it still answers a store hit,
+// but a one-arc edit solves cold.
+func TestLegacyReportNeverDonates(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := newTestServer(t, WithWorkers(1), WithStore(dir))
+	var first SolveResponse
+	if code := postSolve(t, tsA, storeSolveBody(t, 0), &first); code != 200 {
+		t.Fatalf("base solve: status %d, error %q", code, first.Error)
+	}
+	stripDigests(t, dir)
+
+	svcB, tsB := newTestServer(t, WithWorkers(1), WithStore(dir))
+	if lr, _ := svcB.StoreLoad(); lr.Reports != 1 || lr.Corrupt != 0 {
+		t.Fatalf("restarted server loaded %+v, want 1 clean report", lr)
+	}
+	var again SolveResponse
+	if code := postSolve(t, tsB, storeSolveBody(t, 0), &again); code != 200 {
+		t.Fatalf("recall: status %d, error %q", code, again.Error)
+	}
+	gotB, _ := json.Marshal(again.Report)
+	wantB, _ := json.Marshal(first.Report)
+	if !again.StoreHit || string(gotB) != string(wantB) {
+		t.Fatalf("recall: store hit %v, report %s; want a hit on %s", again.StoreHit, gotB, wantB)
+	}
+	var edit SolveResponse
+	if code := postSolve(t, tsB, storeSolveBody(t, 3), &edit); code != 200 {
+		t.Fatalf("edit solve: status %d, error %q", code, edit.Error)
+	}
+	if edit.Warm || svcB.Stats().WarmHits != 0 {
+		t.Fatal("a report without digests donated a warm start")
+	}
+}
+
+// stripDigests rewrites every stored report without its meta.arcs, under
+// a fresh checksum: the report as a store written before digests holds it.
+func stripDigests(t *testing.T, dir string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "reports", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no report files: %v", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Payload json.RawMessage `json:"payload"`
+		}
+		var payload, meta map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(env.Payload, &payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(payload["meta"], &meta); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := meta["arcs"]; !ok {
+			t.Fatalf("%s has no meta.arcs to strip", f)
+		}
+		delete(meta, "arcs")
+		mb, _ := json.Marshal(meta)
+		payload["meta"] = mb
+		pb, _ := json.Marshal(payload)
+		sum := sha256.Sum256(pb)
+		out, _ := json.Marshal(map[string]any{"checksum": hex.EncodeToString(sum[:]), "payload": json.RawMessage(pb)})
+		if err := os.WriteFile(f, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmSeed times the warm-start decision alone: a store holding
+// one resolve-shaped donor (a 40x16 layered DAG of about 1,000 arcs with
+// 2-4 breakpoints each, solved by auto at budget 150), asked for a donor
+// for a 16-arc edit of it.
+func BenchmarkWarmSeed(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := scenario.NewGen(1).Layered(40, 16, 8)
+	tables := make([][]duration.Tuple, g.NumEdges())
+	for e := range tables {
+		ts := []duration.Tuple{{R: 0, T: 30 + rng.Int63n(30)}}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			last := ts[len(ts)-1]
+			ts = append(ts, duration.Tuple{R: last.R + 1 + rng.Int63n(4), T: last.T * 2 / 3})
+		}
+		tables[e] = ts
+	}
+	body := func(shift map[int]int64) []byte {
+		fns := make([]duration.Func, len(tables))
+		for e, ts := range tables {
+			ts = append([]duration.Tuple(nil), ts...)
+			for i := range ts {
+				ts[i].T += shift[e]
+			}
+			fns[e] = duration.MustStep(ts...)
+		}
+		raw, err := json.Marshal(core.MustInstance(g, fns))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return []byte(fmt.Sprintf(`{"solver":"auto","options":{"budget":150},"instance":%s}`, raw))
+	}
+	svc, err := New(WithWorkers(1), WithStore(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	if w := servePost(svc.Handler(), body(nil)); w.Code != http.StatusOK {
+		b.Fatalf("donor solve failed: %d %s", w.Code, w.Body.String())
+	}
+	shift := map[int]int64{}
+	for _, e := range rng.Perm(len(tables))[:16] {
+		shift[e] = 1 + rng.Int63n(5)
+	}
+	var req SolveRequest
+	if err := json.Unmarshal(body(shift), &req); err != nil {
+		b.Fatal(err)
+	}
+	p, err := svc.prepare(req, time.Now())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if svc.warmSeed(p.c, p.name, p.opts) == nil {
+		b.Fatal("the 16-arc edit found no donor")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warmSeedSink = svc.warmSeed(p.c, p.name, p.opts)
+	}
+}
+
+var warmSeedSink []int64

@@ -2,7 +2,7 @@
 // persists completed solve reports and the raw instances behind them so a
 // restarted service resumes with every previously computed result, and so
 // near-identical instances can warm-start from a stored neighbor's
-// solution.
+// solution, chosen by the per-arc digests each report carries.
 //
 // # On-disk format
 //
@@ -15,9 +15,10 @@
 // bytes>", "payload": {...}} whose payload carries an explicit
 // format version.  A report payload records the full result identity
 // (the solver.ResultCacheKey string plus its parts: canonical hash,
-// structural sketch, solver name, option key) and the wire report; an
-// instance payload records the canonical hash, the sketch, and the raw
-// instance JSON as received.
+// structural sketch, solver name, option key), the instance's per-arc
+// digests (meta.arcs, core.ArcDigests; absent from reports written before
+// digests existed) and the wire report; an instance payload records the
+// canonical hash, the sketch, and the raw instance JSON as received.
 //
 // Writes are crash-safe: each entry is written to a temporary file in
 // the same directory and atomically renamed into place, so a crash can
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,9 +48,10 @@ import (
 const payloadVersion = 1
 
 // Meta is the decomposed identity of one stored report: the parts of the
-// result-cache key plus the instance's structural sketch, kept separately
-// so neighbor lookups can match on (sketch, solver, options) without
-// parsing keys.
+// result-cache key plus the instance's structural sketch and per-arc
+// digests, kept separately so neighbor lookups can match on (sketch,
+// solver, options) without parsing keys, and compare arcs without the
+// instance.
 type Meta struct {
 	// Hash is the instance's canonical hash (core.CanonicalHash).
 	Hash string `json:"hash"`
@@ -60,6 +63,10 @@ type Meta struct {
 	Solver string `json:"solver"`
 	// OptKey is the canonical options rendering (Options.CacheKey).
 	OptKey string `json:"opt_key"`
+	// Arcs is the instance's per-arc digest vector (core.ArcDigests), 4
+	// bytes per arc in memory.  Empty on reports written before digests
+	// existed; such reports answer hits but never donate.
+	Arcs []uint32 `json:"arcs,omitempty"`
 }
 
 // envelope is the outer JSON shell of every stored file.  Payload stays
@@ -207,6 +214,9 @@ func (s *Store) loadReports() error {
 			s.load.Errors = append(s.load.Errors, fmt.Sprintf("%s: payload version %d, want %d", path, rp.Version, payloadVersion))
 			continue
 		}
+		// Decoding grows the digest slice geometrically (1,000 arcs land
+		// in a 1,344-word array); keep it at 4 bytes per arc.
+		rp.Meta.Arcs = slices.Clone(rp.Meta.Arcs)
 		s.reports[rp.Key] = &entry{meta: rp.Meta, rep: rp.Report, size: size}
 		sk := sketchKey(rp.Meta.Sketch, rp.Meta.Solver, rp.Meta.OptKey)
 		s.bySketch[sk] = append(s.bySketch[sk], rp.Key)
@@ -216,7 +226,9 @@ func (s *Store) loadReports() error {
 }
 
 // loadInstances records which instances exist; the raw bytes stay on
-// disk and are re-read (and re-verified) on demand by GetInstance.
+// disk and are re-read (and re-verified) on demand by GetInstance.  Warm
+// starts never read them: neighbors are compared by their reports'
+// digests.
 func (s *Store) loadInstances() error {
 	ents, err := os.ReadDir(s.instancesDir())
 	if err != nil {
@@ -366,10 +378,10 @@ func (s *Store) PutReport(key string, meta Meta, rep solver.WireReport) error {
 }
 
 // PutInstance durably stores the raw JSON of an instance under its
-// canonical hash, so stored flows can later be re-anchored to a compiled
-// neighbor.  Storing any byte-form of the instance is sound: all
-// isomorphic encodings share the hash, and warm starts only ever use the
-// recompiled topology, not the encoding.
+// canonical hash, so a later request can name the instance by hash alone.
+// Storing any byte-form of the instance is sound: all isomorphic
+// encodings share the hash, and readers only ever use the recompiled
+// instance, not the encoding.
 func (s *Store) PutInstance(hash, sketch string, raw []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,9 +402,9 @@ func (s *Store) PutInstance(hash, sketch string, raw []byte) error {
 }
 
 // GetInstance re-reads and re-verifies the stored raw instance for a
-// canonical hash.  Instances are demand-loaded: they are only needed on
-// the (rare) neighbor warm-start path, so their bytes do not stay
-// resident.
+// canonical hash.  Instances are demand-loaded: only requests naming an
+// instance by hash (a frontier by hash, a cluster peer's probe) need
+// them, so their bytes do not stay resident.
 //
 //rt:deterministic — the result is a pure function of the stored file.
 func (s *Store) GetInstance(hash string) ([]byte, bool) {
@@ -429,8 +441,9 @@ func (s *Store) noteCorrupt(hash string) {
 // options — the warm-start donor for an incoming instance.  Equal
 // sketches guarantee index-aligned identical topology, so the donor's
 // flow is conserved arc for arc on the new instance.  Only complete
-// reports carrying a witness flow qualify.  Candidates are scanned in
-// sorted key order, so the choice is deterministic.
+// reports carrying a witness flow and per-arc digests qualify; the
+// donor's instance file is not needed.  Candidates are scanned in sorted
+// key order, so the choice is deterministic.
 //
 //rt:deterministic — pure function of the loaded entries.
 func (s *Store) Neighbor(sketch, solverName, optKey, excludeHash string) (Meta, solver.WireReport, bool) {
@@ -444,8 +457,8 @@ func (s *Store) Neighbor(sketch, solverName, optKey, excludeHash string) (Meta, 
 		if !e.rep.Complete || len(e.rep.Flow) == 0 {
 			continue
 		}
-		if !s.hasInst[e.meta.Hash] {
-			continue // cannot diff without the donor instance
+		if len(e.meta.Arcs) == 0 {
+			continue // stored before digests: its arcs cannot be compared
 		}
 		return e.meta, e.rep, true
 	}

@@ -31,6 +31,7 @@ func testMeta(i int) Meta {
 		Sketch: "sketch-a",
 		Solver: "exact",
 		OptKey: "b5.t-1.a0.5.n0.p1",
+		Arcs:   []uint32{uint32(i), 1, uint32(i), 1},
 	}
 }
 
@@ -280,5 +281,60 @@ func TestNeighborLookup(t *testing.T) {
 	}
 	if _, _, ok := s.Neighbor("sketch-a", "exact", "other-opts", ""); ok {
 		t.Fatal("found a neighbor across option keys")
+	}
+}
+
+// TestNeighborQualifiesByDigests checks that donors qualify by their
+// per-arc digests, not by their instance files: a report stored without
+// digests (as before they existed) still answers GetReport but never
+// donates, while one with digests donates with no instance file at all,
+// and its digests survive a reopen at about 4 bytes per arc.
+func TestNeighborQualifiesByDigests(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := testMeta(0)
+	legacy.Arcs = nil
+	if err := s.PutReport("exact|hash-0000|opts", legacy, testReport(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutInstance(legacy.Hash, legacy.Sketch, []byte(`{"i":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	donor := testMeta(1)
+	donor.Arcs = make([]uint32, 1000)
+	for i := range donor.Arcs {
+		donor.Arcs[i] = uint32(i) * 2654435761
+	}
+	if err := s.PutReport("exact|hash-0001|opts", donor, testReport(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{s, re} {
+		if _, ok := st.GetReport("exact|hash-0000|opts"); !ok {
+			t.Fatal("a report without digests must still answer hits")
+		}
+		m, _, ok := st.Neighbor("sketch-a", "exact", legacy.OptKey, "hash-9999")
+		if !ok {
+			t.Fatal("the report with digests did not donate without its instance file")
+		}
+		if m.Hash != "hash-0001" {
+			t.Fatalf("neighbor picked %s, want hash-0001 (hash-0000 has no digests)", m.Hash)
+		}
+		if got, want := fmt.Sprint(m.Arcs), fmt.Sprint(donor.Arcs); got != want {
+			t.Fatalf("donor digests %s, want %s", got, want)
+		}
+		if cap(m.Arcs) > len(m.Arcs)*5/4 {
+			t.Fatalf("donor digests hold %d words for %d arcs", cap(m.Arcs), len(m.Arcs))
+		}
+		if _, _, ok := st.Neighbor("sketch-a", "exact", legacy.OptKey, "hash-0001"); ok {
+			t.Fatal("the report without digests donated")
+		}
 	}
 }
