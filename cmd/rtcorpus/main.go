@@ -97,7 +97,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	srv, err := service.New(service.WithMaxBodyBytes(64 << 20))
+	srv, err := service.New(service.Config{MaxBodyBytes: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}

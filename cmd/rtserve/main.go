@@ -60,29 +60,26 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated peer base URLs; with -self, enables cluster mode")
 	flag.Parse()
 
-	opts := []service.Option{
-		service.WithWorkers(*workers),
-		service.WithCacheEntries(*cache),
-		service.WithCompiledEntries(*compiled),
-		service.WithMaxBodyBytes(*maxBody),
-		service.WithStore(*storeDir),
-		service.WithRetainJobs(*retainJobs),
+	cfg := service.Config{
+		Workers:         *workers,
+		CacheEntries:    *cache,
+		CompiledEntries: *compiled,
+		MaxBodyBytes:    *maxBody,
+		StoreDir:        *storeDir,
+		RetainJobs:      *retainJobs,
+		Self:            *self,
 	}
-	if *self != "" || *peers != "" {
-		var peerList []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			cfg.Peers = append(cfg.Peers, p)
 		}
-		opts = append(opts, service.WithPeers(*self, peerList...))
 	}
-	svc, err := service.New(opts...)
+	svc, err := service.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *self != "" {
-		log.Printf("cluster mode: self %s, %d peers", *self, len(strings.Split(*peers, ",")))
+		log.Printf("cluster mode: self %s, %d peers", *self, len(cfg.Peers))
 	}
 	if lr, ok := svc.StoreLoad(); ok {
 		log.Printf("store %s: %d reports, %d instances loaded; %d corrupt, %d foreign-version skipped",

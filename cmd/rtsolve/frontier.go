@@ -77,7 +77,7 @@ func frontierRequest(instance []byte, spec, algo string, alpha float64, maxNodes
 
 // localFrontier runs the sweep on an in-process service.Server.
 func localFrontier(req service.FrontierRequest) (service.FrontierResponse, error) {
-	srv, err := service.New()
+	srv, err := service.New(service.Config{})
 	if err != nil {
 		return service.FrontierResponse{}, err
 	}

@@ -17,7 +17,7 @@ import (
 // newRemote serves a fresh rtserve over HTTP for -server sweeps.
 func newRemote(t *testing.T) *httptest.Server {
 	t.Helper()
-	svc, err := service.New()
+	svc, err := service.New(service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

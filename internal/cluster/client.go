@@ -23,69 +23,40 @@ import (
 // returned to the caller as-is, since the owner has already seen the
 // request.
 type Client struct {
-	hc      *http.Client
+	hc *http.Client
+
+	// retries, backoff and sleep are the retry budget, the base delay
+	// and the inter-retry wait: maxRetries, baseBackoff and a timer in
+	// production, replaceable by tests.
 	retries int
 	backoff time.Duration
-
-	// sleep is the inter-retry wait, replaceable by tests.
-	sleep func(ctx context.Context, d time.Duration) error
+	sleep   func(ctx context.Context, d time.Duration) error
 }
 
-// ClientConfig tunes a Client; zero values take the defaults below.
-type ClientConfig struct {
-	// MaxIdlePerPeer caps idle kept-alive connections per peer
-	// (default 4); MaxConnsPerPeer caps total concurrent connections
-	// per peer (default 16) so one hot owner cannot exhaust the
-	// proxy's descriptors.
-	MaxIdlePerPeer  int
-	MaxConnsPerPeer int
-	// DialTimeout bounds connection establishment (default 2s): the
-	// owner-unreachable detection latency, and therefore the worst
-	// extra latency before a fallback local solve starts.
-	DialTimeout time.Duration
-	// Retries is how many times a transport-failed call is retried
-	// (default 2); Backoff is the base of the exponential backoff
-	// between attempts (default 25ms, so 25ms then 50ms).
-	Retries int
-	// Backoff is the base inter-retry delay; see Retries.
-	Backoff time.Duration
-}
-
-// Defaults for ClientConfig zero values.
+// The peer client's fixed tuning.  Per peer: at most maxIdlePerPeer
+// idle kept-alive connections and maxConnsPerPeer total, so one hot
+// owner cannot exhaust the proxy's descriptors.  dialTimeout bounds
+// connection establishment: the owner-unreachable detection latency,
+// and therefore the worst extra latency before a fallback local solve
+// starts.  A transport-failed call is retried up to maxRetries times,
+// with exponential backoff from baseBackoff (25ms, then 50ms).
 const (
-	defaultMaxIdlePerPeer  = 4
-	defaultMaxConnsPerPeer = 16
-	defaultDialTimeout     = 2 * time.Second
-	defaultRetries         = 2
-	defaultBackoff         = 25 * time.Millisecond
+	maxIdlePerPeer  = 4
+	maxConnsPerPeer = 16
+	dialTimeout     = 2 * time.Second
+	maxRetries      = 2
+	baseBackoff     = 25 * time.Millisecond
 )
 
-// NewClient builds a peer client from cfg.
-func NewClient(cfg ClientConfig) *Client {
-	if cfg.MaxIdlePerPeer <= 0 {
-		cfg.MaxIdlePerPeer = defaultMaxIdlePerPeer
-	}
-	if cfg.MaxConnsPerPeer <= 0 {
-		cfg.MaxConnsPerPeer = defaultMaxConnsPerPeer
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = defaultDialTimeout
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = defaultRetries
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = defaultBackoff
-	}
+// NewClient builds a peer client.
+func NewClient() *Client {
 	transport := &http.Transport{
 		DialContext: (&net.Dialer{
-			Timeout:   cfg.DialTimeout,
+			Timeout:   dialTimeout,
 			KeepAlive: 30 * time.Second,
 		}).DialContext,
-		MaxIdleConnsPerHost: cfg.MaxIdlePerPeer,
-		MaxConnsPerHost:     cfg.MaxConnsPerPeer,
+		MaxIdleConnsPerHost: maxIdlePerPeer,
+		MaxConnsPerHost:     maxConnsPerPeer,
 		IdleConnTimeout:     90 * time.Second,
 		// No ResponseHeaderTimeout: a forwarded solve's headers arrive
 		// only when the owner finishes computing, which may legitimately
@@ -94,8 +65,8 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	return &Client{
 		hc:      &http.Client{Transport: transport},
-		retries: cfg.Retries,
-		backoff: cfg.Backoff,
+		retries: maxRetries,
+		backoff: baseBackoff,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -111,18 +82,12 @@ func NewClient(cfg ClientConfig) *Client {
 
 // PostJSON posts body to url under ctx and returns the response body
 // and status.  Transport errors are retried with exponential backoff up
-// to the configured retry budget; an exhausted budget returns the last
+// to the retry budget; an exhausted budget returns the last
 // error.  Any HTTP response — including 4xx/5xx — is a successful call
 // at this layer: the peer spoke, and what it said is the caller's
 // business.
 func (c *Client) PostJSON(ctx context.Context, url string, body []byte) ([]byte, int, error) {
 	return c.do(ctx, http.MethodPost, url, body)
-}
-
-// GetJSON issues a GET to url under ctx with the same retry contract as
-// PostJSON.
-func (c *Client) GetJSON(ctx context.Context, url string) ([]byte, int, error) {
-	return c.do(ctx, http.MethodGet, url, nil)
 }
 
 func (c *Client) do(ctx context.Context, method, url string, body []byte) ([]byte, int, error) {

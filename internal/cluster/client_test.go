@@ -11,8 +11,11 @@ import (
 	"time"
 )
 
-func testClient(cfg ClientConfig) *Client {
-	c := NewClient(cfg)
+// testClient returns a peer client with the given retry budget and no
+// real backoff.
+func testClient(retries int) *Client {
+	c := NewClient()
+	c.retries = retries
 	c.sleep = func(ctx context.Context, d time.Duration) error {
 		select { // no real backoff in tests
 		case <-ctx.Done():
@@ -40,7 +43,7 @@ func TestClientPostAndGet(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := testClient(ClientConfig{})
+	c := testClient(maxRetries)
 	defer c.CloseIdle()
 
 	body, status, err := c.PostJSON(context.Background(), ts.URL, []byte(`{"x":1}`))
@@ -50,9 +53,9 @@ func TestClientPostAndGet(t *testing.T) {
 	if gotBody.Load() != `{"x":1}` {
 		t.Fatalf("server saw body %q", gotBody.Load())
 	}
-	body, status, err = c.GetJSON(context.Background(), ts.URL)
+	body, status, err = c.do(context.Background(), http.MethodGet, ts.URL, nil)
 	if err != nil || status != http.StatusOK || string(body) != `{"ok":true}` {
-		t.Fatalf("GetJSON = %q, %d, %v", body, status, err)
+		t.Fatalf("GET = %q, %d, %v", body, status, err)
 	}
 }
 
@@ -68,7 +71,7 @@ func TestClientDoesNotRetryHTTPErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := testClient(ClientConfig{Retries: 3})
+	c := testClient(3)
 	defer c.CloseIdle()
 	body, status, err := c.PostJSON(context.Background(), ts.URL, []byte(`{}`))
 	if err != nil {
@@ -111,9 +114,9 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 	}()
 	defer l.Close()
 
-	c := testClient(ClientConfig{Retries: 2})
+	c := testClient(2)
 	defer c.CloseIdle()
-	body, status, err := c.GetJSON(context.Background(), "http://"+l.Addr().String())
+	body, status, err := c.do(context.Background(), http.MethodGet, "http://"+l.Addr().String(), nil)
 	if err != nil {
 		t.Fatalf("retries exhausted: %v (%d conns)", err, conns.Load())
 	}
@@ -133,7 +136,7 @@ func TestClientExhaustsRetryBudget(t *testing.T) {
 	dead := "http://" + l.Addr().String()
 	l.Close() // nothing is listening now
 
-	c := testClient(ClientConfig{Retries: 2})
+	c := testClient(2)
 	defer c.CloseIdle()
 	_, _, err = c.PostJSON(context.Background(), dead, []byte(`{}`))
 	if err == nil {
@@ -152,7 +155,8 @@ func TestClientHonorsContextCancel(t *testing.T) {
 	dead := "http://" + l.Addr().String()
 	l.Close()
 
-	c := NewClient(ClientConfig{Retries: 5, Backoff: time.Hour}) // real sleep: cancel must interrupt it
+	c := NewClient() // real sleep: cancel must interrupt it
+	c.retries, c.backoff = 5, time.Hour
 	defer c.CloseIdle()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

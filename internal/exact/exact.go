@@ -48,10 +48,9 @@
 // optimal; stealing reorders only WHEN subtrees run, never what they
 // contain).  Each worker owns a flow.MinFlowSolver, so the per-node
 // min-flow reuses one transformed network instead of rebuilding it; the
-// workers themselves, their task buffers, and (absent Options.FlowPool)
-// the flow networks are recycled through package-level pools, so a solve
-// allocates no per-worker state in steady state no matter the
-// parallelism.
+// workers themselves, their task buffers, and the flow networks are
+// recycled through package-level pools, so a solve allocates no
+// per-worker state in steady state no matter the parallelism.
 package exact
 
 import (
@@ -88,12 +87,6 @@ type Options struct {
 	// REPLACED by strictly better solutions, and every prune it enables
 	// discards only subtrees that cannot beat it.
 	Incumbent []int64
-	// FlowPool optionally supplies the min-flow networks the search
-	// workers use, so topology-matched networks are reused across solves
-	// instead of rebuilt (see flow.SolverPool).  Reuse never changes any
-	// result; nil draws from a small package-level pool, so repeated
-	// solves reuse networks even without explicit pooling.
-	FlowPool *flow.SolverPool
 	// Progress, when non-nil, receives the search's anytime trajectory:
 	// one event when the global lower bound (the floor) is established and
 	// one per incumbent improvement, each carrying the incumbent objective
@@ -168,10 +161,6 @@ type shared struct {
 	bestFlow    []int64 // guarded by mu
 	interrupted error   // guarded by mu
 
-	// pool supplies worker min-flow networks: Options.FlowPool when set,
-	// otherwise the package-level defaultFlowPool.
-	pool *flow.SolverPool
-
 	// progress mirrors Options.Progress; nil when nobody is listening.
 	progress func(incumbent, bound float64, nodes int64)
 
@@ -185,12 +174,12 @@ type shared struct {
 	hungry  atomic.Int32
 }
 
-// defaultFlowPool backs searches whose Options carry no FlowPool: the
-// branch-and-bound workers park their Dinic networks here between solves,
-// so back-to-back solves of topology-matched instances (benchmarks, the
-// approximation-ratio harness) stop rebuilding networks per worker per
-// solve.  Pooling never changes results (see flow.SolverPool).
-var defaultFlowPool = flow.NewSolverPool(0)
+// flowPool is where every search's branch-and-bound workers park their
+// Dinic networks between solves, so back-to-back solves of
+// topology-matched instances (a service's warm-started edits, benchmarks,
+// the approximation-ratio harness) stop rebuilding networks per worker
+// per solve.  Pooling never changes results (see flow.SolverPool).
+var flowPool = flow.NewSolverPool()
 
 func newShared(ctx context.Context, c *core.Compiled, opts *Options) *shared {
 	if ctx == nil {
@@ -214,11 +203,7 @@ func newShared(ctx context.Context, c *core.Compiled, opts *Options) *shared {
 		sh.maxNodes = int64(opts.MaxNodes)
 	}
 	if opts != nil {
-		sh.pool = opts.FlowPool
 		sh.progress = opts.Progress
-	}
-	if sh.pool == nil {
-		sh.pool = defaultFlowPool
 	}
 	return sh
 }
@@ -364,7 +349,7 @@ type worker struct {
 }
 
 // workerPool recycles worker scratch state across solves (the min-flow
-// network is pooled separately through shared.pool): with it, a solve's
+// network is pooled separately through flowPool): with it, a solve's
 // per-worker setup is a handful of slice header writes instead of seven
 // allocations per worker, which is what kept the parallel benchmark's
 // allocs/op from scaling with worker count.
@@ -413,7 +398,7 @@ func newWorker(sh *shared) *worker {
 		w = &worker{}
 	}
 	w.sh = sh
-	w.mf = sh.pool.Get(sh.inst.G, sh.inst.Source, sh.inst.Sink)
+	w.mf = flowPool.Get(sh.inst.G, sh.inst.Source, sh.inst.Sink)
 	w.dq = nil
 	w.self = 0
 	w.level = intSlice(w.level, m)
@@ -432,7 +417,7 @@ func newWorker(sh *shared) *worker {
 // state in workerPool for the next solve.  The worker must not be used
 // afterwards.
 func (w *worker) release() {
-	w.sh.pool.Put(w.mf)
+	flowPool.Put(w.mf)
 	w.mf = nil
 	w.sh = nil
 	w.dq = nil

@@ -51,31 +51,28 @@ func (ms *MinFlowSolver) Rebind(g *dag.Graph) {
 // SolverPool is a bounded free list of MinFlowSolvers for cross-solve
 // network reuse.  Get returns a network matching the requested topology
 // (rebound to the new graph) or builds a fresh one; Put returns a network
-// for later reuse, dropping it when the pool is full.  Reuse never changes
-// any Solve result — the network is topology-only state and every
-// capacity is rewritten per solve — so pooling affects allocation and wall
-// time, not answers.  Safe for concurrent use.
+// for later reuse, evicting the least recently returned one when the
+// pool is full, so a stream that moves on to new topologies keeps
+// reusing its networks.  Reuse never changes any Solve result — the
+// network is topology-only state and every capacity is rewritten per
+// solve — so pooling affects allocation and wall time, not answers.  Safe
+// for concurrent use.
 type SolverPool struct {
 	mu      sync.Mutex
-	free    []*MinFlowSolver
-	cap     int
+	free    []*MinFlowSolver // oldest returned first
 	hits    int64
 	misses  int64
 	dropped int64
 }
 
-// defaultPoolCap bounds a zero-configured pool: enough for one pool of
-// branch-and-bound workers to park their networks between solves without
-// retaining unbounded memory for a heterogeneous instance stream.
-const defaultPoolCap = 16
+// poolCap bounds a pool: enough for one pool of branch-and-bound workers
+// to park their networks between solves without retaining unbounded
+// memory for a heterogeneous instance stream.
+const poolCap = 16
 
-// NewSolverPool builds a pool retaining at most capacity networks;
-// capacity <= 0 uses a small default.
-func NewSolverPool(capacity int) *SolverPool {
-	if capacity <= 0 {
-		capacity = defaultPoolCap
-	}
-	return &SolverPool{cap: capacity}
+// NewSolverPool builds a pool retaining at most poolCap networks.
+func NewSolverPool() *SolverPool {
+	return &SolverPool{}
 }
 
 // Get returns a MinFlowSolver for flows on g from s to t, reusing a pooled
@@ -101,23 +98,26 @@ func (p *SolverPool) Get(g *dag.Graph, s, t int) *MinFlowSolver {
 	return NewMinFlowSolver(g, s, t)
 }
 
-// Put returns a solver to the pool for later reuse; a full pool drops it.
-// The caller must not use ms afterwards.
+// Put returns a solver to the pool for later reuse; a full pool drops its
+// least recently returned network to make room.  The caller must not use
+// ms afterwards.
 func (p *SolverPool) Put(ms *MinFlowSolver) {
 	if p == nil || ms == nil {
 		return
 	}
 	p.mu.Lock()
-	if len(p.free) < p.cap {
-		p.free = append(p.free, ms)
-	} else {
+	if len(p.free) == poolCap {
+		n := copy(p.free, p.free[1:])
+		p.free[n] = nil
+		p.free = p.free[:n]
 		p.dropped++
 	}
+	p.free = append(p.free, ms)
 	p.mu.Unlock()
 }
 
 // Stats reports pool effectiveness: topology-matched reuses, fresh builds,
-// and networks dropped because the pool was full.
+// and networks evicted because the pool was full.
 func (p *SolverPool) Stats() (hits, misses, dropped int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

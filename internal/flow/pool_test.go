@@ -21,7 +21,7 @@ func poolGraph() (*dag.Graph, int, int) {
 func TestSolverPoolReusesMatchingTopology(t *testing.T) {
 	g1, s, tt := poolGraph()
 	g2, _, _ := poolGraph() // same topology, distinct graph value
-	p := NewSolverPool(4)
+	p := NewSolverPool()
 
 	ms1 := p.Get(g1, s, tt)
 	r1, err := ms1.Solve([]int64{2, 2, 1})
@@ -75,13 +75,62 @@ func TestSolverPoolReusesMatchingTopology(t *testing.T) {
 
 func TestSolverPoolBounded(t *testing.T) {
 	g, s, tt := poolGraph()
-	p := NewSolverPool(1)
-	a := p.Get(g, s, tt)
-	b := p.Get(g, s, tt)
-	p.Put(a)
-	p.Put(b) // over capacity: dropped
+	p := NewSolverPool()
+	held := make([]*MinFlowSolver, poolCap+1)
+	for i := range held {
+		held[i] = p.Get(g, s, tt)
+	}
+	for _, ms := range held {
+		p.Put(ms) // the last one is over capacity: one eviction
+	}
 	if _, _, dropped := p.Stats(); dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", dropped)
+	}
+	if len(p.free) != poolCap {
+		t.Fatalf("pool holds %d networks, want %d", len(p.free), poolCap)
+	}
+}
+
+// chainGraph builds s -> v1 -> ... -> vn -> t: one topology per n.
+func chainGraph(n int) (*dag.Graph, int, int) {
+	g := dag.New()
+	s := g.AddNode("s")
+	prev := s
+	for i := 0; i < n; i++ {
+		v := g.AddNode("v")
+		g.AddEdge(prev, v)
+		prev = v
+	}
+	t := g.AddNode("t")
+	g.AddEdge(prev, t)
+	return g, s, t
+}
+
+// TestSolverPoolLearnsNewTopology fills the pool with poolCap distinct
+// topologies, then returns and requests a new one.  A full pool must
+// keep the newcomer and evict the least recently returned network;
+// otherwise a long-running process stops reusing networks for good once
+// it has seen poolCap topologies.
+func TestSolverPoolLearnsNewTopology(t *testing.T) {
+	p := NewSolverPool()
+	for n := 1; n <= poolCap; n++ {
+		g, s, tt := chainGraph(n)
+		p.Put(NewMinFlowSolver(g, s, tt))
+	}
+	g, s, tt := chainGraph(poolCap + 1)
+	ms := p.Get(g, s, tt)
+	p.Put(ms)
+	if p.Get(g, s, tt) != ms {
+		t.Fatal("a full pool did not keep the newest topology")
+	}
+	if hits, _, dropped := p.Stats(); hits != 1 || dropped != 1 {
+		t.Fatalf("hits=%d dropped=%d, want 1/1", hits, dropped)
+	}
+	// The evicted network is the first one returned.
+	g1, s1, t1 := chainGraph(1)
+	p.Get(g1, s1, t1)
+	if hits, _, _ := p.Stats(); hits != 1 {
+		t.Fatal("the least recently returned network was not the one evicted")
 	}
 }
 

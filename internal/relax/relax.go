@@ -71,11 +71,6 @@ type Options struct {
 	// rounded solution has makespan <= RelaxValue/Alpha using at most
 	// B/(1-Alpha) resources.  Zero means the 0.5 default.
 	Alpha float64
-	// MaxIters caps Frank-Wolfe iterations; 0 picks a default scaled to
-	// the instance so large solves stay in the "seconds" regime.
-	MaxIters int
-	// Tol is the relative duality-gap stopping tolerance; 0 means 1%.
-	Tol float64
 	// WarmFlow optionally seeds the Frank-Wolfe iteration with a starting
 	// point (typically a stored neighbor's integral solution).  A valid
 	// conserved flow is scaled into the budget if it overspends and used
@@ -98,27 +93,34 @@ type Options struct {
 	// non-monotonically.  Purely observational: it never steers the
 	// iteration.
 	Progress func(objective, bound float64, iters int64)
+
+	// maxIters caps Frank-Wolfe iterations; 0 picks a default scaled to
+	// the instance so large solves stay in the "seconds" regime.
+	// MinResource lowers it for its probes.
+	maxIters int
+	// tol is the relative duality-gap stopping tolerance; 0 means 1%.
+	tol float64
 }
 
 func (o Options) withDefaults(m int) Options {
 	if o.Alpha == 0 {
 		o.Alpha = 0.5
 	}
-	if o.Tol == 0 {
-		o.Tol = 0.01
+	if o.tol == 0 {
+		o.tol = 0.01
 	}
-	if o.MaxIters == 0 {
+	if o.maxIters == 0 {
 		// Budget roughly constant total work (~20e6 arc-touches for the
 		// Frank-Wolfe loop): 50k-arc instances get a few hundred
 		// iterations and stay in the seconds regime, smaller instances
 		// iterate until the duality gap closes (the tolerance stop fires
 		// long before the cap on easy instances).
-		o.MaxIters = 20_000_000 / (m + 1)
-		if o.MaxIters > 2400 {
-			o.MaxIters = 2400
+		o.maxIters = 20_000_000 / (m + 1)
+		if o.maxIters > 2400 {
+			o.maxIters = 2400
 		}
-		if o.MaxIters < 96 {
-			o.MaxIters = 96
+		if o.maxIters < 96 {
+			o.maxIters = 96
 		}
 	}
 	return o
@@ -504,7 +506,7 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 	// Progress throttle: early iterations improve the objective almost
 	// every step, so cap delivery at ~64 events per solve and skip events
 	// that would repeat an already-sent (objective, bound) pair.
-	emitEvery := o.MaxIters / 64
+	emitEvery := o.maxIters / 64
 	if emitEvery < 1 {
 		emitEvery = 1
 	}
@@ -525,7 +527,7 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 	constSum := 0.0
 	wSum := 0.0
 
-	for k := 0; k < o.MaxIters; k++ {
+	for k := 0; k < o.maxIters; k++ {
 		if k&7 == 0 {
 			if err := ctx.Err(); err != nil {
 				if !math.IsInf(bestObj, 1) {
@@ -580,7 +582,7 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 		if lb := phi - gdotf + B*cstar; lb > bestLB {
 			bestLB = lb
 		}
-		gapOK := bestObj-bestLB <= o.Tol*math.Max(bestLB, 1)
+		gapOK := bestObj-bestLB <= o.tol*math.Max(bestLB, 1)
 		if k-lastEmit >= emitEvery {
 			emit(k + 1)
 			lastEmit = k
@@ -604,7 +606,7 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 		}
 		res.Iters = k + 1
 	}
-	if math.IsInf(bestObj, 1) { // MaxIters == 0 cannot happen, but stay safe
+	if math.IsInf(bestObj, 1) { // maxIters == 0 cannot happen, but stay safe
 		bestObj = s.sweepMakespan()
 		copy(s.fbest, s.f)
 	}
@@ -817,9 +819,9 @@ func (s *Solver) MinResource(ctx context.Context, target int64, opt Options) (*R
 	resLB := exact.ResourceLowerBound(s.c, target)
 
 	probe := o
-	probe.MaxIters = o.MaxIters / 4
-	if probe.MaxIters < 24 {
-		probe.MaxIters = 24
+	probe.maxIters = o.maxIters / 4
+	if probe.maxIters < 24 {
+		probe.maxIters = 24
 	}
 	lo := int64(0)
 	for lo <= hi {

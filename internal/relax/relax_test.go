@@ -348,7 +348,7 @@ func TestCanceledContext(t *testing.T) {
 	big := scenario.NewGen(9).KWayInstance(24, 24, 12, 400)
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer dcancel()
-	res, err = NewSolver(core.Compile(big)).MinMakespan(dctx, 40, Options{MaxIters: 1 << 30, Tol: 1e-300})
+	res, err = NewSolver(core.Compile(big)).MinMakespan(dctx, 40, Options{maxIters: 1 << 30, tol: 1e-300})
 	if err == nil {
 		t.Fatal("tolerance-free solve finished a 2^30-iteration budget inside 30ms?")
 	}

@@ -42,7 +42,7 @@ type clusterState struct {
 }
 
 func newClusterState(ring *cluster.Ring) *clusterState {
-	return &clusterState{ring: ring, client: cluster.NewClient(cluster.ClientConfig{})}
+	return &clusterState{ring: ring, client: cluster.NewClient()}
 }
 
 // forward performs one forward of p to its owner over

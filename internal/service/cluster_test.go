@@ -24,7 +24,7 @@ type clusterHarness struct {
 	urls []string
 }
 
-func newClusterHarness(t *testing.T, n int, extra ...Option) *clusterHarness {
+func newClusterHarness(t *testing.T, n int) *clusterHarness {
 	t.Helper()
 	h := &clusterHarness{}
 	listeners := make([]net.Listener, n)
@@ -37,8 +37,7 @@ func newClusterHarness(t *testing.T, n int, extra ...Option) *clusterHarness {
 		h.urls = append(h.urls, "http://"+l.Addr().String())
 	}
 	for i := range listeners {
-		opts := append([]Option{WithWorkers(2), WithPeers(h.urls[i], h.urls...)}, extra...)
-		svc, err := New(opts...)
+		svc, err := New(Config{Workers: 2, Self: h.urls[i], Peers: h.urls})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,10 +424,10 @@ func TestClusterDeadlineBoundedForwards(t *testing.T) {
 // TestClusterMisconfigurationRejected pins construction errors: peers
 // without a self address, and malformed peer URLs.
 func TestClusterMisconfigurationRejected(t *testing.T) {
-	if _, err := New(WithPeers("", "http://a:1")); err == nil {
+	if _, err := New(Config{Peers: []string{"http://a:1"}}); err == nil {
 		t.Fatal("peers without self must be rejected")
 	}
-	if _, err := New(WithPeers("http://a:1", "not-a-url")); err == nil {
+	if _, err := New(Config{Self: "http://a:1", Peers: []string{"not-a-url"}}); err == nil {
 		t.Fatal("malformed peer must be rejected")
 	}
 }

@@ -29,7 +29,7 @@ func isoBodies() (a, b string) {
 // compiled-instance entry - the second request is a cache hit even though
 // its bytes never occurred before.
 func TestIsomorphicEncodingsShareOneJobAndCacheEntry(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(1))
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	bodyA, bodyB := isoBodies()
 
 	var first, second SolveResponse
@@ -75,7 +75,7 @@ func TestIsomorphicEncodingsShareOneJobAndCacheEntry(t *testing.T) {
 // budgets must decode and compile exactly once; each distinct budget still
 // solves (distinct result-cache keys), but preprocessing is shared.
 func TestCompiledCacheSharedAcrossOptions(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(1))
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	inst := `{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"step","tuples":[{"r":0,"t":9},{"r":1,"t":5},{"r":3,"t":2}]}}]}`
 	for i, budget := range []int64{0, 1, 2, 3} {
 		body := fmt.Sprintf(`{"options":{"budget":%d},"instance":%s}`, budget, inst)
@@ -101,7 +101,7 @@ func TestCompiledCacheSharedAcrossOptions(t *testing.T) {
 // TestCompiledCacheEviction: the LRU must drop whole entries with all
 // their raw aliases, and a disabled cache must still serve correct solves.
 func TestCompiledCacheEviction(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(1), WithCompiledEntries(2))
+	svc, ts := newTestServer(t, Config{Workers: 1, CompiledEntries: 2})
 	mk := func(t0 int64) string {
 		return fmt.Sprintf(`{"options":{"budget":1},"instance":{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":%d}}]}}`, t0)
 	}
@@ -116,7 +116,7 @@ func TestCompiledCacheEviction(t *testing.T) {
 	}
 
 	// Disabled compiled cache: every request compiles, none hit.
-	svc2, ts2 := newTestServer(t, WithWorkers(1), WithCompiledEntries(-1))
+	svc2, ts2 := newTestServer(t, Config{Workers: 1, CompiledEntries: -1})
 	for i := 0; i < 2; i++ {
 		var resp SolveResponse
 		if status := postSolve(t, ts2, mk(9), &resp); status != http.StatusOK || resp.Error != "" {
@@ -163,7 +163,7 @@ func servePost(h http.Handler, body []byte) *httptest.ResponseRecorder {
 // response encoding.  The gap to BenchmarkServeColdInstance is the
 // payoff of the two caches.
 func BenchmarkServeHotHTTP(b *testing.B) {
-	svc, err := New(WithWorkers(1))
+	svc, err := New(Config{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func BenchmarkServeHotHTTP(b *testing.B) {
 // hashes and solves.  The hot/cold allocs/op ratio is the measured payoff
 // of the compiled-instance core.
 func BenchmarkServeColdInstance(b *testing.B) {
-	svc, err := New(WithWorkers(1), WithCacheEntries(-1), WithCompiledEntries(-1))
+	svc, err := New(Config{Workers: 1, CacheEntries: -1, CompiledEntries: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

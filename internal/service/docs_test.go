@@ -189,7 +189,7 @@ func TestAPIDocExamplesReplay(t *testing.T) {
 	if len(examples) < 12 {
 		t.Fatalf("found only %d replay examples; the reference should exercise every endpoint", len(examples))
 	}
-	_, ts := newTestServer(t, WithWorkers(2), WithStore(t.TempDir()))
+	_, ts := newTestServer(t, Config{Workers: 2, StoreDir: t.TempDir()})
 
 	for _, ex := range examples {
 		call := parseCurl(t, ex, ts.URL)

@@ -198,10 +198,12 @@ func sweepBudgets(req FrontierRequest) ([]int64, error) {
 	if steps > maxFrontierPoints {
 		return nil, fmt.Errorf("steps %d exceed the %d-point sweep cap", steps, maxFrontierPoints)
 	}
-	span := req.BudgetMax - req.BudgetMin
+	// budget i is BudgetMin + floor(span·i/k), split around k so that
+	// span·i cannot overflow on ranges near MaxInt64.
+	span, k := req.BudgetMax-req.BudgetMin, int64(steps-1)
 	budgets := make([]int64, 0, steps)
-	for i := 0; i < steps; i++ {
-		b := req.BudgetMin + span*int64(i)/int64(steps-1)
+	for i := int64(0); i <= k; i++ {
+		b := req.BudgetMin + span/k*i + span%k*i/k
 		if n := len(budgets); n > 0 && budgets[n-1] == b {
 			continue // integer range narrower than the step count
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -76,8 +77,39 @@ func checkCurve(t *testing.T, fr FrontierResponse) {
 // TestFrontierSweep pins the core tradeoff-curve contract: 8 budgets,
 // monotone makespans, and neighbor warm-starting on every point after the
 // first.
+// TestSweepBudgets pins the range sweep: small ranges step evenly, and
+// ranges near MaxInt64 stay ascending from budget_min to budget_max
+// instead of overflowing.
+func TestSweepBudgets(t *testing.T) {
+	got, err := sweepBudgets(FrontierRequest{BudgetMin: 0, BudgetMax: 14, Steps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{0, 2, 4, 6, 8, 10, 12, 14}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("0..14 in 8 steps = %v, want %v", got, want)
+	}
+	for _, req := range []FrontierRequest{
+		{BudgetMin: 0, BudgetMax: 1 << 62, Steps: 8},
+		{BudgetMin: 0, BudgetMax: math.MaxInt64, Steps: 8},
+		{BudgetMin: 3, BudgetMax: math.MaxInt64, Steps: maxFrontierPoints},
+	} {
+		got, err := sweepBudgets(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != req.Steps || got[0] != req.BudgetMin || got[len(got)-1] != req.BudgetMax {
+			t.Fatalf("%d..%d in %d steps = %v", req.BudgetMin, req.BudgetMax, req.Steps, got)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("%d..%d in %d steps not strictly ascending at %d: %v", req.BudgetMin, req.BudgetMax, req.Steps, i, got)
+			}
+		}
+	}
+}
+
 func TestFrontierSweep(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2))
+	_, ts := newTestServer(t, Config{Workers: 2})
 	fr, status := postFrontier(t, ts, frontierBody(t, 51, `"budget_min":0,"budget_max":14,"steps":8`))
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -110,7 +142,7 @@ func TestFrontierSweep(t *testing.T) {
 // TestFrontierExplicitBudgets pins the list form: deduplicated, sorted
 // ascending regardless of request order.
 func TestFrontierExplicitBudgets(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2))
+	_, ts := newTestServer(t, Config{Workers: 2})
 	fr, status := postFrontier(t, ts, frontierBody(t, 52, `"budgets":[9,0,3,9,6]`))
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -130,7 +162,7 @@ func TestFrontierExplicitBudgets(t *testing.T) {
 // from the durable store.
 func TestFrontierStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	svc, ts := newTestServer(t, WithWorkers(2), WithStore(dir))
+	svc, ts := newTestServer(t, Config{Workers: 2, StoreDir: dir})
 
 	body := frontierBody(t, 53, `"budget_min":0,"budget_max":10,"steps":6`)
 	fr, status := postFrontier(t, ts, body)
@@ -157,7 +189,7 @@ func TestFrontierStoreRoundTrip(t *testing.T) {
 	svc.Close()
 
 	// Restart: every point answers from the durable store, no solving.
-	_, ts2 := newTestServer(t, WithWorkers(2), WithStore(dir))
+	_, ts2 := newTestServer(t, Config{Workers: 2, StoreDir: dir})
 	fr2, status := postFrontier(t, ts2, body)
 	if status != http.StatusOK {
 		t.Fatalf("restart sweep status %d", status)
@@ -175,7 +207,7 @@ func TestFrontierStoreRoundTrip(t *testing.T) {
 // TestFrontierAsJob runs a sweep as an async job: one progress event per
 // point, the curve attached to the final status.
 func TestFrontierAsJob(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2))
+	_, ts := newTestServer(t, Config{Workers: 2})
 	inst, err := json.Marshal(scenario.NewGen(54).StepInstance(3, 3, 2, 4, 30, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +246,7 @@ func TestFrontierAsJob(t *testing.T) {
 
 // TestFrontierRejections pins the request-validation surface.
 func TestFrontierRejections(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(1))
+	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := map[string]struct {
 		body string
 		want int
@@ -236,7 +268,7 @@ func TestFrontierRejections(t *testing.T) {
 	}
 
 	// Unknown hash on a store-backed server is a 404, not a 400.
-	_, ts2 := newTestServer(t, WithWorkers(1), WithStore(t.TempDir()))
+	_, ts2 := newTestServer(t, Config{Workers: 1, StoreDir: t.TempDir()})
 	resp, err := http.Get(ts2.URL + "/v1/frontier?hash=0000&budget_max=5")
 	if err != nil {
 		t.Fatal(err)

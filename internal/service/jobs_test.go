@@ -119,7 +119,7 @@ func jobBody(t *testing.T, seed int64, extra string) string {
 // TestJobLifecycle submits an async solve, streams its trajectory, and
 // checks the final result is byte-identical to the synchronous answer.
 func TestJobLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2))
+	_, ts := newTestServer(t, Config{Workers: 2})
 	body := jobBody(t, 31, "")
 
 	acc := postJob(t, ts, body)
@@ -203,7 +203,7 @@ func bridgeBody(options string) string {
 // objective: a min-resource job ends on its resource count, not its
 // makespan, and a bound-only report (no flow) ends with no incumbent.
 func TestJobFinalEventUnits(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(1))
+	_, ts := newTestServer(t, Config{Workers: 1})
 	lastEvent := func(options string) (JobEvent, *solver.WireReport) {
 		t.Helper()
 		acc := postJob(t, ts, bridgeBody(options))
@@ -243,7 +243,7 @@ func TestJobFinalEventUnits(t *testing.T) {
 // TestJobPollAfterComplete pins that finished jobs stay pollable (the
 // retention window) and repeated polls are stable.
 func TestJobPollAfterComplete(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2))
+	_, ts := newTestServer(t, Config{Workers: 2})
 	acc := postJob(t, ts, jobBody(t, 32, ""))
 	first := pollJob(t, ts, acc.ID)
 	if first.State != JobSucceeded {
@@ -262,7 +262,7 @@ func TestJobPollAfterComplete(t *testing.T) {
 // TestJobRetention pins the finished-job eviction order: with RetainJobs
 // 1, completing a second job evicts the first.
 func TestJobRetention(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2), WithRetainJobs(1))
+	_, ts := newTestServer(t, Config{Workers: 2, RetainJobs: 1})
 	a := postJob(t, ts, jobBody(t, 33, ""))
 	pollJob(t, ts, a.ID)
 	b := postJob(t, ts, jobBody(t, 34, ""))
@@ -284,7 +284,7 @@ func TestJobRetention(t *testing.T) {
 // TestJobInvalidRequestRejectedBeforeAcceptance pins prepare-at-submit: a
 // malformed job fails the POST with 400 and never becomes a dead job.
 func TestJobInvalidRequestRejectedBeforeAcceptance(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(1))
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	noMode := marshalRequest(t, scenario.NewGen(35).RequestStream(1, 1)[0])
 	noMode.Options = solver.WireOptions{}
 	noModeBody, err := json.Marshal(noMode)
@@ -335,7 +335,7 @@ func occupyPool(t *testing.T, svc *Server) (release func()) {
 // TestJobSSEDisconnectMidStream pins that one subscriber dropping its
 // stream neither kills the job nor poisons later subscribers.
 func TestJobSSEDisconnectMidStream(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(1))
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	release := occupyPool(t, svc)
 	acc := postJob(t, ts, jobBody(t, 36, ""))
 
@@ -375,7 +375,7 @@ func TestJobSSEDisconnectMidStream(t *testing.T) {
 // canceled without running, running jobs get their context canceled, and
 // finished jobs are forgotten.
 func TestJobCancel(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(1))
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	release := occupyPool(t, svc)
 
 	running := postJob(t, ts, jobBody(t, 37, ""))  // dispatched, blocked at the pool
@@ -480,7 +480,7 @@ func TestJobAfterStoreCorruption(t *testing.T) {
 	dir := t.TempDir()
 	body := jobBody(t, 40, "")
 
-	svc, ts := newTestServer(t, WithWorkers(2), WithStore(dir))
+	svc, ts := newTestServer(t, Config{Workers: 2, StoreDir: dir})
 	acc := postJob(t, ts, body)
 	st := pollJob(t, ts, acc.ID)
 	if st.State != JobSucceeded {
@@ -505,7 +505,7 @@ func TestJobAfterStoreCorruption(t *testing.T) {
 		}
 	}
 
-	svc2, ts2 := newTestServer(t, WithWorkers(2), WithStore(dir))
+	svc2, ts2 := newTestServer(t, Config{Workers: 2, StoreDir: dir})
 	lr, ok := svc2.StoreLoad()
 	if !ok || lr.Corrupt == 0 {
 		t.Fatalf("restart did not count the corrupt entries: %+v (ok %v)", lr, ok)

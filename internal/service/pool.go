@@ -15,8 +15,8 @@ import (
 // lets at most size() solves run at once, each on its caller's
 // goroutine.  A request either starts promptly or waits for a slot; no
 // queue hides in memory beyond the waiting goroutines themselves.
-// Solver scratch state is not the pool's business — min-flow networks
-// are recycled server-wide through Server.flowPool.
+// Solver scratch state is not the pool's business — the exact search
+// recycles its min-flow networks process-wide on its own.
 type pool struct {
 	slots   chan struct{} // one token per running solve
 	closing chan struct{} // closed by close; later solves are refused

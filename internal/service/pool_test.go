@@ -91,7 +91,7 @@ var panicSolverOnce sync.Once
 // request) and the server keeps serving.
 func TestSolvePanicAnswers500(t *testing.T) {
 	panicSolverOnce.Do(func() { solver.Register(panicSolver{}) })
-	_, ts := newTestServer(t, WithWorkers(1))
+	_, ts := newTestServer(t, Config{Workers: 1})
 	body := strings.Replace(bridgeBody(`{"budget":3}`), `"solver":"exact"`, `"solver":"test-service-panic"`, 1)
 	var e errorResponse
 	if status := postSolve(t, ts, body, &e); status != http.StatusInternalServerError || e.Error.Code != "internal" {

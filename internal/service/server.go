@@ -57,7 +57,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/solver"
 	"repro/internal/store"
 )
@@ -118,7 +117,6 @@ type Server struct {
 	cache    *resultCache
 	compiled *compiledCache
 	store    *store.Store // nil without Config.StoreDir
-	flowPool *flow.SolverPool
 	jobs     *jobRegistry
 	cluster  *clusterState // nil without Config.Peers/Self
 	mux      *http.ServeMux
@@ -130,17 +128,14 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// New builds a Server from functional options.  With WithStore it also
+// New builds a Server from cfg; the zero Config is a standalone,
+// in-memory server with every default.  With Config.StoreDir it also
 // opens the durable store; an unusable store directory is an error — a
 // persistence-configured service must never silently start empty
 // (corrupt individual entries are skipped and counted instead, see
-// StoreLoad).  With WithPeers the server joins a static cluster (see
-// internal/cluster).
-func New(opts ...Option) (*Server, error) {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// StoreLoad).  With Config.Self and Config.Peers the server joins a
+// static cluster (see internal/cluster).
+func New(cfg Config) (*Server, error) {
 	entries := cfg.CacheEntries
 	switch {
 	case entries == 0:
@@ -189,7 +184,6 @@ func New(opts ...Option) (*Server, error) {
 		cache:    newResultCache(entries),
 		compiled: newCompiledCache(compiledEntries),
 		store:    st,
-		flowPool: flow.NewSolverPool(0),
 		cluster:  cl,
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
@@ -564,7 +558,6 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 		if warm {
 			s.warmHits.Add(1)
 		}
-		opts.FlowPool = s.flowPool
 		if s.cluster != nil && s.cluster.ring.IsOwner(c.Hash()) {
 			// A fresh pool solve for a hash this node owns: the unit the
 			// cluster-wide dedup invariant counts.  Cache, store and warm

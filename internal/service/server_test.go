@@ -16,9 +16,9 @@ import (
 )
 
 // newTestServer builds a service and an HTTP test server around it.
-func newTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	svc, err := New(opts...)
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func reqKey(hash string, req scenario.Request) string {
 }
 
 func TestHealthzAndSolvers(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2))
+	_, ts := newTestServer(t, Config{Workers: 2})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -121,7 +121,7 @@ func TestHealthzAndSolvers(t *testing.T) {
 // gets the 405 envelope naming the allowed methods before any handler
 // runs, so an unknown job id answers 405, not 404.
 func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
-	svc, _ := newTestServer(t, WithWorkers(1))
+	svc, _ := newTestServer(t, Config{Workers: 1})
 	paths := strings.NewReplacer("{id}", "j99", "{hash}", "deadbeef")
 	for _, ep := range Endpoints() {
 		methods := []string{http.MethodPut}
@@ -148,7 +148,7 @@ func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
 }
 
 func TestSolveSingleAndCache(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(2))
+	_, ts := newTestServer(t, Config{Workers: 2})
 	req := marshalRequest(t, scenario.NewGen(5).RequestStream(1, 1)[0])
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestSolveSingleAndCache(t *testing.T) {
 }
 
 func TestSolveRejectsAdversarialRequests(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(1))
+	_, ts := newTestServer(t, Config{Workers: 1})
 	valid := `{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":2}}]}`
 	cases := []struct {
 		name string
@@ -219,6 +219,11 @@ func TestSolveRejectsAdversarialRequests(t *testing.T) {
 			"single-threaded"},
 		{"batch-and-inline", `{"instance":` + valid + `,"batch":[{"options":{"budget":1},"instance":` + valid + `}]}`,
 			"both a batch and an inline instance"},
+		// spdp keeps budget+1 cells per tree node: a 2^50 budget must be
+		// refused, not sized into an allocation.
+		{"spdp-table-cap", `{"solver":"spdp","options":{"budget":1125899906842624},"instance":{"nodes":["s","a","t"],
+			"edges":[{"from":0,"to":1,"fn":{"kind":"step","tuples":[{"r":0,"t":9},{"r":2,"t":3}]}},
+			         {"from":1,"to":2,"fn":{"kind":"step","tuples":[{"r":0,"t":7},{"r":1,"t":4}]}}]}}`, "cell cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,7 +252,7 @@ func TestSolveRejectsAdversarialRequests(t *testing.T) {
 }
 
 func TestBatchSolvesAndDeduplicates(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(2))
+	svc, ts := newTestServer(t, Config{Workers: 2})
 	item := marshalRequest(t, scenario.NewGen(9).RequestStream(1, 1)[0])
 	bad := SolveRequest{Instance: json.RawMessage(`{"nodes":[]}`),
 		Options: solver.WireOptions{Budget: new(int64)}}
@@ -287,7 +292,7 @@ func TestBatchSolvesAndDeduplicates(t *testing.T) {
 }
 
 func TestSolvePastDeadlineReturnsPartialNotError(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(1))
+	_, ts := newTestServer(t, Config{Workers: 1})
 	inst, err := json.Marshal(scenario.NewGen(7).KWayInstance(5, 5, 3, 400))
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +322,7 @@ func TestSolvePastDeadlineReturnsPartialNotError(t *testing.T) {
 // answers 200 with a bound-only report and the truncation error, and
 // that answer is never cached.
 func TestNodeCappedSolveReturnsBound(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(1))
+	_, ts := newTestServer(t, Config{Workers: 1})
 	body := bridgeBody(`{"target":10,"max_nodes":1}`)
 	for i := 0; i < 2; i++ {
 		var resp SolveResponse
@@ -337,7 +342,7 @@ func TestNodeCappedSolveReturnsBound(t *testing.T) {
 }
 
 func TestDeadlineBoundedRequestsUseCacheForCompleteResults(t *testing.T) {
-	_, ts := newTestServer(t, WithWorkers(1))
+	_, ts := newTestServer(t, Config{Workers: 1})
 	inst, err := json.Marshal(scenario.NewGen(5).RequestStream(1, 1)[0].Inst)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +384,7 @@ func TestDeadlineBoundedRequestsUseCacheForCompleteResults(t *testing.T) {
 // measurably hit.  Run with -race in CI.
 func TestLoadConcurrentClients(t *testing.T) {
 	const clients, perClient = 8, 200
-	svc, ts := newTestServer(t, WithWorkers(4), WithCacheEntries(4096))
+	svc, ts := newTestServer(t, Config{Workers: 4, CacheEntries: 4096})
 	stream := scenario.NewGen(42).RequestStream(clients*perClient, 40)
 
 	type outcome struct {
@@ -497,7 +502,7 @@ func TestLoadConcurrentClients(t *testing.T) {
 // grace period — and any solve arriving afterwards fail with the
 // unavailable error instead of panicking the process.
 func TestCloseWaitsForSolvesThenRefuses(t *testing.T) {
-	svc, ts := newTestServer(t, WithWorkers(1))
+	svc, ts := newTestServer(t, Config{Workers: 1})
 	release := occupyPool(t, svc)
 
 	batch := `{"batch":[` + jobBody(t, 36, "") + `,` + jobBody(t, 37, "") + `]}`

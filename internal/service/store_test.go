@@ -78,7 +78,7 @@ func storeBody(inst []byte) string {
 // untouched, report identical.
 func TestStoreRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	_, tsA := newTestServer(t, WithWorkers(1), WithStore(dir))
+	_, tsA := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 
 	body := storeSolveBody(t, 0)
 	var first SolveResponse
@@ -93,7 +93,7 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 	}
 
 	// "Restart": a fresh server over the same directory.
-	svcB, tsB := newTestServer(t, WithWorkers(1), WithStore(dir))
+	svcB, tsB := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	if lr, ok := svcB.StoreLoad(); !ok || lr.Reports != 1 || lr.Instances != 1 || lr.Corrupt != 0 {
 		t.Fatalf("restarted server loaded %+v, want 1 report + 1 instance", lr)
 	}
@@ -127,7 +127,7 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 // the stored solution and still certify the neighbor's own optimum.
 func TestWarmStartFromStoredNeighbor(t *testing.T) {
 	dir := t.TempDir()
-	svc, ts := newTestServer(t, WithWorkers(1), WithStore(dir))
+	svc, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 
 	var base SolveResponse
 	if code := postSolve(t, ts, storeSolveBody(t, 0), &base); code != 200 {
@@ -149,7 +149,7 @@ func TestWarmStartFromStoredNeighbor(t *testing.T) {
 
 	// Soundness: a cold solve of the neighbor on a store-less server must
 	// certify the identical optimum.
-	_, tsCold := newTestServer(t, WithWorkers(1))
+	_, tsCold := newTestServer(t, Config{Workers: 1})
 	var cold SolveResponse
 	if code := postSolve(t, tsCold, storeSolveBody(t, 3), &cold); code != 200 {
 		t.Fatalf("cold reference solve: status %d, error %q", code, cold.Error)
@@ -161,7 +161,7 @@ func TestWarmStartFromStoredNeighbor(t *testing.T) {
 
 	// The neighbor's solve was itself stored; an isomorphic re-encoding of
 	// it (same canonical hash) must now be a store hit on a fresh server.
-	svcC, tsC := newTestServer(t, WithWorkers(1), WithStore(dir))
+	svcC, tsC := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	var again SolveResponse
 	if code := postSolve(t, tsC, storeSolveBody(t, 3), &again); code != 200 {
 		t.Fatalf("replay solve: status %d, error %q", code, again.Error)
@@ -178,7 +178,7 @@ func TestWarmStartFromStoredNeighbor(t *testing.T) {
 // warm-hit counter over the wire.
 func TestStatsExposesStore(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, WithWorkers(1), WithStore(dir))
+	_, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	var first SolveResponse
 	if code := postSolve(t, ts, storeSolveBody(t, 0), &first); code != 200 {
 		t.Fatalf("solve: status %d, error %q", code, first.Error)
@@ -206,7 +206,7 @@ func TestStatsExposesStore(t *testing.T) {
 // edit's own optimum.
 func TestWarmStartWithoutInstanceFiles(t *testing.T) {
 	dir := t.TempDir()
-	_, tsA := newTestServer(t, WithWorkers(1), WithStore(dir))
+	_, tsA := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	var base SolveResponse
 	if code := postSolve(t, tsA, storeSolveBody(t, 0), &base); code != 200 {
 		t.Fatalf("base solve: status %d, error %q", code, base.Error)
@@ -221,7 +221,7 @@ func TestWarmStartWithoutInstanceFiles(t *testing.T) {
 		}
 	}
 
-	svcB, tsB := newTestServer(t, WithWorkers(1), WithStore(dir))
+	svcB, tsB := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	if lr, _ := svcB.StoreLoad(); lr.Reports != 1 || lr.Instances != 0 {
 		t.Fatalf("restarted server loaded %+v, want 1 report and no instance", lr)
 	}
@@ -235,7 +235,7 @@ func TestWarmStartWithoutInstanceFiles(t *testing.T) {
 	if got := svcB.Stats().WarmHits; got != 1 {
 		t.Fatalf("warm_hits = %d, want 1", got)
 	}
-	_, tsCold := newTestServer(t, WithWorkers(1))
+	_, tsCold := newTestServer(t, Config{Workers: 1})
 	var cold SolveResponse
 	if code := postSolve(t, tsCold, storeSolveBody(t, 3), &cold); code != 200 {
 		t.Fatalf("cold reference solve: status %d, error %q", code, cold.Error)
@@ -258,7 +258,7 @@ func TestWarmStartThreshold(t *testing.T) {
 		{"more than half", [6]int64{1, 1, 1, 1, 0, 0}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc, ts := newTestServer(t, WithWorkers(1), WithStore(t.TempDir()))
+			svc, ts := newTestServer(t, Config{Workers: 1, StoreDir: t.TempDir()})
 			var base, edit SolveResponse
 			if code := postSolve(t, ts, storeSolveBody(t, 0), &base); code != 200 {
 				t.Fatalf("base solve: status %d, error %q", code, base.Error)
@@ -281,14 +281,14 @@ func TestWarmStartThreshold(t *testing.T) {
 // but a one-arc edit solves cold.
 func TestLegacyReportNeverDonates(t *testing.T) {
 	dir := t.TempDir()
-	_, tsA := newTestServer(t, WithWorkers(1), WithStore(dir))
+	_, tsA := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	var first SolveResponse
 	if code := postSolve(t, tsA, storeSolveBody(t, 0), &first); code != 200 {
 		t.Fatalf("base solve: status %d, error %q", code, first.Error)
 	}
 	stripDigests(t, dir)
 
-	svcB, tsB := newTestServer(t, WithWorkers(1), WithStore(dir))
+	svcB, tsB := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	if lr, _ := svcB.StoreLoad(); lr.Reports != 1 || lr.Corrupt != 0 {
 		t.Fatalf("restarted server loaded %+v, want 1 clean report", lr)
 	}
@@ -382,7 +382,7 @@ func BenchmarkWarmSeed(b *testing.B) {
 		}
 		return []byte(fmt.Sprintf(`{"solver":"auto","options":{"budget":150},"instance":%s}`, raw))
 	}
-	svc, err := New(WithWorkers(1), WithStore(b.TempDir()))
+	svc, err := New(Config{Workers: 1, StoreDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}

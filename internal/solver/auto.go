@@ -71,11 +71,12 @@ func (autoSolver) Capabilities() Caps {
 // dense LP is affordable; a small assignment space goes to exact
 // branch-and-bound under a node budget; an assignment space near that
 // threshold, when the caller explicitly asked for two or more workers,
-// races exact against a rounding rival (route name "race"); everything
+// races exact against a rounding rival (route name "race", the rival
+// returned as rival, which is empty on every other route); everything
 // else takes an LP-rounding approximation, size-routed: the dense
 // bi-criteria LP while the expansion stays small, the frankwolfe scale
 // tier beyond it.
-func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts Options) {
+func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts Options, rival string) {
 	obj := o.Objective()
 	m := c.Inst.G.NumEdges()
 	if tree, _, ok := sp.Recognize(c); ok {
@@ -85,7 +86,7 @@ func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts 
 		}
 		if bp := b + 1; bp <= autoSPMaxBudget {
 			if cost := int64(tree.Nodes()) * bp * bp; cost <= autoSPCost {
-				return "spdp", fmt.Sprintf("series-parallel DAG (%d jobs, DP cost %d)", tree.Leaves(), cost), o
+				return "spdp", fmt.Sprintf("series-parallel DAG (%d jobs, DP cost %d)", tree.Leaves(), cost), o, ""
 			}
 		}
 	}
@@ -93,9 +94,9 @@ func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts 
 	if obj == MinMakespan && denseOK {
 		switch c.Class() {
 		case duration.KindKWay:
-			return "kway5", "all jobs k-way splitting (Eq 2)", o
+			return "kway5", "all jobs k-way splitting (Eq 2)", o, ""
 		case duration.KindBinary:
-			return "binary4", "all jobs recursive binary splitting (Eq 3)", o
+			return "binary4", "all jobs recursive binary splitting (Eq 3)", o, ""
 		}
 	}
 	space := c.AssignmentSpace
@@ -103,7 +104,7 @@ func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts 
 		if o.MaxNodes == 0 {
 			o.MaxNodes = autoExactNodes
 		}
-		return "exact", fmt.Sprintf("small instance (assignment space %d)", space), o
+		return "exact", fmt.Sprintf("small instance (assignment space %d)", space), o, ""
 	}
 	// The rounding fallback (and racing rival) is size-routed: the dense
 	// simplex while the expansion stays affordable, the scale tier beyond.
@@ -122,19 +123,17 @@ func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts 
 		if o.MaxNodes == 0 {
 			o.MaxNodes = autoRaceNodes
 		}
-		o.raceRival = rounder
-		return raceRoute, fmt.Sprintf("assignment space %d near the exact threshold", space), o
+		return raceRoute, fmt.Sprintf("assignment space %d near the exact threshold", space), o, rounder
 	}
 	if rounder == "frankwolfe" {
-		return rounder, fmt.Sprintf("large general DAG (%d arcs, expansion > %d): envelope relaxation + rounding", m, autoDenseLPArcs), o
+		return rounder, fmt.Sprintf("large general DAG (%d arcs, expansion > %d): envelope relaxation + rounding", m, autoDenseLPArcs), o, ""
 	}
-	return rounder, "general step functions, large instance", o
+	return rounder, "general step functions, large instance", o, ""
 }
 
 func (a autoSolver) Solve(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-	name, reason, routed := a.route(c, o)
+	name, reason, routed, rival := a.route(c, o)
 	if name == raceRoute {
-		rival := routed.raceRival
 		rep, winner, err := raceSolve(ctx, c, routed, "exact", rival)
 		if rep != nil {
 			rep.Routing = fmt.Sprintf("auto -> race(exact vs %s): %s; winner %s", rival, reason, winner)

@@ -136,7 +136,7 @@ func fromApprox(res *approx.Result, err error) (*Report, error) {
 // solution returns a Report carrying only the objective's lower bound,
 // together with exact.ErrTruncated.
 func solveExact(ctx context.Context, c *core.Compiled, o Options) (*Report, error) {
-	eopts := &exact.Options{MaxNodes: o.MaxNodes, Parallelism: o.Parallelism, Incumbent: o.Incumbent, FlowPool: o.FlowPool}
+	eopts := &exact.Options{MaxNodes: o.MaxNodes, Parallelism: o.Parallelism, Incumbent: o.Incumbent}
 	if o.Progress != nil {
 		// Adapt the search's (incumbent, floor, nodes) stream to the
 		// package-neutral ProgressEvent (exact cannot import solver).

@@ -77,7 +77,7 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 			}
 			continue
 		case reflect.Slice, reflect.Ptr, reflect.Func:
-			// Incumbent / FlowPool / Progress: reference-typed hints and
+			// Incumbent / Progress: reference-typed hints and
 			// callbacks cannot be rendered into a canonical key, so they
 			// must be excluded.
 			if !excluded {

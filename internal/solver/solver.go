@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/duration"
-	"repro/internal/flow"
 )
 
 // Objective distinguishes the two optimization directions of the paper.
@@ -138,11 +137,6 @@ type Options struct {
 	// optimal VALUE never depends on it.  Solvers without a warm-start
 	// path ignore it entirely.
 	Incumbent []int64
-	// FlowPool optionally shares min-flow networks across solves (see
-	// flow.SolverPool): topology-matched instances reuse one transformed
-	// network instead of rebuilding it.  Purely an allocation/latency
-	// knob; results never depend on it.
-	FlowPool *flow.SolverPool
 	// Progress, when non-nil, receives anytime-trajectory events from
 	// solvers that support them: the exact search emits on every incumbent
 	// improvement and the Frank-Wolfe relaxation on bound tightening, both
@@ -152,10 +146,6 @@ type Options struct {
 	// must be safe for concurrent use and must not block.  Purely
 	// observational: results never depend on it.
 	Progress ProgressFunc
-
-	// raceRival carries auto's size-routed choice of rounding rival into
-	// the racing path.  Unexported: an internal hint, not API.
-	raceRival string
 }
 
 // Objective returns the optimization direction the options select.
@@ -193,10 +183,6 @@ func WithDeadline(d time.Time) Option { return func(o *Options) { o.Deadline = d
 // (see Options.Incumbent).  The slice is not copied; callers must not
 // mutate it during the solve.
 func WithIncumbent(f []int64) Option { return func(o *Options) { o.Incumbent = f } }
-
-// WithFlowPool shares min-flow networks across solves (see
-// Options.FlowPool).
-func WithFlowPool(p *flow.SolverPool) Option { return func(o *Options) { o.FlowPool = p } }
 
 // WithProgress subscribes fn to the solve's anytime trajectory (see
 // Options.Progress).  fn may be called from solver goroutines and must be
@@ -333,7 +319,7 @@ func SolveCompiledOptions(ctx context.Context, name string, c *core.Compiled, o 
 	if err != nil {
 		return nil, err
 	}
-	if err := checkOptions(s, o); err != nil {
+	if err := ValidateOptions(s, o); err != nil {
 		return nil, err
 	}
 	if !o.Deadline.IsZero() {
@@ -374,11 +360,7 @@ func SolveCompiledOptions(ctx context.Context, name string, c *core.Compiled, o 
 // ValidateOptions rejects option/capability mismatches up front with an
 // actionable error, without running anything.  Services use it to fail
 // requests before they are queued.
-func ValidateOptions(s Solver, o Options) error { return checkOptions(s, o) }
-
-// checkOptions rejects option/capability mismatches up front with an
-// actionable error.
-func checkOptions(s Solver, o Options) error {
+func ValidateOptions(s Solver, o Options) error {
 	caps := s.Capabilities()
 	switch {
 	case o.Budget >= 0 && o.Target >= 0:

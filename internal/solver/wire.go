@@ -79,9 +79,7 @@ func (w WireOptions) Resolve(now time.Time) (Options, error) {
 // future option can never silently poison the result cache.
 var cacheKeyExcluded = map[string]string{
 	"Deadline":  "selects whether a result arrives in time, never what it is; interrupted results are not cached",
-	"raceRival": "auto-router internals; the raced result is keyed under the winning solver's own name",
 	"Incumbent": "warm-start hint; validated and certificate-recomputed, it can change wall time but never a complete result, and repeats stay byte-stable because the first-computed report is what every later hit returns",
-	"FlowPool":  "allocation plumbing; pooled networks are fully rewritten per solve, so results never depend on which pool (if any) served them",
 	"Progress":  "observational callback; it receives the trajectory but never steers the search, so results never depend on it",
 }
 

@@ -139,15 +139,29 @@ type Tables struct {
 	table  map[*Tree][]int64
 }
 
+// maxTableCells caps the tables' size: Solve keeps one row of budget+1
+// int64 cells per decomposition-tree node, so without a cap the budget
+// alone would size the allocation (1<<26 cells is 512 MiB).  auto routes
+// to spdp only when nodes·(B+1)² is at most 1<<26, so no auto-routed
+// solve reaches the cap.
+const maxTableCells = 1 << 26
+
 // Solve runs the Section 3.4 dynamic program up to the given budget and
 // returns the filled tables.  The table fill polls ctx between rows, so
-// large-budget DPs are interruptible and deadline-bounded.
+// large-budget DPs are interruptible and deadline-bounded.  A tree and
+// budget whose tables would exceed maxTableCells cells are refused before
+// anything is allocated.
 func Solve(ctx context.Context, t *Tree, budget int64) (*Tables, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	if budget < 0 {
 		return nil, fmt.Errorf("sp: negative budget %d", budget)
+	}
+	// nodes·(budget+1) > maxTableCells, written as budget >= cap/nodes so
+	// that budget+1 cannot overflow.
+	if nodes := int64(t.Nodes()); budget >= maxTableCells/nodes {
+		return nil, fmt.Errorf("sp: budget %d needs %d DP rows of budget+1 cells, over the %d-cell cap", budget, nodes, maxTableCells)
 	}
 	tb := &Tables{Root: t, Budget: budget, table: make(map[*Tree][]int64)}
 	if _, err := tb.fill(ctx, t); err != nil {

@@ -289,6 +289,11 @@ func TestSolveErrors(t *testing.T) {
 	if _, err := Solve(context.Background(), &Tree{Kind: LeafKind}, 1); err == nil {
 		t.Fatal("want error for invalid tree")
 	}
+	// A request's budget must not size the tables: 1<<50 columns per row
+	// is refused before anything is allocated.
+	if _, err := Solve(context.Background(), Series(Leaf(step(3, 1, 1)), Leaf(step(3, 1, 1))), 1<<50); err == nil {
+		t.Fatal("want error for a budget past the table cap")
+	}
 	tb, err := Solve(context.Background(), Leaf(step(3, 1, 1)), 2)
 	if err != nil {
 		t.Fatal(err)
