@@ -58,8 +58,8 @@ type Record struct {
 
 // Baseline is the committed benchmark record.
 type Baseline struct {
-	// Schema 2 stores ns/op and allocs/op per benchmark; schema 1 (ns/op
-	// only, plain map) is still read for old baselines.
+	// Schema 2 stores ns/op and allocs/op per benchmark.  Older schemas
+	// are refused: re-record them with -record.
 	Schema int `json:"schema"`
 	// Benchmarks maps benchmark name (sub-benchmarks included, CPU suffix
 	// stripped) to its record.
@@ -187,21 +187,12 @@ func loadBaseline(path string) (Baseline, error) {
 	if err != nil {
 		return b, err
 	}
-	if err := json.Unmarshal(data, &b); err != nil || b.Schema < 2 {
-		// Schema 1 stored a plain name -> ns/op map; read it so freshly
-		// updated checkouts can still compare against an old committed
-		// baseline.
-		var v1 struct {
-			Schema     int                `json:"schema"`
-			Benchmarks map[string]float64 `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(data, &v1); err != nil {
-			return b, fmt.Errorf("%s: %w", path, err)
-		}
-		b = Baseline{Schema: 1, Benchmarks: make(map[string]Record, len(v1.Benchmarks))}
-		for name, ns := range v1.Benchmarks {
-			b.Benchmarks[name] = Record{NsOp: ns, AllocsOp: -1}
-		}
+	err = json.Unmarshal(data, &b)
+	if b.Schema < 2 {
+		return b, fmt.Errorf("%s: schema %d baseline, want 2: re-record it with benchdiff -record", path, b.Schema)
+	}
+	if err != nil {
+		return b, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(b.Benchmarks) == 0 {
 		return b, fmt.Errorf("%s: no benchmarks recorded", path)

@@ -154,3 +154,29 @@ func TestParseBenchKeepsMinima(t *testing.T) {
 		t.Fatalf("benchmem-less line misparsed: %+v", rec)
 	}
 }
+
+// TestLoadBaselineRefusesOldSchemas: a schema-2 baseline loads, while a
+// schema-1 one (a plain name -> ns/op map) fails with an error that says
+// how to replace it.
+func TestLoadBaselineRefusesOldSchemas(t *testing.T) {
+	dir := t.TempDir()
+	v2 := filepath.Join(dir, "v2.json")
+	if err := os.WriteFile(v2, []byte(`{"schema":2,"benchmarks":{"BenchmarkX":{"ns_op":100,"allocs_op":3}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := loadBaseline(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := b.Benchmarks["BenchmarkX"]; rec.NsOp != 100 || rec.AllocsOp != 3 {
+		t.Fatalf("schema-2 record misread: %+v", rec)
+	}
+
+	v1 := filepath.Join(dir, "v1.json")
+	if err := os.WriteFile(v1, []byte(`{"schema":1,"benchmarks":{"BenchmarkX":100}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadBaseline(v1); err == nil || !strings.Contains(err.Error(), "-record") {
+		t.Fatalf("schema-1 baseline: error %v, want one telling to re-record with -record", err)
+	}
+}

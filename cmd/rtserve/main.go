@@ -82,7 +82,7 @@ func main() {
 		log.Printf("cluster mode: self %s, %d peers", *self, len(cfg.Peers))
 	}
 	if lr, ok := svc.StoreLoad(); ok {
-		log.Printf("store %s: %d reports, %d instances loaded; %d corrupt, %d foreign-version skipped",
+		log.Printf("store %s: %d reports, %d instances loaded; %d corrupt, %d foreign-format skipped",
 			*storeDir, lr.Reports, lr.Instances, lr.Corrupt, lr.Skipped)
 		for _, e := range lr.Errors {
 			log.Printf("store: skipped entry: %s", e)

@@ -489,8 +489,8 @@ func TestJobAfterStoreCorruption(t *testing.T) {
 	ts.Close()
 	svc.Close()
 
-	// Truncate every stored report mid-file: a crash between write and
-	// rename, as seen by the next boot.
+	// Truncate every stored report mid-file: an entry torn under its
+	// final name by a power loss, as seen by the next boot.
 	reports, err := filepath.Glob(filepath.Join(dir, "reports", "*.json"))
 	if err != nil || len(reports) == 0 {
 		t.Fatalf("no stored reports to corrupt (err %v)", err)

@@ -217,6 +217,12 @@ func TestSolveRejectsAdversarialRequests(t *testing.T) {
 			"single-threaded"},
 		{"parallel-frankwolfe", `{"solver":"frankwolfe","options":{"budget":3,"parallelism":4},"instance":` + valid + `}`,
 			"single-threaded"},
+		// Refused before any solve starts: exact would start one worker
+		// per unit, and 10^13 ms wraps into a deadline already passed.
+		{"parallelism-cap", `{"solver":"exact","options":{"budget":3,"parallelism":65},"instance":` + valid + `}`,
+			"exceeds the wire cap 64"},
+		{"deadline-overflow", `{"options":{"budget":3,"deadline_ms":10000000000000},"instance":` + valid + `}`,
+			"overflows a duration"},
 		{"batch-and-inline", `{"instance":` + valid + `,"batch":[{"options":{"budget":1},"instance":` + valid + `}]}`,
 			"both a batch and an inline instance"},
 		// spdp keeps budget+1 cells per tree node: a 2^50 budget must be

@@ -1,8 +1,7 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -16,6 +15,8 @@ import (
 	"repro/internal/dag"
 	"repro/internal/duration"
 	"repro/internal/scenario"
+	"repro/internal/solver"
+	"repro/internal/store"
 )
 
 // storeInstanceJSON builds the wire form of a small two-path instance;
@@ -281,12 +282,24 @@ func TestWarmStartThreshold(t *testing.T) {
 // but a one-arc edit solves cold.
 func TestLegacyReportNeverDonates(t *testing.T) {
 	dir := t.TempDir()
-	_, tsA := newTestServer(t, Config{Workers: 1, StoreDir: dir})
-	var first SolveResponse
-	if code := postSolve(t, tsA, storeSolveBody(t, 0), &first); code != 200 {
-		t.Fatalf("base solve: status %d, error %q", code, first.Error)
+	var inst core.Instance
+	if err := json.Unmarshal(storeInstanceJSON(t, 0), &inst); err != nil {
+		t.Fatal(err)
 	}
-	stripDigests(t, dir)
+	c := core.Compile(&inst)
+	opts := solver.NewOptions(solver.WithBudget(5), solver.WithParallelism(1))
+	rep, err := solver.SolveCompiledOptions(context.Background(), "exact", c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := store.Meta{Hash: c.Hash(), Sketch: c.Sketch(), Solver: "exact", OptKey: opts.CacheKey()}
+	if err := st.PutReport(solver.ResultCacheKey("exact", c, opts), legacy, rep.Wire()); err != nil {
+		t.Fatal(err)
+	}
 
 	svcB, tsB := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	if lr, _ := svcB.StoreLoad(); lr.Reports != 1 || lr.Corrupt != 0 {
@@ -297,7 +310,7 @@ func TestLegacyReportNeverDonates(t *testing.T) {
 		t.Fatalf("recall: status %d, error %q", code, again.Error)
 	}
 	gotB, _ := json.Marshal(again.Report)
-	wantB, _ := json.Marshal(first.Report)
+	wantB, _ := json.Marshal(rep.Wire())
 	if !again.StoreHit || string(gotB) != string(wantB) {
 		t.Fatalf("recall: store hit %v, report %s; want a hit on %s", again.StoreHit, gotB, wantB)
 	}
@@ -307,47 +320,6 @@ func TestLegacyReportNeverDonates(t *testing.T) {
 	}
 	if edit.Warm || svcB.Stats().WarmHits != 0 {
 		t.Fatal("a report without digests donated a warm start")
-	}
-}
-
-// stripDigests rewrites every stored report without its meta.arcs, under
-// a fresh checksum: the report as a store written before digests holds it.
-func stripDigests(t *testing.T, dir string) {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "reports", "*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no report files: %v", err)
-	}
-	for _, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env struct {
-			Payload json.RawMessage `json:"payload"`
-		}
-		var payload, meta map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &env); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(env.Payload, &payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(payload["meta"], &meta); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := meta["arcs"]; !ok {
-			t.Fatalf("%s has no meta.arcs to strip", f)
-		}
-		delete(meta, "arcs")
-		mb, _ := json.Marshal(meta)
-		payload["meta"] = mb
-		pb, _ := json.Marshal(payload)
-		sum := sha256.Sum256(pb)
-		out, _ := json.Marshal(map[string]any{"checksum": hex.EncodeToString(sum[:]), "payload": json.RawMessage(pb)})
-		if err := os.WriteFile(f, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

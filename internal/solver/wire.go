@@ -8,6 +8,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -33,6 +34,18 @@ type WireOptions struct {
 	// moment the request is resolved; 0 means no deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
+
+// MaxWireParallelism caps the parallelism a wire request may ask for.
+// The exact search starts that many workers, each with arc-sized scratch
+// and its own min-flow network, so an unchecked value lets one request
+// exhaust memory or panic the allocation of its deques.  The cap is far
+// above the cores a search can use.
+const MaxWireParallelism = 64
+
+// maxWireDeadlineMS is the largest deadline_ms whose time.Duration does
+// not overflow int64 nanoseconds (about 292 years); a larger value would
+// wrap into a deadline that has already passed.
+const maxWireDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 // Resolve converts the wire form into resolved Options, anchoring the
 // relative deadline at now.  Values that no solver could accept are
@@ -62,9 +75,15 @@ func (w WireOptions) Resolve(now time.Time) (Options, error) {
 		return o, fmt.Errorf("solver: negative max_nodes %d", w.MaxNodes)
 	}
 	o.MaxNodes = w.MaxNodes
+	if w.Parallelism > MaxWireParallelism {
+		return o, fmt.Errorf("solver: parallelism %d exceeds the wire cap %d", w.Parallelism, MaxWireParallelism)
+	}
 	o.Parallelism = w.Parallelism
 	if w.DeadlineMS < 0 {
 		return o, fmt.Errorf("solver: negative deadline_ms %d", w.DeadlineMS)
+	}
+	if w.DeadlineMS > maxWireDeadlineMS {
+		return o, fmt.Errorf("solver: deadline_ms %d overflows a duration (at most %d)", w.DeadlineMS, maxWireDeadlineMS)
 	}
 	if w.DeadlineMS > 0 {
 		o.Deadline = now.Add(time.Duration(w.DeadlineMS) * time.Millisecond)

@@ -39,6 +39,15 @@ func TestWireOptionsResolve(t *testing.T) {
 		t.Fatalf("Deadline = %v; want %v", o.Deadline, want)
 	}
 
+	// The largest accepted values resolve, each to what it says.
+	o, err = WireOptions{Budget: int64p(1), Parallelism: MaxWireParallelism, DeadlineMS: maxWireDeadlineMS}.Resolve(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Parallelism != MaxWireParallelism || !o.Deadline.After(now) {
+		t.Fatalf("largest wire values resolved to parallelism %d, deadline %v", o.Parallelism, o.Deadline)
+	}
+
 	bad := []WireOptions{
 		{Budget: int64p(-3)},
 		{Target: int64p(-1)},
@@ -47,6 +56,9 @@ func TestWireOptionsResolve(t *testing.T) {
 		{Alpha: float64p(-0.5)},
 		{MaxNodes: -1},
 		{DeadlineMS: -20},
+		{Parallelism: MaxWireParallelism + 1},
+		{DeadlineMS: 10000000000000}, // 10^13 ms: its Duration wraps negative
+		{DeadlineMS: maxWireDeadlineMS + 1},
 	}
 	for i, w := range bad {
 		if _, err := w.Resolve(now); err == nil {

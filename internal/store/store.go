@@ -11,41 +11,58 @@
 //	<root>/reports/<sha256(key)>.json     one file per solve outcome
 //	<root>/instances/<canonical-hash>.json one file per distinct instance
 //
-// Every file is a JSON envelope {"checksum": "<sha256 of payload
-// bytes>", "payload": {...}} whose payload carries an explicit
-// format version.  A report payload records the full result identity
-// (the solver.ResultCacheKey string plus its parts: canonical hash,
-// structural sketch, solver name, option key), the instance's per-arc
-// digests (meta.arcs, core.ArcDigests; absent from reports written before
-// digests existed) and the wire report; an instance payload records the
-// canonical hash, the sketch, and the raw instance JSON as received.
+// Every file is one entry: a header line naming the format and the
+// SHA-256 of the payload, then the payload bytes verbatim:
 //
-// Writes are crash-safe: each entry is written to a temporary file in
-// the same directory and atomically renamed into place, so a crash can
-// leave stray *.tmp files (deleted on the next Open) but never a
-// half-written entry under a final name.  Reads verify the checksum and
-// version; anything corrupt, truncated, or from a different format
-// version is skipped and counted, never trusted and never fatal.
+//	rtt-store-v2 <hex sha256 of payload>\n<payload>
+//
+// A report payload is the JSON {key, meta, report}: the full result
+// identity (the solver.ResultCacheKey string plus its parts: canonical
+// hash, structural sketch, solver name, option key), the instance's
+// per-arc digests (meta.arcs, core.ArcDigests, as base64 of their
+// little-endian 32-bit words; absent from reports written before digests
+// existed) and the wire report.  An instance payload is the raw instance
+// JSON exactly as PutInstance received it.
+//
+// Each entry is written to a temporary file in the same directory and
+// renamed into place, so a process crash leaves at most stray *.tmp
+// files, deleted on the next Open.  Entries are not fsynced: a power
+// loss can leave a torn entry under its final name, which its checksum
+// rejects at load.  Open counts every entry once: loaded, corrupt
+// (unreadable, truncated, checksum mismatch, unparseable report) or
+// skipped (another format, including the JSON envelopes written by
+// releases before rtt-store-v2).  Nothing corrupt or foreign is ever
+// trusted, and nothing of it is fatal.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/solver"
 )
 
-// payloadVersion is the on-disk payload format version.  Entries written
-// by a different version are ignored on load: old binaries must not
-// misread new entries and vice versa.
-const payloadVersion = 1
+// format names the entry format in every header line.  Headers naming
+// any other "rtt-store-" format are skipped on load: old binaries must
+// not misread new entries and vice versa.
+const format = "rtt-store-v2"
+
+// legacyPrefix starts every entry of the JSON-envelope format that
+// rtt-store-v2 replaced.  Such entries are recognized only to be skipped.
+const legacyPrefix = `{"checksum":`
+
+// errForeign marks a well-formed entry of another format.
+var errForeign = errors.New("foreign entry format")
 
 // Meta is the decomposed identity of one stored report: the parts of the
 // result-cache key plus the instance's structural sketch and per-arc
@@ -69,27 +86,19 @@ type Meta struct {
 	Arcs []uint32 `json:"arcs,omitempty"`
 }
 
-// envelope is the outer JSON shell of every stored file.  Payload stays
-// raw so the checksum is computed over the exact persisted bytes.
-type envelope struct {
-	Checksum string          `json:"checksum"`
-	Payload  json.RawMessage `json:"payload"`
-}
-
-// reportPayload is the persisted form of one solve outcome.
+// reportPayload is the JSON payload of a report entry.
 type reportPayload struct {
-	Version int               `json:"version"`
-	Key     string            `json:"key"`
-	Meta    Meta              `json:"meta"`
-	Report  solver.WireReport `json:"report"`
+	Key    string            `json:"key"`
+	Meta   storedMeta        `json:"meta"`
+	Report solver.WireReport `json:"report"`
 }
 
-// instancePayload is the persisted form of one raw instance.
-type instancePayload struct {
-	Version  int             `json:"version"`
-	Hash     string          `json:"hash"`
-	Sketch   string          `json:"sketch"`
-	Instance json.RawMessage `json:"instance"`
+// storedMeta is Meta as stored: Arcs, which shadows Meta.Arcs, holds the
+// digests' little-endian words, so JSON carries them as base64 (about
+// 5.3 bytes per arc, against about 10.8 as a number array).
+type storedMeta struct {
+	Meta
+	Arcs []byte `json:"arcs,omitempty"`
 }
 
 // Stats is a snapshot of store occupancy and effectiveness, reported
@@ -113,11 +122,11 @@ type LoadReport struct {
 	// Reports and Instances count the entries loaded successfully.
 	Reports   int
 	Instances int
-	// Corrupt counts entries skipped for failed checksums, truncation,
-	// or unparseable JSON.
+	// Corrupt counts entries skipped as unreadable, truncated, failing
+	// their checksum, or holding an unparseable report.
 	Corrupt int
-	// Skipped counts well-formed entries ignored for a foreign format
-	// version.
+	// Skipped counts entries ignored for another format, including the
+	// JSON envelopes written before rtt-store-v2.
 	Skipped int
 	// Errors holds one message per skipped entry, in deterministic
 	// (sorted filename) order.
@@ -128,7 +137,6 @@ type LoadReport struct {
 type entry struct {
 	meta Meta
 	rep  solver.WireReport
-	size int64
 }
 
 // Store is a durable map from result identity to completed report, with
@@ -141,13 +149,14 @@ type Store struct {
 	reports  map[string]*entry   // result-cache key -> report
 	bySketch map[string][]string // sketch|solver|optKey -> sorted keys
 	hasInst  map[string]bool     // canonical hash -> instance file exists
+	writing  map[string]bool     // entry paths reserved by an unfinished put
 	load     LoadReport
 
-	hits, misses, corrupt int64
+	hits, misses, corrupt, bytes int64
 }
 
 // Open loads (or creates) the store rooted at dir.  Corrupt or
-// foreign-version entries are skipped and reported via LoadReport, never
+// foreign-format entries are skipped and reported via LoadReport, never
 // fatal; the returned error covers only real I/O failures that would
 // leave the store unusable (unreadable root, failed mkdir).
 //
@@ -162,21 +171,24 @@ func Open(dir string) (*Store, error) {
 		reports:  make(map[string]*entry),
 		bySketch: make(map[string][]string),
 		hasInst:  make(map[string]bool),
+		writing:  make(map[string]bool),
 	}
 	for _, sub := range []string{s.reportsDir(), s.instancesDir()} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("store: create %s: %w", sub, err)
 		}
 	}
-	if err := s.loadReports(); err != nil {
+	var err error
+	if s.load.Reports, err = s.loadDir(s.reportsDir(), s.loadReport); err != nil {
 		return nil, err
 	}
-	if err := s.loadInstances(); err != nil {
+	// Instance bytes stay on disk, re-read by GetInstance on demand; warm
+	// starts never read them, since neighbors are compared by digests.
+	if s.load.Instances, err = s.loadDir(s.instancesDir(), func(hash string, _ []byte, _ int64) error {
+		s.hasInst[hash] = true
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	//rt:unordered — each value is sorted independently; visit order is moot
-	for k := range s.bySketch {
-		sort.Strings(s.bySketch[k])
 	}
 	s.corrupt = int64(s.load.Corrupt)
 	return s, nil
@@ -185,141 +197,147 @@ func Open(dir string) (*Store, error) {
 func (s *Store) reportsDir() string   { return filepath.Join(s.root, "reports") }
 func (s *Store) instancesDir() string { return filepath.Join(s.root, "instances") }
 
-// loadReports scans the reports directory in sorted order, loading every
-// valid entry into memory and sweeping stray temp files.
-func (s *Store) loadReports() error {
-	ents, err := os.ReadDir(s.reportsDir()) // ReadDir sorts by filename
+// loadDir reads every entry in dir in sorted filename order, hands its
+// name (extension stripped), verified payload and file size to add, and
+// returns how many add accepted.  Every other entry is counted once, as
+// skipped (another format) or corrupt; stray temp files are swept.
+func (s *Store) loadDir(dir string, add func(name string, payload []byte, size int64) error) (int, error) {
+	ents, err := os.ReadDir(dir) // ReadDir sorts by filename
 	if err != nil {
-		return fmt.Errorf("store: read %s: %w", s.reportsDir(), err)
+		return 0, fmt.Errorf("store: read %s: %w", dir, err)
 	}
+	loaded := 0
 	for _, de := range ents {
-		path := filepath.Join(s.reportsDir(), de.Name())
-		if sweepTemp(path, de.Name()) {
+		path := filepath.Join(dir, de.Name())
+		if filepath.Ext(path) == ".tmp" {
+			os.Remove(path) // left by a crashed writer
 			continue
 		}
-		payload, size, err := readVerified(path)
-		if err != nil {
-			s.load.Corrupt++
-			s.load.Errors = append(s.load.Errors, err.Error())
+		name, ok := strings.CutSuffix(de.Name(), ".json")
+		if !ok {
 			continue
 		}
-		var rp reportPayload
-		if err := json.Unmarshal(payload, &rp); err != nil {
-			s.load.Corrupt++
-			s.load.Errors = append(s.load.Errors, fmt.Sprintf("%s: bad report payload: %v", path, err))
-			continue
+		raw, err := os.ReadFile(path)
+		var payload []byte
+		if err == nil {
+			payload, err = readEntry(raw)
 		}
-		if rp.Version != payloadVersion {
+		if err == nil {
+			err = add(name, payload, int64(len(raw)))
+		}
+		switch {
+		case err == nil:
+			loaded++
+			continue
+		case errors.Is(err, errForeign):
 			s.load.Skipped++
-			s.load.Errors = append(s.load.Errors, fmt.Sprintf("%s: payload version %d, want %d", path, rp.Version, payloadVersion))
-			continue
+		default:
+			s.load.Corrupt++
 		}
-		// Decoding grows the digest slice geometrically (1,000 arcs land
-		// in a 1,344-word array); keep it at 4 bytes per arc.
-		rp.Meta.Arcs = slices.Clone(rp.Meta.Arcs)
-		s.reports[rp.Key] = &entry{meta: rp.Meta, rep: rp.Report, size: size}
-		sk := sketchKey(rp.Meta.Sketch, rp.Meta.Solver, rp.Meta.OptKey)
-		s.bySketch[sk] = append(s.bySketch[sk], rp.Key)
-		s.load.Reports++
+		s.load.Errors = append(s.load.Errors, fmt.Sprintf("%s: %v", path, err))
 	}
+	return loaded, nil
+}
+
+// loadReport decodes one report payload into the index.
+func (s *Store) loadReport(_ string, payload []byte, size int64) error {
+	var rp reportPayload
+	err := json.Unmarshal(payload, &rp)
+	if err == nil && len(rp.Meta.Arcs)%4 != 0 {
+		err = fmt.Errorf("%d digest bytes", len(rp.Meta.Arcs))
+	}
+	if err != nil {
+		return fmt.Errorf("bad report payload: %v", err)
+	}
+	meta := rp.Meta.Meta
+	meta.Arcs = make([]uint32, len(rp.Meta.Arcs)/4)
+	for i := range meta.Arcs {
+		meta.Arcs[i] = binary.LittleEndian.Uint32(rp.Meta.Arcs[4*i:])
+	}
+	s.index(rp.Key, meta, rp.Report, size)
 	return nil
 }
 
-// loadInstances records which instances exist; the raw bytes stay on
-// disk and are re-read (and re-verified) on demand by GetInstance.  Warm
-// starts never read them: neighbors are compared by their reports'
-// digests.
-func (s *Store) loadInstances() error {
-	ents, err := os.ReadDir(s.instancesDir())
-	if err != nil {
-		return fmt.Errorf("store: read %s: %w", s.instancesDir(), err)
+// index adds one report to the in-memory maps, keeping each sketch
+// family's keys sorted.  s.mu must be held, or the store not yet shared.
+func (s *Store) index(key string, meta Meta, rep solver.WireReport, size int64) {
+	s.reports[key] = &entry{meta: meta, rep: rep}
+	sk := sketchKey(meta.Sketch, meta.Solver, meta.OptKey)
+	if i, found := slices.BinarySearch(s.bySketch[sk], key); !found {
+		s.bySketch[sk] = slices.Insert(s.bySketch[sk], i, key)
 	}
-	for _, de := range ents {
-		path := filepath.Join(s.instancesDir(), de.Name())
-		if sweepTemp(path, de.Name()) {
-			continue
-		}
-		payload, _, err := readVerified(path)
-		if err != nil {
-			s.load.Corrupt++
-			s.load.Errors = append(s.load.Errors, err.Error())
-			continue
-		}
-		var ip instancePayload
-		if err := json.Unmarshal(payload, &ip); err != nil {
-			s.load.Corrupt++
-			s.load.Errors = append(s.load.Errors, fmt.Sprintf("%s: bad instance payload: %v", path, err))
-			continue
-		}
-		if ip.Version != payloadVersion {
-			s.load.Skipped++
-			s.load.Errors = append(s.load.Errors, fmt.Sprintf("%s: payload version %d, want %d", path, ip.Version, payloadVersion))
-			continue
-		}
-		s.hasInst[ip.Hash] = true
-		s.load.Instances++
-	}
-	return nil
+	s.bytes += size
 }
 
-// sweepTemp deletes a stray temp file left by a crashed writer and
-// reports whether name was one (or a directory to skip).
-func sweepTemp(path, name string) bool {
-	if filepath.Ext(name) == ".tmp" {
-		os.Remove(path)
-		return true
+// readEntry checks one stored entry and returns its payload, which
+// always hashes to the checksum its header names.  An error wrapping
+// errForeign marks an entry of another format; any other, a corrupt one.
+func readEntry(raw []byte) ([]byte, error) {
+	header, payload, ok := bytes.Cut(raw, []byte{'\n'})
+	name, _, _ := bytes.Cut(header, []byte{' '})
+	switch {
+	case bytes.HasPrefix(raw, []byte(legacyPrefix)):
+		return nil, fmt.Errorf("%w: a JSON envelope written before %s", errForeign, format)
+	case !ok || !bytes.HasPrefix(name, []byte("rtt-store-")):
+		return nil, errors.New("no entry header")
+	case string(name) != format:
+		return nil, fmt.Errorf("%w %.40q", errForeign, name)
 	}
-	return filepath.Ext(name) != ".json"
+	sum := sha256.Sum256(payload)
+	if string(header) != format+" "+hex.EncodeToString(sum[:]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return payload, nil
 }
 
-// readVerified reads an envelope file and returns its payload after
-// checking the checksum.
-func readVerified(path string) (json.RawMessage, int64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %v", path, err)
-	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, 0, fmt.Errorf("%s: bad envelope: %v", path, err)
-	}
-	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
-		return nil, 0, fmt.Errorf("%s: checksum mismatch", path)
-	}
-	return env.Payload, int64(len(raw)), nil
-}
-
-// writeEntry marshals payload into a checksummed envelope and atomically
-// installs it at path via a same-directory temp file and rename.
-func writeEntry(path string, payload any) (int64, error) {
-	pb, err := json.Marshal(payload)
-	if err != nil {
-		return 0, fmt.Errorf("store: marshal %s: %w", path, err)
-	}
-	sum := sha256.Sum256(pb)
-	raw, err := json.Marshal(envelope{Checksum: hex.EncodeToString(sum[:]), Payload: pb})
-	if err != nil {
-		return 0, fmt.Errorf("store: marshal envelope %s: %w", path, err)
-	}
+// writeEntry installs payload at path as one entry, the header line then
+// the payload verbatim, via a same-directory temp file and a rename, and
+// returns the entry's size.
+func writeEntry(path string, payload []byte) (int64, error) {
+	sum := sha256.Sum256(payload)
+	header := format + " " + hex.EncodeToString(sum[:]) + "\n"
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return 0, fmt.Errorf("store: temp for %s: %w", path, err)
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
+	_, err = tmp.WriteString(header)
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return 0, fmt.Errorf("store: write %s: %w", path, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("store: close %s: %w", path, err)
+	return int64(len(header) + len(payload)), nil
+}
+
+// put writes one entry without holding s.mu across the write: the path
+// is reserved under the lock, so concurrent puts of one entry write it
+// once and the first wins, and publish indexes the entry under the lock
+// once it is in place.  stored reports, under the lock, whether the
+// entry is already published.
+func (s *Store) put(path string, payload []byte, stored func() bool, publish func(size int64)) error {
+	s.mu.Lock()
+	if stored() || s.writing[path] {
+		s.mu.Unlock()
+		return nil // first write wins; repeats are byte-identical anyway
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("store: install %s: %w", path, err)
+	s.writing[path] = true
+	s.mu.Unlock()
+	size, err := writeEntry(path, payload)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.writing, path)
+	if err == nil {
+		publish(size)
 	}
-	return int64(len(raw)), nil
+	return err
 }
 
 // keyFile maps an arbitrary result-cache key to a filesystem-safe name.
@@ -355,56 +373,36 @@ func (s *Store) PutReport(key string, meta Meta, rep solver.WireReport) error {
 	if !rep.Complete {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.reports[key]; ok {
-		return nil // first write wins; repeats are byte-identical anyway
+	sm := storedMeta{Meta: meta, Arcs: make([]byte, 0, 4*len(meta.Arcs))}
+	for _, d := range meta.Arcs {
+		sm.Arcs = binary.LittleEndian.AppendUint32(sm.Arcs, d)
 	}
-	size, err := writeEntry(filepath.Join(s.reportsDir(), keyFile(key)), reportPayload{
-		Version: payloadVersion,
-		Key:     key,
-		Meta:    meta,
-		Report:  rep,
-	})
+	payload, err := json.Marshal(reportPayload{Key: key, Meta: sm, Report: rep})
 	if err != nil {
-		return err
+		return fmt.Errorf("store: marshal report %q: %w", key, err)
 	}
-	s.reports[key] = &entry{meta: meta, rep: rep, size: size}
-	sk := sketchKey(meta.Sketch, meta.Solver, meta.OptKey)
-	keys := append(s.bySketch[sk], key)
-	sort.Strings(keys)
-	s.bySketch[sk] = keys
-	return nil
+	return s.put(filepath.Join(s.reportsDir(), keyFile(key)), payload,
+		func() bool { _, ok := s.reports[key]; return ok },
+		func(size int64) { s.index(key, meta, rep, size) })
 }
 
 // PutInstance durably stores the raw JSON of an instance under its
-// canonical hash, so a later request can name the instance by hash alone.
-// Storing any byte-form of the instance is sound: all isomorphic
-// encodings share the hash, and readers only ever use the recompiled
-// instance, not the encoding.
-func (s *Store) PutInstance(hash, sketch string, raw []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.hasInst[hash] {
-		return nil
-	}
-	_, err := writeEntry(filepath.Join(s.instancesDir(), hash+".json"), instancePayload{
-		Version:  payloadVersion,
-		Hash:     hash,
-		Sketch:   sketch,
-		Instance: json.RawMessage(raw),
-	})
-	if err != nil {
-		return err
-	}
-	s.hasInst[hash] = true
-	return nil
+// canonical hash, so a later request can name the instance by hash alone;
+// GetInstance returns these bytes verbatim.  Storing any byte-form of the
+// instance is sound: all isomorphic encodings share the hash, and readers
+// only ever use the recompiled instance, not the encoding.  The second
+// argument, the instance's sketch, is not stored.
+func (s *Store) PutInstance(hash, _ string, raw []byte) error {
+	return s.put(filepath.Join(s.instancesDir(), hash+".json"), raw,
+		func() bool { return s.hasInst[hash] },
+		func(int64) { s.hasInst[hash] = true })
 }
 
 // GetInstance re-reads and re-verifies the stored raw instance for a
 // canonical hash.  Instances are demand-loaded: only requests naming an
 // instance by hash (a frontier by hash, a cluster peer's probe) need
-// them, so their bytes do not stay resident.
+// them, so their bytes do not stay resident.  A corrupt file is counted
+// and forgotten, so it is not retried.
 //
 //rt:deterministic — the result is a pure function of the stored file.
 func (s *Store) GetInstance(hash string) ([]byte, bool) {
@@ -414,26 +412,18 @@ func (s *Store) GetInstance(hash string) ([]byte, bool) {
 	if !known {
 		return nil, false
 	}
-	payload, _, err := readVerified(filepath.Join(s.instancesDir(), hash+".json"))
+	raw, err := os.ReadFile(filepath.Join(s.instancesDir(), hash+".json"))
+	if err == nil {
+		raw, err = readEntry(raw)
+	}
 	if err != nil {
-		s.noteCorrupt(hash)
+		s.mu.Lock()
+		s.corrupt++
+		delete(s.hasInst, hash)
+		s.mu.Unlock()
 		return nil, false
 	}
-	var ip instancePayload
-	if err := json.Unmarshal(payload, &ip); err != nil || ip.Version != payloadVersion {
-		s.noteCorrupt(hash)
-		return nil, false
-	}
-	return ip.Instance, true
-}
-
-// noteCorrupt records a demand-read failure and forgets the entry so it
-// is not retried.
-func (s *Store) noteCorrupt(hash string) {
-	s.mu.Lock()
-	s.corrupt++
-	delete(s.hasInst, hash)
-	s.mu.Unlock()
+	return raw, true
 }
 
 // Neighbor returns a stored report for a DIFFERENT instance with the
@@ -476,13 +466,9 @@ func (s *Store) Load() LoadReport {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var bytes int64
-	for _, e := range s.reports {
-		bytes += e.size
-	}
 	return Stats{
 		Entries: len(s.reports),
-		Bytes:   bytes,
+		Bytes:   s.bytes,
 		Hits:    s.hits,
 		Misses:  s.misses,
 		Corrupt: s.corrupt,

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -35,8 +37,14 @@ func testMeta(i int) Meta {
 	}
 }
 
+// testInstance is an instance body as a client might send it, spacing
+// and newlines included, which the store must keep verbatim.
+func testInstance(i int) []byte {
+	return []byte(fmt.Sprintf("{\"nodes\": [\"s\", \"t\"],\n  \"i\": %d}\n", i))
+}
+
 // TestRoundTrip writes entries, reopens the directory, and checks every
-// report and instance survives byte for byte.
+// report survives and every instance comes back byte for byte as put.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -48,8 +56,7 @@ func TestRoundTrip(t *testing.T) {
 		if err := s.PutReport(key, testMeta(i), testReport(i)); err != nil {
 			t.Fatal(err)
 		}
-		raw := []byte(fmt.Sprintf(`{"nodes":["s","t"],"i":%d}`, i))
-		if err := s.PutInstance(testMeta(i).Hash, "sketch-a", raw); err != nil {
+		if err := s.PutInstance(testMeta(i).Hash, "sketch-a", testInstance(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,12 +83,12 @@ func TestRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("instance %d missing after reopen", i)
 		}
-		if !strings.Contains(string(inst), fmt.Sprintf(`"i":%d`, i)) {
-			t.Fatalf("instance %d bytes mutated: %s", i, inst)
+		if !bytes.Equal(inst, testInstance(i)) {
+			t.Fatalf("instance %d bytes mutated: %q, want %q", i, inst, testInstance(i))
 		}
 	}
-	if st := re.Stats(); st.Entries != 5 || st.Hits != 5 || st.Bytes == 0 {
-		t.Fatalf("stats %+v, want 5 entries, 5 hits, nonzero bytes", st)
+	if st := re.Stats(); st.Entries != 5 || st.Hits != 5 || st.Bytes == 0 || st.Bytes != s.Stats().Bytes {
+		t.Fatalf("stats %+v, want 5 entries, 5 hits, and the %d bytes written", st, s.Stats().Bytes)
 	}
 
 	// Incomplete reports must never be persisted.
@@ -156,8 +163,8 @@ func TestCorruptAndTruncatedEntriesSkipped(t *testing.T) {
 	}
 }
 
-// TestVersionMismatchIgnored rewrites a valid entry under a foreign
-// payload version (with a correct checksum) and checks it is skipped —
+// TestVersionMismatchIgnored rewrites a valid entry's header to name a
+// foreign format (its checksum still correct) and checks it is skipped —
 // not loaded, not counted as corrupt.
 func TestVersionMismatchIgnored(t *testing.T) {
 	dir := t.TempDir()
@@ -172,18 +179,17 @@ func TestVersionMismatchIgnored(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("want 1 file, got %d", len(files))
 	}
-	// Re-wrap the payload with a bumped version and a fresh checksum, so
-	// only the version check can reject it.
-	payload, _, err := readVerified(files[0])
+	// Rename the format and keep the payload and its checksum, so only
+	// the format check can reject it.
+	raw, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rp reportPayload
-	if err := json.Unmarshal(payload, &rp); err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(raw, []byte(format+" ")) {
+		t.Fatalf("entry does not start with its header: %.40q", raw)
 	}
-	rp.Version = payloadVersion + 1
-	if _, err := writeEntry(files[0], rp); err != nil {
+	raw = append([]byte("rtt-store-v3"), raw[len(format):]...)
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,7 +202,73 @@ func TestVersionMismatchIgnored(t *testing.T) {
 		t.Fatalf("load report %+v, want 0 loaded, 1 skipped, 0 corrupt", lr)
 	}
 	if _, ok := re.GetReport("k"); ok {
-		t.Fatal("foreign-version entry was served")
+		t.Fatal("foreign-format entry was served")
+	}
+}
+
+// legacyEnvelope renders payload as the JSON envelope that stores wrote
+// before rtt-store-v2: {"checksum": sha256(payload), "payload": payload}.
+func legacyEnvelope(t testing.TB, payload any) []byte {
+	t.Helper()
+	pb, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(pb)
+	raw, err := json.Marshal(map[string]any{"checksum": hex.EncodeToString(sum[:]), "payload": json.RawMessage(pb)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestLegacyEnvelopeSkipped places a report and an instance written by
+// the JSON-envelope format under their final names and checks that Open
+// skips and counts both — not loaded, not corrupt — and that a new put
+// of the same key replaces the old file.
+func TestLegacyEnvelopeSkipped(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(dir); err != nil { // creates the subdirectories
+		t.Fatal(err)
+	}
+	const key = "exact|hash-0000|opts"
+	m := testMeta(0)
+	report := legacyEnvelope(t, map[string]any{"version": 1, "key": key, "meta": m, "report": testReport(0)})
+	instance := legacyEnvelope(t, map[string]any{"version": 1, "hash": m.Hash, "sketch": m.Sketch,
+		"instance": json.RawMessage(`{"nodes":["s","t"]}`)})
+	if err := os.WriteFile(filepath.Join(dir, "reports", keyFile(key)), report, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "instances", m.Hash+".json"), instance, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr := re.Load(); lr.Reports != 0 || lr.Instances != 0 || lr.Skipped != 2 || lr.Corrupt != 0 {
+		t.Fatalf("load report %+v, want 0 loaded, 2 skipped, 0 corrupt", lr)
+	}
+	if _, ok := re.GetReport(key); ok {
+		t.Fatal("a legacy envelope was served as a report")
+	}
+	if _, ok := re.GetInstance(m.Hash); ok {
+		t.Fatal("a legacy envelope was served as an instance")
+	}
+	if st := re.Stats(); st.Corrupt != 0 {
+		t.Fatalf("Stats().Corrupt = %d, want 0", st.Corrupt)
+	}
+
+	if err := re.PutReport(key, m, testReport(0)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr := again.Load(); lr.Reports != 1 || lr.Skipped != 1 {
+		t.Fatalf("after a new put: %+v, want 1 report loaded and only the instance skipped", lr)
 	}
 }
 
@@ -237,6 +309,61 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	if lr := re.Load(); lr.Reports != writers*perWriter || lr.Corrupt != 0 {
 		t.Fatalf("reload found %+v, want %d clean reports", lr, writers*perWriter)
+	}
+}
+
+// TestConcurrentPutsOneKey races 8 different reports onto one key: the
+// first put wins, so exactly one report file exists and every read, in
+// this process and after a reopen, returns that one report.
+func TestConcurrentPutsOneKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key, writers = "exact|hash-0000|opts", 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if err := s.PutReport(key, testMeta(w), testReport(w)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if files, _ := filepath.Glob(filepath.Join(dir, "reports", "*")); len(files) != 1 {
+		t.Fatalf("%d report files after racing puts of one key, want 1: %v", len(files), files)
+	}
+	won, ok := s.GetReport(key)
+	if !ok {
+		t.Fatal("no report after racing puts")
+	}
+	want, _ := json.Marshal(won)
+	got := make([][]byte, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rep, _ := s.GetReport(key)
+			got[w], _ = json.Marshal(rep)
+		}(w)
+	}
+	wg.Wait()
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := re.GetReport(key)
+	reopened, _ := json.Marshal(rep)
+	for _, g := range append(got, reopened) {
+		if !bytes.Equal(g, want) {
+			t.Fatalf("read %s, want the first put's %s", g, want)
+		}
+	}
+	if lr := re.Load(); lr.Reports != 1 || lr.Corrupt != 0 {
+		t.Fatalf("reopen found %+v, want 1 clean report", lr)
 	}
 }
 
@@ -288,7 +415,8 @@ func TestNeighborLookup(t *testing.T) {
 // per-arc digests, not by their instance files: a report stored without
 // digests (as before they existed) still answers GetReport but never
 // donates, while one with digests donates with no instance file at all,
-// and its digests survive a reopen at about 4 bytes per arc.
+// and its 1,000 digests survive a reopen unchanged, at about 4 bytes per
+// arc in memory and at most 6 per arc on disk.
 func TestNeighborQualifiesByDigests(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -312,6 +440,20 @@ func TestNeighborQualifiesByDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The two entries differ only in their digests (the keys, hashes and
+	// reports have equal lengths), so the size gap is the digests' cost.
+	legacyFile, err := os.Stat(filepath.Join(dir, "reports", keyFile("exact|hash-0000|opts")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	donorFile, err := os.Stat(filepath.Join(dir, "reports", keyFile("exact|hash-0001|opts")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perArc := float64(donorFile.Size()-legacyFile.Size()) / float64(len(donor.Arcs)); perArc > 6 {
+		t.Fatalf("stored digests cost %.2f bytes per arc, want at most 6", perArc)
+	}
+
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +472,7 @@ func TestNeighborQualifiesByDigests(t *testing.T) {
 		if got, want := fmt.Sprint(m.Arcs), fmt.Sprint(donor.Arcs); got != want {
 			t.Fatalf("donor digests %s, want %s", got, want)
 		}
-		if cap(m.Arcs) > len(m.Arcs)*5/4 {
+		if cap(m.Arcs) != len(m.Arcs) {
 			t.Fatalf("donor digests hold %d words for %d arcs", cap(m.Arcs), len(m.Arcs))
 		}
 		if _, _, ok := st.Neighbor("sketch-a", "exact", legacy.OptKey, "hash-0001"); ok {
