@@ -91,6 +91,42 @@ func BenchmarkRelaxSolverReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkFrankWolfeCapRegime solves fresh-sized layered DAGs (about 130
+// arcs) whose duality gap does not close within the 2,400-iteration cap:
+// the regime where the stall stop, not the tolerance, ends the solve.
+// The instance is compiled once outside the timer; iters/op is the
+// Frank-Wolfe iteration count of the solve.
+func BenchmarkFrankWolfeCapRegime(b *testing.B) {
+	for _, tc := range []struct {
+		seed   int64
+		budget int64
+	}{{1, 27}, {6, 20}} {
+		budget := tc.budget
+		spec := scenario.Spec{Name: "bench", Family: "layered", Seed: tc.seed,
+			Params: scenario.Params{"layers": 8, "width": 8, "extra": 6, "tuples": 8, "maxt0": 60, "maxr": 4},
+			Budget: &budget}
+		inst, err := spec.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := core.Compile(inst)
+		b.Run(fmt.Sprintf("seed=%d", tc.seed), func(b *testing.B) {
+			s := relax.NewSolver(c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var res *relax.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = s.MinMakespan(context.Background(), budget, relax.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Iters), "iters/op")
+			b.ReportMetric(float64(res.Sol.Makespan), "makespan")
+			b.ReportMetric(res.LowerBound, "bound")
+		})
+	}
+}
+
 // BenchmarkScenarioBuild materializes every family at default parameters:
 // the fixed cost each corpus verification and property-test draw pays.
 func BenchmarkScenarioBuild(b *testing.B) {

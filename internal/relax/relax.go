@@ -30,6 +30,14 @@
 //     convexity: phi(f) + min_y <g, y - f> <= relax* <= OPT, so the reported
 //     bound is sound even when the (non-smooth) iteration stalls.
 //
+// The iteration ends at the first of four stops, recorded in Result.Stop:
+// the duality gap closes to the tolerance (StopGap); the oracle finds no
+// descent direction (StopOracle); two checkpoints stallEvery iterations
+// apart show neither bound moving (StopStall); or the size-scaled
+// iteration cap runs out (StopCap).  Each stop only cuts a deterministic
+// trajectory short: the reported bounds are those of iterates the solve
+// visited, and rounding starts from the best of them.
+//
 // # Execution model
 //
 // All O(m) inner work - the makespan sweep, the line-search probes and the
@@ -112,9 +120,11 @@ func (o Options) withDefaults(m int) Options {
 	if o.maxIters == 0 {
 		// Budget roughly constant total work (~20e6 arc-touches for the
 		// Frank-Wolfe loop): 50k-arc instances get a few hundred
-		// iterations and stay in the seconds regime, smaller instances
-		// iterate until the duality gap closes (the tolerance stop fires
-		// long before the cap on easy instances).
+		// iterations and stay in the seconds regime, and instances below
+		// about 8,300 arcs get 2,400.  Easy instances close the duality
+		// gap long before the cap; on the rest (a ~130-arc layered DAG
+		// with a budget of 20-60 among them) the gap never closes and the
+		// stall stop ends the solve.
 		o.maxIters = 20_000_000 / (m + 1)
 		if o.maxIters > 2400 {
 			o.maxIters = 2400
@@ -142,7 +152,45 @@ type Result struct {
 	LowerBound float64
 	// Iters counts Frank-Wolfe iterations actually run.
 	Iters int
+	// Stop names what ended the Frank-Wolfe solve behind RelaxValue (in
+	// target mode, the full-strength re-solve at the chosen budget).  A
+	// canceled solve reports its context error instead.
+	Stop Stop
 }
+
+// Stop names the rule that ended a Frank-Wolfe solve.
+type Stop string
+
+// Frank-Wolfe stop rules.
+const (
+	// StopNone: no Frank-Wolfe solve ran to a stop (target mode answered
+	// with the saturation flow, or the solve was canceled).
+	StopNone Stop = ""
+	// StopGap: the duality gap closed to within the tolerance.
+	StopGap Stop = "gap"
+	// StopOracle: the linear oracle found no descent direction (c* >= 0),
+	// so the iterate is optimal.
+	StopOracle Stop = "oracle"
+	// StopStall: neither the objective nor the certificate moved enough
+	// between two stall checkpoints.
+	StopStall Stop = "stall"
+	// StopCap: the iteration cap ran out.
+	StopCap Stop = "cap"
+)
+
+// The stall stop.  On non-smooth objectives Frank-Wolfe's certificate
+// flattens out long before the duality gap closes, and past that point
+// further iterations only polish an objective the rounding barely sees.
+// Every stallEvery iterations the loop takes a checkpoint of (bestObj,
+// bestLB); from the second checkpoint on it stops when, since the
+// previous one, the certificate rose by less than stallLBRise of
+// max(prevLB, 1) and the objective fell by less than stallObjFall of
+// prevObj.  The first possible stop is iteration 2*stallEvery.
+const (
+	stallEvery   = 200
+	stallLBRise  = 1e-3
+	stallObjFall = 1e-2
+)
 
 // Solver solves the envelope relaxation on one fixed instance repeatedly,
 // reusing all scratch buffers across solves.  Not safe for concurrent use;
@@ -526,7 +574,11 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 	// certificate below.
 	constSum := 0.0
 	wSum := 0.0
+	// The previous stall checkpoint; none is taken before iteration
+	// stallEvery.
+	prevObj, prevLB := math.Inf(1), math.Inf(-1)
 
+	ended := StopCap
 	for k := 0; k < o.maxIters; k++ {
 		if k&7 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -588,11 +640,25 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 			lastEmit = k
 		}
 
-		if gapOK || cstar >= 0 {
+		stop := StopNone
+		switch {
+		case gapOK:
+			stop = StopGap
+		case cstar >= 0:
+			stop = StopOracle
+		case (k+1)%stallEvery == 0:
+			if bestLB-prevLB < stallLBRise*math.Max(prevLB, 1) &&
+				prevObj-bestObj < stallObjFall*prevObj {
+				stop = StopStall
+			}
+			prevObj, prevLB = bestObj, bestLB
+		}
+		if stop != StopNone {
 			for _, e := range path {
 				s.costSlot[s.lv.ArcSlot[e]] = 0
 			}
 			res.Iters = k + 1
+			ended = stop
 			break
 		}
 
@@ -612,6 +678,7 @@ func (s *Solver) frankWolfe(ctx context.Context, budget int64, o Options, res *R
 	}
 	res.RelaxValue = bestObj
 	res.LowerBound = bestLB
+	res.Stop = ended
 	emit(res.Iters) // final trajectory point, whatever the throttle skipped
 	return nil
 }

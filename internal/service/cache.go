@@ -22,7 +22,9 @@ import (
 //     duplicates (the common batch shape) would all miss the still-empty
 //     cache and stampede the solve pool.  In cluster mode the flight is
 //     also where a non-owner forwards (see flightResult), so one flight
-//     map serves both.
+//     map serves both.  A flight computes under a context of its own, so
+//     one waiter leaving cannot cut the others' answer short; when the
+//     last waiter has left, the flight is canceled and unlisted.
 //
 // Only complete, error-free, locally computed reports are cached: an
 // interrupted solve is an artifact of that request's deadline, not a
@@ -56,6 +58,11 @@ type flight struct {
 	done chan struct{}
 	out  flightResult
 	err  error
+	// cancel ends the computation's context.  waiters counts the callers,
+	// leader included, still waiting on the outcome; the cache's mu
+	// guards it.
+	cancel  context.CancelFunc
+	waiters int
 }
 
 // CacheStats is a snapshot of cache effectiveness counters.
@@ -90,41 +97,54 @@ func newResultCache(capacity int) *resultCache {
 // complete, error-free, local result.  cached is true when compute did
 // not run for this call.  With share set, identical concurrent calls
 // coalesce: the first leads a flight and the rest wait on it, each
-// honoring its own ctx.  Without share (deadline-bounded requests) the
-// call neither leads nor joins a flight, so it never hands out — or
-// inherits — a truncation shaped by one request's deadline.  The
-// returned report's Flow slice is shared across callers and must be
-// treated as immutable.
-func (c *resultCache) do(ctx context.Context, key string, share bool, compute func() (flightResult, error)) (out flightResult, cached bool, err error) {
+// honoring its own ctx.  The flight's compute runs on the leader's
+// goroutine under a context detached from every waiter, canceled once
+// the last of them has left.  Without share (deadline-bounded requests)
+// the call neither leads nor joins a flight and computes under its own
+// ctx, so it never hands out — or inherits — a truncation shaped by one
+// request's deadline.  The returned report's Flow slice is shared across
+// callers and must be treated as immutable.
+func (c *resultCache) do(ctx context.Context, key string, share bool, compute func(context.Context) (flightResult, error)) (out flightResult, cached bool, err error) {
 	c.mu.Lock()
 	if rep, ok := c.lookupLocked(key); ok {
 		c.mu.Unlock()
 		return flightResult{rep: rep}, true, nil
 	}
 	var f *flight
+	solveCtx := ctx
 	if share {
 		if joined, ok := c.inflight[key]; ok {
 			c.coalesced++
+			joined.waiters++
 			c.mu.Unlock()
+			stop := context.AfterFunc(ctx, func() { c.leave(key, joined) })
 			select {
 			case <-joined.done:
+				stop()
 				return joined.out, true, joined.err
 			case <-ctx.Done():
-				// This caller gives up; the flight itself keeps computing for
-				// everyone else.
+				// This caller gives up; the flight computes on for whoever
+				// still waits.
 				return flightResult{}, false, ctx.Err()
 			}
 		}
-		f = &flight{done: make(chan struct{})}
+		var cancel context.CancelFunc
+		solveCtx, cancel = context.WithCancel(context.WithoutCancel(ctx))
+		defer cancel()
+		f = &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
 		c.inflight[key] = f
 	}
 	c.misses++
 	c.mu.Unlock()
+	if f != nil {
+		stop := context.AfterFunc(ctx, func() { c.leave(key, f) })
+		defer stop()
+	}
 
-	out, err = compute()
+	out, err = compute(solveCtx)
 
 	c.mu.Lock()
-	if f != nil {
+	if f != nil && c.inflight[key] == f {
 		delete(c.inflight, key)
 	}
 	if err == nil && out.fwd == nil && out.rep.Complete && c.capacity > 0 {
@@ -144,6 +164,21 @@ func (c *resultCache) do(ctx context.Context, key string, share bool, compute fu
 		close(f.done)
 	}
 	return out, false, err
+}
+
+// leave drops one waiter from flight f.  The last one out cancels the
+// flight's compute and unlists it, so a later identical request leads a
+// new flight instead of joining one that is winding down.
+func (c *resultCache) leave(key string, f *flight) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f.waiters--; f.waiters > 0 {
+		return
+	}
+	if c.inflight[key] == f {
+		delete(c.inflight, key)
+	}
+	f.cancel()
 }
 
 // lookupLocked returns the cached report for key and counts a hit.  The

@@ -19,7 +19,7 @@ func completeReport(makespan int64) solver.WireReport {
 // doLocal is do for a locally computed report, the only shape these
 // tests need (forwarded flights are covered by the cluster tests).
 func doLocal(c *resultCache, ctx context.Context, key string, share bool, compute func() (solver.WireReport, error)) (solver.WireReport, bool, error) {
-	out, cached, err := c.do(ctx, key, share, func() (flightResult, error) {
+	out, cached, err := c.do(ctx, key, share, func(context.Context) (flightResult, error) {
 		rep, err := compute()
 		return flightResult{rep: rep}, err
 	})

@@ -512,12 +512,13 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 	// computes under a context detached from this requester, so one
 	// client disconnecting cannot poison the identical requests (and the
 	// future cache entries) riding on its flight; each waiter still honors
-	// its own context while waiting.  Deadline-bounded requests may
-	// legitimately end truncated, and a truncation is shaped by THIS
-	// request's deadline — it must be neither shared with nor inherited
-	// from anyone else.  They read the cache (a complete result satisfies
-	// any deadline), compute under their own context otherwise, and
-	// contribute complete results back.
+	// its own context while waiting, and the flight's solve is canceled
+	// once every waiter has left (resultCache.do).  Deadline-bounded
+	// requests may legitimately end truncated, and a truncation is shaped
+	// by THIS request's deadline — it must be neither shared with nor
+	// inherited from anyone else.  They read the cache (a complete result
+	// satisfies any deadline), compute under their own context otherwise,
+	// and contribute complete results back.
 	share := opts.Deadline.IsZero()
 	var storeHit, warm bool
 	// compute runs only on an LRU miss, for the flight's leader.  On a
@@ -531,11 +532,7 @@ func (s *Server) solvePrepared(ctx context.Context, p *prepared, start time.Time
 	// through to the store.  Warm starts are hints by contract
 	// (solver.Options.Incumbent): certificates are recomputed, so a wrong
 	// or stale donor can cost time but never change a complete result.
-	compute := func() (flightResult, error) {
-		solveCtx := ctx
-		if share {
-			solveCtx = context.WithoutCancel(ctx)
-		}
+	compute := func(solveCtx context.Context) (flightResult, error) {
 		if p.owner != "" {
 			if resp, ok := s.cluster.forward(solveCtx, p); ok {
 				return flightResult{fwd: &resp}, nil
