@@ -10,7 +10,11 @@
 // Recording parses `ns/op` (and, when present, `allocs/op`) lines, strips
 // the -GOMAXPROCS suffix, and keeps the MINIMUM across repetitions of each
 // benchmark: the minimum is the least noisy location statistic for
-// benchmark times (noise on shared CI runners is strictly additive).
+// benchmark times (noise on shared CI runners is strictly additive).  The
+// record also says what machine it was measured on: the GOMAXPROCS of the
+// bench lines (their -N suffix; no suffix means 1) and the NumCPU of the
+// recording process.  Both modes below print them, so a parallel sweep
+// recorded on fewer cores than it asks for reads as such.
 //
 // Comparison computes the geometric mean of the per-benchmark new/old
 // ratios over the benchmarks present on both sides and exits nonzero if it
@@ -31,7 +35,10 @@
 // 1.0 at any p means adding workers made the solve SLOWER - a coordination
 // regression, and the gate fails; a p=4 speedup below -scaling-warn
 // (default 2.0x) is printed as a warning, because on a shared runner a
-// soft efficiency target is a nudge, not a verdict.
+// soft efficiency target is a nudge, not a verdict.  A rung whose p
+// exceeds the recorded GOMAXPROCS or NumCPU is labeled oversubscribed:
+// its workers time-share fewer processors, so its speedup measures
+// coordination cost, not scaling.  It is gated all the same.
 package main
 
 import (
@@ -43,6 +50,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 )
@@ -61,6 +69,10 @@ type Baseline struct {
 	// Schema 2 stores ns/op and allocs/op per benchmark.  Older schemas
 	// are refused: re-record them with -record.
 	Schema int `json:"schema"`
+	// GOMAXPROCS and NumCPU describe the machine the run was recorded on;
+	// 0 (unrecorded) in baselines written before they were.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	NumCPU     int `json:"num_cpu,omitempty"`
 	// Benchmarks maps benchmark name (sub-benchmarks included, CPU suffix
 	// stripped) to its record.
 	Benchmarks map[string]Record `json:"benchmarks"`
@@ -69,7 +81,7 @@ type Baseline struct {
 // benchLine matches `BenchmarkName-8  3  123456 ns/op  99 B/op  4 allocs/op`
 // including sub-benchmarks, extra ReportMetric columns, and runs without
 // -benchmem (the B/op and allocs/op groups are optional).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) allocs/op)?`)
 
 func main() {
 	log.SetFlags(0)
@@ -113,9 +125,11 @@ func main() {
 }
 
 // parseBench reads `go test -bench` text and returns min ns/op and min
-// allocs/op per name.
-func parseBench(r *os.File) (map[string]Record, error) {
+// allocs/op per name, and the GOMAXPROCS the lines ran at: the largest -N
+// suffix, 1 when no line has one.
+func parseBench(r *os.File) (map[string]Record, int, error) {
 	mins := make(map[string]Record)
+	procs := 1
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -123,14 +137,21 @@ func parseBench(r *os.File) (map[string]Record, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		if m[2] != "" {
+			n, err := strconv.Atoi(m[2])
+			if err != nil {
+				return nil, 0, fmt.Errorf("line %q: %w", sc.Text(), err)
+			}
+			procs = max(procs, n)
+		}
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
-			return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
+			return nil, 0, fmt.Errorf("line %q: %w", sc.Text(), err)
 		}
 		allocs := -1.0
-		if m[3] != "" {
-			if allocs, err = strconv.ParseFloat(m[3], 64); err != nil {
-				return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
+		if m[4] != "" {
+			if allocs, err = strconv.ParseFloat(m[4], 64); err != nil {
+				return nil, 0, fmt.Errorf("line %q: %w", sc.Text(), err)
 			}
 		}
 		rec, seen := mins[m[1]]
@@ -147,12 +168,12 @@ func parseBench(r *os.File) (map[string]Record, error) {
 		mins[m[1]] = rec
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(mins) == 0 {
-		return nil, fmt.Errorf("no benchmark lines found")
+		return nil, 0, fmt.Errorf("no benchmark lines found")
 	}
-	return mins, nil
+	return mins, procs, nil
 }
 
 func doRecord(inPath, outPath string) error {
@@ -165,11 +186,11 @@ func doRecord(inPath, outPath string) error {
 		}
 		defer f.Close()
 	}
-	mins, err := parseBench(f)
+	mins, procs, err := parseBench(f)
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(Baseline{Schema: 2, Benchmarks: mins}, "", "  ")
+	data, err := json.MarshalIndent(Baseline{Schema: 2, GOMAXPROCS: procs, NumCPU: runtime.NumCPU(), Benchmarks: mins}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -198,6 +219,23 @@ func loadBaseline(path string) (Baseline, error) {
 		return b, fmt.Errorf("%s: no benchmarks recorded", path)
 	}
 	return b, nil
+}
+
+// machine says what the run was recorded on.
+func (b Baseline) machine() string {
+	recorded := func(n int) string {
+		if n <= 0 {
+			return "unrecorded"
+		}
+		return strconv.Itoa(n)
+	}
+	return fmt.Sprintf("GOMAXPROCS %s, NumCPU %s", recorded(b.GOMAXPROCS), recorded(b.NumCPU))
+}
+
+// oversubscribed reports whether p workers exceed the recorded GOMAXPROCS
+// or NumCPU.  An unrecorded value oversubscribes nothing.
+func (b Baseline) oversubscribed(p int) bool {
+	return b.GOMAXPROCS > 0 && p > b.GOMAXPROCS || b.NumCPU > 0 && p > b.NumCPU
 }
 
 // sortedNames returns the benchmark names of m in sorted order.
@@ -254,6 +292,8 @@ func doCompare(basePath, newPath string, threshold, allocThreshold float64) (boo
 	if err != nil {
 		return false, err
 	}
+	fmt.Printf("baseline %s: %s\n", basePath, base.machine())
+	fmt.Printf("new      %s: %s\n", newPath, fresh.machine())
 
 	type row struct {
 		name        string
@@ -421,10 +461,15 @@ func doScaling(path string, warnAt float64) (bool, error) {
 	if len(groups) == 0 {
 		return false, fmt.Errorf("%s: no name/p=N benchmark families to gate", path)
 	}
+	fmt.Printf("recorded on %s\n", b.machine())
 	fmt.Printf("%-50s %6s %14s %10s\n", "FAMILY", "p", "ns/op", "SPEEDUP")
 	for _, g := range groups {
 		for _, r := range g.rungs {
-			fmt.Printf("%-50s %6d %14.1f %9.2fx\n", g.name, r.procs, r.nsOp, r.speedup)
+			label := ""
+			if b.oversubscribed(r.procs) {
+				label = "  oversubscribed"
+			}
+			fmt.Printf("%-50s %6d %14.1f %9.2fx%s\n", g.name, r.procs, r.nsOp, r.speedup, label)
 		}
 	}
 	fmt.Println()

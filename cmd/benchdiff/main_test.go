@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -139,7 +142,7 @@ func TestParseBenchKeepsMinima(t *testing.T) {
 		"BenchmarkNoMem-8                    5    900 ns/op",
 		"PASS",
 	}, "\n"))
-	mins, err := parseBench(f)
+	mins, _, err := parseBench(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +181,148 @@ func TestLoadBaselineRefusesOldSchemas(t *testing.T) {
 	}
 	if _, err := loadBaseline(v1); err == nil || !strings.Contains(err.Error(), "-record") {
 		t.Fatalf("schema-1 baseline: error %v, want one telling to re-record with -record", err)
+	}
+}
+
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan string)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- string(out)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	f()
+	w.Close()
+	return <-done
+}
+
+// writeBaseline writes a baseline document into dir and returns its path.
+func writeBaseline(t *testing.T, dir, name, doc string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestParseBenchGOMAXPROCS: the lines' -N suffix is the GOMAXPROCS they
+// ran at, and lines without one ran at 1.
+func TestParseBenchGOMAXPROCS(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want int
+	}{
+		{"BenchmarkExactParallel/p=2-8   3   2000000 ns/op", 8},
+		{"BenchmarkExactParallel/p=2     3   2000000 ns/op", 1},
+	} {
+		_, procs, err := parseBench(writeTemp(t, tc.line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if procs != tc.want {
+			t.Errorf("%q: GOMAXPROCS %d, want %d", tc.line, procs, tc.want)
+		}
+	}
+}
+
+// TestRecordWritesMachine: -record writes gomaxprocs and num_cpu beside
+// schema, from the lines' suffix and from this process.
+func TestRecordWritesMachine(t *testing.T) {
+	dir := t.TempDir()
+	in := writeBaseline(t, dir, "bench.txt", "BenchmarkX/p=4-4   3   100 ns/op   2 allocs/op\n")
+	out := filepath.Join(dir, "bench.json")
+	if err := doRecord(in, out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Schema != 2 || b.GOMAXPROCS != 4 || b.NumCPU != runtime.NumCPU() {
+		t.Fatalf("recorded schema %d, gomaxprocs %d, num_cpu %d; want 2, 4, %d", b.Schema, b.GOMAXPROCS, b.NumCPU, runtime.NumCPU())
+	}
+	doc := string(data)
+	if i, j, k := strings.Index(doc, `"schema"`), strings.Index(doc, `"gomaxprocs"`), strings.Index(doc, `"num_cpu"`); !(i < j && j < k && k < strings.Index(doc, `"benchmarks"`)) {
+		t.Fatalf("machine fields not beside schema:\n%s", doc)
+	}
+}
+
+// TestMachineUnrecorded: a baseline written before the machine fields
+// still loads, says so when printed, and oversubscribes nothing.
+func TestMachineUnrecorded(t *testing.T) {
+	path := writeBaseline(t, t.TempDir(), "old.json", `{"schema":2,"benchmarks":{"BenchmarkX":{"ns_op":100,"allocs_op":3}}}`)
+	b, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.machine(); got != "GOMAXPROCS unrecorded, NumCPU unrecorded" {
+		t.Fatalf("machine() = %q", got)
+	}
+	if b.oversubscribed(64) {
+		t.Fatal("an unrecorded machine must not mark rungs oversubscribed")
+	}
+}
+
+// TestComparePrintsMachines: the compare mode names both runs' machines,
+// and the gate does not depend on them.
+func TestComparePrintsMachines(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBaseline(t, dir, "base.json", `{"schema":2,"benchmarks":{"BenchmarkX":{"ns_op":100,"allocs_op":3}}}`)
+	fresh := writeBaseline(t, dir, "new.json", `{"schema":2,"gomaxprocs":2,"num_cpu":4,"benchmarks":{"BenchmarkX":{"ns_op":100,"allocs_op":3}}}`)
+	var ok bool
+	var err error
+	out := captureStdout(t, func() { ok, err = doCompare(base, fresh, 1.30, 1.15) })
+	if err != nil || !ok {
+		t.Fatalf("equal runs: ok %v, err %v", ok, err)
+	}
+	for _, want := range []string{"GOMAXPROCS unrecorded, NumCPU unrecorded", "GOMAXPROCS 2, NumCPU 4"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("compare output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestScalingLabelsOversubscribed: rungs past the recorded GOMAXPROCS or
+// NumCPU are labeled oversubscribed and still gated.
+func TestScalingLabelsOversubscribed(t *testing.T) {
+	path := writeBaseline(t, t.TempDir(), "run.json", `{"schema":2,"gomaxprocs":4,"num_cpu":2,"benchmarks":{
+		"BenchmarkS/p=1":{"ns_op":1000,"allocs_op":1},
+		"BenchmarkS/p=2":{"ns_op":600,"allocs_op":1},
+		"BenchmarkS/p=4":{"ns_op":500,"allocs_op":1},
+		"BenchmarkS/p=8":{"ns_op":1100,"allocs_op":1}}}`)
+	var ok bool
+	var err error
+	out := captureStdout(t, func() { ok, err = doScaling(path, 2.0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Fatalf("p=8 is slower than p=1; the gate must fail even though it is oversubscribed:\n%s", out)
+	}
+	if !strings.Contains(out, "GOMAXPROCS 4, NumCPU 2") {
+		t.Errorf("scaling output lacks the machine:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 4 || fields[0] != "BenchmarkS" {
+			continue
+		}
+		labeled := strings.HasSuffix(line, "oversubscribed")
+		if want := fields[1] == "4" || fields[1] == "8"; labeled != want {
+			t.Errorf("p=%s: oversubscribed label %v, want %v", fields[1], labeled, want)
+		}
 	}
 }

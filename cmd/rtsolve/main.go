@@ -17,9 +17,10 @@
 // POST /v1/frontier, sharing that service's caches and durable store.
 // Both modes validate the range the same way and print the same table.
 //
-// -parallel sizes the exact branch-and-bound's work-stealing pool (0
-// means GOMAXPROCS) and, at 2 or more, arms auto's option to race exact
-// against the bi-criteria rounding near the exact-search threshold.
+// -parallel sets the exact branch-and-bound's worker count (0 means
+// GOMAXPROCS, 1 searches on one goroutine) and, at 2 or more, arms auto's
+// option to race exact against the bi-criteria rounding near the
+// exact-search threshold.
 //
 // With -budget the makespan is minimized; with -target the resource
 // usage is minimized.  The registry rejects unsupported combinations up

@@ -2,81 +2,84 @@ package hotalloc
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
 // This file extends the corpus with the parallel hot-path shapes the
-// solver's raw-speed tier runs: work-stealing deque operations, a
-// level-sweep kernel, and an arena-backed wire encoder.  Each has a
-// clean form (everything the analyzer must accept: atomics, slot
-// stores, append into fields and caller buffers) and a regression twin
+// solver's raw-speed tier runs: a shared task queue, a level-sweep
+// kernel, and an arena-backed wire encoder.  Each has a clean form
+// (everything the analyzer must accept: atomics, a mutex, list links,
+// append into fields and caller buffers) and a regression twin
 // exhibiting how each path realistically rots (materializing tasks per
-// push, growing rings inline, formatting in the steal loop, encoding
-// through fmt).
+// push, tracing in the sweep kernel, encoding through fmt).
 
 // job stands in for a shed search subtree.
 type job struct {
 	level []int
+	next  *job
 }
 
-// ring is a fixed-size power-of-two slot array of a Chase-Lev deque.
-type ring struct {
-	mask int64
-	slot []atomic.Pointer[job]
+// taskQueue is the corpus double of the exact search's shared task
+// queue: a FIFO list through the jobs under a mutex, beside an atomic
+// count that idle workers poll without the lock.
+type taskQueue struct {
+	mu         sync.Mutex
+	head, tail *job
+	queued     atomic.Int32
 }
 
-// wsDeque is the corpus double of the exact search's per-worker deque.
-type wsDeque struct {
-	top, bottom atomic.Int64
-	ring        atomic.Pointer[ring]
-	grow        func(r *ring, b, t int64) *ring
-}
-
-// push is the clean owner-side push: atomic loads, a slot store, a
-// bottom bump, and an out-of-line grow call — nothing allocates here.
+// push is the clean producer side: the lock, a tail link and a count
+// bump - nothing allocates here.
 //
-//rt:hotpath — corpus: the accepted deque shapes.
-func (d *wsDeque) push(tk *job) {
-	b := d.bottom.Load()
-	t := d.top.Load()
-	r := d.ring.Load()
-	if b-t >= int64(len(r.slot)) {
-		r = d.grow(r, b, t)
+//rt:hotpath — corpus: the accepted queue shapes.
+func (q *taskQueue) push(tk *job) {
+	q.mu.Lock()
+	if q.tail == nil {
+		q.head = tk
+	} else {
+		q.tail.next = tk
 	}
-	r.slot[b&r.mask].Store(tk)
-	d.bottom.Store(b + 1)
+	q.tail = tk
+	q.queued.Add(1)
+	q.mu.Unlock()
 }
 
-// steal is the clean thief side: loads plus one CAS arbitration.
+// poll is the clean consumer side: an atomic load, the lock only when a
+// job waits, and a head unlink.
 //
-//rt:hotpath — corpus: the accepted steal shapes.
-func (d *wsDeque) steal() *job {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
+//rt:hotpath — corpus: the accepted poll shapes.
+func (q *taskQueue) poll() *job {
+	if q.queued.Load() == 0 {
 		return nil
 	}
-	r := d.ring.Load()
-	tk := r.slot[t&r.mask].Load()
-	if !d.top.CompareAndSwap(t, t+1) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	tk := q.head
+	if tk == nil {
 		return nil
 	}
+	q.head, tk.next = tk.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.queued.Add(-1)
 	return tk
 }
 
-// pushFresh is how deque code rots: materializing the task and growing
-// the ring at the push site instead of recycling through pools and the
-// out-of-line grow.
+// pushFresh is how queue code rots: materializing the task and its
+// snapshot at the push site, and batching through a fresh slice,
+// instead of recycling jobs through a pool.
 //
 //rt:hotpath — corpus: per-push materialization must be diagnosed.
-func (d *wsDeque) pushFresh(level []int) {
+func (q *taskQueue) pushFresh(level []int) {
 	tk := &job{} // want `address-taken composite literal allocates`
 	var snapshot []int
-	snapshot = append(snapshot, level...)     // want `append to a non-reused destination allocates`
-	bigger := make([]atomic.Pointer[job], 64) // want `make allocates`
-	_ = bigger
+	snapshot = append(snapshot, level...) // want `append to a non-reused destination allocates`
+	batch := make([]*job, 0, 64)          // want `make allocates`
+	_ = batch
 	tk.level = snapshot
-	d.push(tk)
+	q.push(tk)
 }
 
 // sweeper is the corpus double of the level-sweep kernel's per-worker

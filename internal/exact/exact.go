@@ -22,21 +22,24 @@
 //
 // # Parallel search
 //
-// The branch-and-bound runs on a work-stealing worker pool
-// (Options.Parallelism; the default is GOMAXPROCS).  Every worker owns a
-// Chase-Lev deque of frontier tasks: the root's children are dealt
-// round-robin to seed the deques, after which parallelism spreads by
-// DEMAND-DRIVEN SHEDDING — a worker counts as hungry while it hunts for
-// work, and any worker expanding a node with several branching candidates
-// sheds the trailing siblings into its own deque the moment somebody is
-// hungry.  Owners pop their own deque LIFO (diving back into the subtree
-// they just shed, caches warm); hungry workers steal FIFO from the top,
-// taking the oldest — shallowest, biggest — subtrees.  A search with no
-// hungry workers sheds nothing and runs each subtree by pure recursion,
-// so the steady state does the same work as the sequential search.
+// The branch-and-bound runs on Options.Parallelism workers (the default
+// is GOMAXPROCS) that share one FIFO queue of frontier tasks.  Worker 0
+// searches from the root on the calling goroutine, with Parallelism-1
+// helper goroutines beside it; every worker runs the same loop, and the
+// sequential search is that loop with no helper.  Parallelism spreads by
+// DEMAND-DRIVEN SHEDDING: a worker without a task counts as hungry while
+// it polls the queue, and a worker expanding a node with several
+// branching candidates queues the trailing siblings while hungry workers
+// outnumber queued tasks.  The helpers start hungry, so the root is
+// visited alone and its trailing children are queued as soon as it is
+// expanded.  The queue is FIFO, so hungry workers take the oldest —
+// shallowest, biggest — subtrees.  A search with no hungry workers sheds
+// nothing and runs each subtree by pure recursion, so the steady state
+// does the same work as the sequential search, and a single worker visits
+// exactly the nodes of one depth-first recursion from the root.
 // Termination is a single atomic count of live tasks (queued plus
-// executing): shedding increments it before the push, finishing a task's
-// subtree decrements it, and a hungry worker exits when it reads zero.
+// executing): queueing increments it, finishing a task's subtree
+// decrements it, and a hungry worker exits when it reads zero.
 //
 // Workers share one incumbent: the best objective value lives in an
 // atomic integer that pruning reads lock-free on every node, while
@@ -45,7 +48,7 @@
 // cancellation flags are all atomics, so the search is safe under the
 // race detector and the returned *optimum value* is deterministic across
 // worker counts (the witness flow may differ when several flows are
-// optimal; stealing reorders only WHEN subtrees run, never what they
+// optimal; shedding reorders only WHEN subtrees run, never what they
 // contain).  Each worker owns a flow.MinFlowSolver, so the per-node
 // min-flow reuses one transformed network instead of rebuilding it; the
 // workers themselves, their task buffers, and the flow networks are
@@ -73,9 +76,9 @@ type Options struct {
 	// default of 1<<20.  When exceeded the result carries Complete=false.
 	MaxNodes int
 	// Parallelism is the number of branch-and-bound workers: 0 uses
-	// GOMAXPROCS, 1 forces the sequential search, larger values size the
-	// worker pool.  The optimum value returned by a complete search does
-	// not depend on it.
+	// GOMAXPROCS, and 1 runs the whole search on the calling goroutine.
+	// The optimum value returned by a complete search does not depend on
+	// it.
 	Parallelism int
 	// Incumbent optionally seeds the search with a known-feasible flow
 	// (typically a stored neighbor's solution): if it is a conserved flow
@@ -164,14 +167,20 @@ type shared struct {
 	// progress mirrors Options.Progress; nil when nobody is listening.
 	progress func(incumbent, bound float64, nodes int64)
 
-	// Work-stealing scheduler state (parallel runs only).  dqs[i] is
-	// worker i's Chase-Lev deque; pending counts live tasks (queued plus
-	// executing) and reaching zero terminates hungry workers; hungry
-	// counts workers currently hunting for work — the signal that makes
-	// busy workers shed subtrees.
-	dqs     []deque
-	pending atomic.Int64
-	hungry  atomic.Int32
+	// Scheduler state.  The task queue is a FIFO list from head to tail
+	// through task.next, guarded by qmu; queued mirrors its length so idle
+	// workers poll it without the lock.  pending counts live tasks (queued
+	// plus executing), and reaching zero terminates hungry workers; hungry
+	// counts workers without a task, the signal that makes busy workers
+	// shed.
+	qmu        sync.Mutex
+	head, tail *task // guarded by qmu
+	queued     atomic.Int32
+	pending    atomic.Int64
+	hungry     atomic.Int32
+
+	wg    sync.WaitGroup // helper workers
+	fault any            // first worker panic, guarded by mu
 }
 
 // flowPool is where every search's branch-and-bound workers park their
@@ -330,11 +339,6 @@ type worker struct {
 	frozen []bool
 	mf     *flow.MinFlowSolver
 
-	// dq is this worker's own work-stealing deque (nil in the sequential
-	// search); self is its index into sh.dqs, where steals start.
-	dq   *deque
-	self int
-
 	lb    []int64 // per-arc lower bounds of the current assignment
 	durs  []int64 // per-arc assigned durations
 	rdurs []int64 // per-arc realized durations under the min-flow
@@ -399,8 +403,6 @@ func newWorker(sh *shared) *worker {
 	}
 	w.sh = sh
 	w.mf = flowPool.Get(sh.inst.G, sh.inst.Source, sh.inst.Sink)
-	w.dq = nil
-	w.self = 0
 	w.level = intSlice(w.level, m)
 	w.frozen = boolSlice(w.frozen, m)
 	w.lb = int64Slice(w.lb, m)
@@ -420,7 +422,6 @@ func (w *worker) release() {
 	flowPool.Put(w.mf)
 	w.mf = nil
 	w.sh = nil
-	w.dq = nil
 	workerPool.Put(w)
 }
 
@@ -494,9 +495,10 @@ func (w *worker) visit() (candidates []int, ok bool) {
 	if sh.minimizeResource {
 		// The root assignment's min-flow value bounds every node's from
 		// below (lower bounds only grow down the tree), so it is the
-		// resource floor.  The root is visited first and alone, before the
-		// pool starts, which makes this CAS effectively a write-once — and
-		// the one-time bound-established progress event rides its success.
+		// resource floor.  The root is visited first and alone (the helpers
+		// have no task until it is expanded), which makes this CAS
+		// effectively a write-once — and the one-time bound-established
+		// progress event rides its success.
 		if sh.floor.CompareAndSwap(-1, res.Value) {
 			sh.emitProgress()
 		}
@@ -570,22 +572,21 @@ func (w *worker) visit() (candidates []int, ok bool) {
 }
 
 // expand runs the hitting-set loop over the candidates, recursing into
-// each child.  In a parallel search it additionally SHEDS work on demand:
-// whenever some worker is hungry and more than one sibling remains, the
-// trailing siblings are materialized as frontier tasks on this worker's
-// own deque (whence thieves steal them from the top) and only the current
-// child is recursed into directly.  Shed tasks carry their own
-// level/frozen snapshots with the hitting-set freeze marks applied, so
+// each child.  While hungry workers outnumber queued tasks and more than
+// one sibling remains, it SHEDS the trailing siblings onto the shared
+// queue and recurses only into the current child.  Shed tasks carry their
+// own level/frozen snapshots with the hitting-set freeze marks applied, so
 // the enumeration still visits every minimal repair exactly once no
 // matter which worker runs which sibling.
 func (w *worker) expand(candidates []int) {
+	sh := w.sh
 	base := len(w.candStack)
 	w.candStack = append(w.candStack, candidates...)
 	n := len(candidates)
 	own := n // siblings this worker still runs itself
 	for i := 0; i < own; i++ {
-		if w.dq != nil && i+1 < own && w.sh.hungry.Load() > 0 {
-			w.shed(base, i, own)
+		if i+1 < own && sh.hungry.Load() > sh.queued.Load() {
+			w.shed(w.candStack[base+i : base+own])
 			own = i + 1
 		}
 		// Index through w.candStack rather than a saved sub-slice: deeper
@@ -594,7 +595,7 @@ func (w *worker) expand(candidates []int) {
 		w.level[e]++
 		w.recurse()
 		w.level[e]--
-		if w.sh.done.Load() || w.sh.stopped.Load() {
+		if sh.done.Load() || sh.stopped.Load() {
 			break
 		}
 		w.frozen[e] = true
@@ -609,24 +610,20 @@ func (w *worker) expand(candidates []int) {
 	w.candStack = w.candStack[:base]
 }
 
-// shed turns the siblings after position i (up to n, exclusive) into
-// frontier tasks on this worker's deque.  Sibling j's subtree raises
-// candidate j with candidates 0..j-1 frozen; w.frozen already carries the
-// marks for 0..i-1, so each snapshot adds the marks for i..j-1 on top.
-// pending is incremented before each push so a hungry worker can never
-// observe a moment where live work exists but the count reads zero.
-func (w *worker) shed(base, i, n int) {
-	sh := w.sh
-	for j := i + 1; j < n; j++ {
+// shed queues the siblings cands[1:] as tasks, in order, while this
+// worker runs cands[0].  Sibling j's subtree raises cands[j] with
+// cands[:j] frozen on top of w.frozen, which already carries the marks of
+// the candidates before cands.
+func (w *worker) shed(cands []int) {
+	for j := 1; j < len(cands); j++ {
 		tk := getTask(len(w.level))
 		copy(tk.level, w.level)
 		copy(tk.frozen, w.frozen)
-		for k := i; k < j; k++ {
-			tk.frozen[w.candStack[base+k]] = true
+		for _, e := range cands[:j] {
+			tk.frozen[e] = true
 		}
-		tk.level[w.candStack[base+j]]++
-		sh.pending.Add(1)
-		w.dq.push(tk)
+		tk.level[cands[j]]++
+		w.sh.push(tk)
 	}
 }
 
@@ -639,10 +636,12 @@ func (w *worker) recurse() {
 // task is a frontier node: an assignment plus freeze marks whose subtree
 // is still unexplored.  Tasks are recycled through taskPool — the buffers
 // are copied into the executing worker's state and returned to the pool
-// before the subtree runs.
+// before the subtree runs.  Queued tasks link through next, so the queue
+// allocates nothing of its own.
 type task struct {
 	level  []int
 	frozen []bool
+	next   *task // guarded by shared.qmu
 }
 
 var taskPool sync.Pool
@@ -661,58 +660,109 @@ func getTask(m int) *task {
 	return tk
 }
 
-// loop is one parallel worker's scheduling loop: drain the own deque
-// LIFO, then go hungry and steal FIFO from the others until either work
-// turns up or no live task remains anywhere.
-func (w *worker) loop() {
-	sh := w.sh
-	for {
-		if sh.done.Load() || sh.stopped.Load() {
-			return
-		}
-		tk := w.dq.pop()
-		if tk == nil {
-			tk = w.stealWork()
-			if tk == nil {
-				return
-			}
-		}
-		copy(w.level, tk.level)
-		copy(w.frozen, tk.frozen)
-		taskPool.Put(tk)
-		w.recurse()
-		sh.pending.Add(-1)
+// push appends tk to the queue.  pending is incremented first, so a
+// hungry worker never reads zero while live work exists.
+//
+//rt:hotpath — every shed subtree goes through here.
+func (sh *shared) push(tk *task) {
+	sh.pending.Add(1)
+	sh.qmu.Lock()
+	if sh.tail == nil {
+		sh.head = tk
+	} else {
+		sh.tail.next = tk
 	}
+	sh.tail = tk
+	sh.queued.Add(1)
+	sh.qmu.Unlock()
 }
 
-// stealWork hunts the other deques for a task, counting this worker as
-// hungry while it looks (the signal that makes busy workers shed).  It
-// returns nil when the search is over: every live task finished, or a
-// stop flag fired.  The spin is cheap — a failed round is a few atomic
-// loads per victim — and bounded, because executing workers either shed
-// (feeding the thief) or finish (draining pending toward zero).
-func (w *worker) stealWork() *task {
-	sh := w.sh
-	sh.hungry.Add(1)
-	defer sh.hungry.Add(-1)
+// poll takes the task at the queue's head, or returns nil when there is
+// none.  It takes the lock only when queued says a task is waiting.
+//
+//rt:hotpath — idle workers poll through here.
+func (sh *shared) poll() *task {
+	if sh.queued.Load() == 0 {
+		return nil
+	}
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	tk := sh.head
+	if tk == nil {
+		return nil
+	}
+	sh.head, tk.next = tk.next, nil
+	if sh.head == nil {
+		sh.tail = nil
+	}
+	sh.queued.Add(-1)
+	return tk
+}
+
+// take returns the next task for an idle worker, or nil when the search
+// is over: every live task finished, or a stop flag fired.  The caller
+// counts as hungry until it gets a task; while the queue is empty it
+// yields between polls.  The spin is bounded, because executing workers
+// either shed (feeding it) or finish (draining pending toward zero).
+//
+//rt:hotpath — idle workers spin through here.
+func (sh *shared) take() *task {
 	for {
-		if sh.done.Load() || sh.stopped.Load() || sh.pending.Load() == 0 {
-			return nil
+		if tk := sh.poll(); tk != nil {
+			sh.hungry.Add(-1)
+			return tk
 		}
-		for i := 1; i < len(sh.dqs); i++ {
-			if tk := sh.dqs[(w.self+i)%len(sh.dqs)].steal(); tk != nil {
-				return tk
-			}
+		if sh.pending.Load() == 0 || sh.done.Load() || sh.stopped.Load() {
+			return nil
 		}
 		runtime.Gosched()
 	}
 }
 
-// run drives the search with the given worker-pool size.  The sequential
-// search and the root visit run on the calling goroutine.  A panic in a
-// worker goroutine is recovered there, stops the other workers, and is
-// re-raised on the calling goroutine once the gang has joined, so it fails
-// this solve instead of the process.
+// work is one worker's scheduling loop.  Worker 0 (root set) first
+// searches from the root; then every worker takes a task, searches its
+// subtree and counts itself hungry again, until the search is over, and
+// releases w.  A panic is recovered here: it stops the other workers and
+// is kept for run to re-raise.
+func (w *worker) work(root bool) {
+	sh := w.sh
+	defer func() {
+		if r := recover(); r != nil {
+			sh.mu.Lock()
+			if sh.fault == nil {
+				sh.fault = r
+			}
+			sh.mu.Unlock()
+			sh.stopped.Store(true)
+		}
+	}()
+	for ; root || !sh.done.Load() && !sh.stopped.Load(); root = false {
+		if !root {
+			tk := sh.take()
+			if tk == nil {
+				break
+			}
+			copy(w.level, tk.level)
+			copy(w.frozen, tk.frozen)
+			taskPool.Put(tk)
+		}
+		w.recurse()
+		sh.pending.Add(-1)
+		sh.hungry.Add(1)
+	}
+	w.release()
+}
+
+// run drives the search on parallelism workers (GOMAXPROCS when it is
+// not positive).  Worker 0 searches from the root on the calling
+// goroutine, and the helpers beside it start hungry, so the root's visit
+// runs alone (it establishes the resource floor) and the root's trailing
+// children are queued for the helpers as soon as it is expanded.  A
+// sequential search is the same loop with no helper: it starts no
+// goroutine, queues nothing, and visits exactly the nodes of one
+// depth-first recursion.  A panic on any worker stops the others and is
+// re-raised on the calling goroutine once every helper has returned, so it
+// fails this solve instead of the process.
 func (sh *shared) run(parallelism int) {
 	par := parallelism
 	if par <= 0 {
@@ -721,60 +771,19 @@ func (sh *shared) run(parallelism int) {
 	if sh.done.Load() {
 		return // a seeded incumbent already proved optimal
 	}
-	root := newWorker(sh)
-	if par <= 1 {
-		root.recurse()
-		root.release()
-		return
+	sh.pending.Store(1) // the root, on worker 0
+	sh.hungry.Store(int32(par - 1))
+	for i := 1; i < par; i++ {
+		sh.wg.Add(1)
+		go func() {
+			defer sh.wg.Done()
+			newWorker(sh).work(false)
+		}()
 	}
-
-	// Visit the root alone (it establishes the resource floor) and deal
-	// its children round-robin across the workers' deques.  That is the
-	// whole static split: from here on, demand-driven shedding and
-	// stealing balance the tree however lopsided it turns out to be.
-	cand, ok := root.visit()
-	if !ok || len(cand) == 0 {
-		root.release()
-		return
-	}
-	sh.dqs = make([]deque, par)
-	for i, e := range cand {
-		tk := getTask(len(root.level))
-		copy(tk.level, root.level)
-		copy(tk.frozen, root.frozen)
-		for _, prev := range cand[:i] {
-			tk.frozen[prev] = true
-		}
-		tk.level[e]++
-		sh.pending.Add(1)
-		sh.dqs[i%par].push(tk)
-	}
-	root.release()
-
-	var wg sync.WaitGroup
-	faults := make(chan any, par)
-	for i := 0; i < par; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					faults <- r
-					sh.stopped.Store(true)
-				}
-			}()
-			w := newWorker(sh)
-			w.dq = &sh.dqs[i]
-			w.self = i
-			w.loop()
-			w.release()
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case r := <-faults:
-		panic(r)
-	default:
+	newWorker(sh).work(true)
+	sh.wg.Wait()
+	if sh.fault != nil {
+		panic(sh.fault)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/duration"
+	"repro/internal/scenario"
 )
 
 // tinyInstance builds a random instance with at most 6 arcs whose flows
@@ -381,4 +383,39 @@ func ExampleOptions_parallelism() {
 	}
 	fmt.Println(sol.Makespan)
 	// Output: 5
+}
+
+// TestSequentialSearchPinned pins the single-worker search on
+// BenchmarkExactParallel's instance: at Parallelism 1 it must expand these
+// node counts and return these witness flows in both modes.  The
+// parallel-invariance tests normalize nodes and witnesses away, so this is
+// what catches a scheduler change that reorders, repeats or skips part of
+// the sequential depth-first search.
+func TestSequentialSearchPinned(t *testing.T) {
+	c := core.Compile(scenario.NewGen(13).KWayInstance(3, 4, 2, 80))
+	opts := &Options{Parallelism: 1}
+
+	sol, stats, err := MinMakespan(context.Background(), c, 10, opts)
+	if err != nil || !stats.Complete {
+		t.Fatalf("budget mode: err %v, complete %v", err, stats.Complete)
+	}
+	want := []int64{4, 0, 2, 2, 2, 0, 2, 2, 0, 4, 2, 0, 2, 6, 0, 0, 0, 2, 2, 6, 0, 2, 0, 0}
+	if stats.Nodes != 9240 || sol.Makespan != 104 || !slices.Equal(sol.Flow, want) {
+		t.Fatalf("budget 10: %d nodes, makespan %d, flow %v; want 9240 nodes, makespan 104, flow %v",
+			stats.Nodes, sol.Makespan, sol.Flow, want)
+	}
+
+	const target = 120
+	if target <= c.MinMakespan || target >= c.ZeroFlowMakespan() {
+		t.Fatalf("target %d outside (%d, %d)", target, c.MinMakespan, c.ZeroFlowMakespan())
+	}
+	sol, stats, err = MinResource(context.Background(), c, target, opts)
+	if err != nil || !stats.Complete {
+		t.Fatalf("target mode: err %v, complete %v", err, stats.Complete)
+	}
+	want = []int64{4, 0, 2, 0, 2, 0, 2, 2, 0, 2, 2, 0, 2, 4, 0, 0, 2, 0, 2, 4, 2, 0, 0, 0}
+	if stats.Nodes != 8820 || sol.Value != 8 || !slices.Equal(sol.Flow, want) {
+		t.Fatalf("target %d: %d nodes, resource %d, flow %v; want 8820 nodes, resource 8, flow %v",
+			target, stats.Nodes, sol.Value, sol.Flow, want)
+	}
 }

@@ -348,13 +348,18 @@ func frontierQuery(q map[string][]string) (FrontierRequest, error) {
 			req.Budgets = append(req.Budgets, b)
 		}
 	}
-	for key, dst := range map[string]*int64{"budget_min": &req.BudgetMin, "budget_max": &req.BudgetMax} {
-		if v := get(key); v != "" {
+	// A fixed order, so that with both bounds malformed the error always
+	// names budget_min.
+	for _, p := range []struct {
+		key string
+		dst *int64
+	}{{"budget_min", &req.BudgetMin}, {"budget_max", &req.BudgetMax}} {
+		if v := get(p.key); v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return req, fmt.Errorf("invalid %s %q: %v", key, v, err)
+				return req, fmt.Errorf("invalid %s %q: %v", p.key, v, err)
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	if v := get("steps"); v != "" {

@@ -278,3 +278,25 @@ func TestFrontierRejections(t *testing.T) {
 		t.Fatalf("unknown hash: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestFrontierQueryErrorOrder: with both range bounds malformed, the GET
+// form's 400 names budget_min on every request, whatever order the
+// parameters are parsed in.
+func TestFrontierQueryErrorOrder(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for i := 0; i < 32; i++ {
+		resp, err := http.Get(ts.URL + "/v1/frontier?hash=h&budget_min=x&budget_max=y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
+		}
+		if !strings.HasPrefix(body.Error.Message, `invalid budget_min "x"`) {
+			t.Fatalf("request %d: message %q, want the budget_min error", i, body.Error.Message)
+		}
+	}
+}

@@ -36,10 +36,10 @@ type WireOptions struct {
 }
 
 // MaxWireParallelism caps the parallelism a wire request may ask for.
-// The exact search starts that many workers, each with arc-sized scratch
-// and its own min-flow network, so an unchecked value lets one request
-// exhaust memory or panic the allocation of its deques.  The cap is far
-// above the cores a search can use.
+// The exact search starts that many workers, each a goroutine with
+// arc-sized scratch and its own min-flow network, so an unchecked value
+// lets one request exhaust memory.  The cap is far above the cores a
+// search can use.
 const MaxWireParallelism = 64
 
 // maxWireDeadlineMS is the largest deadline_ms whose time.Duration does

@@ -20,8 +20,8 @@
 // identity (the solver.ResultCacheKey string plus its parts: canonical
 // hash, structural sketch, solver name, option key), the instance's
 // per-arc digests (meta.arcs, core.ArcDigests, as base64 of their
-// little-endian 32-bit words; absent from reports written before digests
-// existed) and the wire report.  An instance payload is the raw instance
+// little-endian 32-bit words; absent only when the writer passed none)
+// and the wire report.  An instance payload is the raw instance
 // JSON exactly as PutInstance received it.
 //
 // Each entry is written to a temporary file in the same directory and
@@ -81,8 +81,8 @@ type Meta struct {
 	// OptKey is the canonical options rendering (Options.CacheKey).
 	OptKey string `json:"opt_key"`
 	// Arcs is the instance's per-arc digest vector (core.ArcDigests), 4
-	// bytes per arc in memory.  Empty on reports written before digests
-	// existed; such reports answer hits but never donate.
+	// bytes per arc in memory.  It is empty only when the writer passed
+	// none; such reports answer hits but never donate.
 	Arcs []uint32 `json:"arcs,omitempty"`
 }
 
@@ -448,7 +448,7 @@ func (s *Store) Neighbor(sketch, solverName, optKey, excludeHash string) (Meta, 
 			continue
 		}
 		if len(e.meta.Arcs) == 0 {
-			continue // stored before digests: its arcs cannot be compared
+			continue // stored without digests: its arcs cannot be compared
 		}
 		return e.meta, e.rep, true
 	}
