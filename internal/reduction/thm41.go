@@ -34,6 +34,9 @@ type Thm41 struct {
 	Clauses []ClauseGadget41
 
 	source, sink int
+	// compiled is Inst's compiled form, built once for Table2Row's
+	// longest-path sweeps.
+	compiled *core.Compiled
 	// edge IDs needed to assemble witness flows
 	varEdges    []thm41VarEdges
 	clauseEdges []thm41ClauseEdges
@@ -190,6 +193,7 @@ func BuildThm41(f Formula) (*Thm41, error) {
 		return nil, err
 	}
 	r.Inst = inst
+	r.compiled = core.Compile(inst)
 	return r, nil
 }
 
@@ -295,7 +299,7 @@ func (r *Thm41) Table2Row(j int, assign []bool) ([3]int64, error) {
 		return [3]int64{}, err
 	}
 	times := make([]int64, r.Inst.G.NumNodes())
-	core.Compile(r.Inst).LongestPath(d, times)
+	r.compiled.LongestPath(d, times)
 	cg := r.Clauses[j]
 	return [3]int64{times[cg.C5], times[cg.C6], times[cg.C7]}, nil
 }
