@@ -99,7 +99,6 @@ func expandedGraphLP(ctx context.Context, c *core.Compiled, budget, target float
 		Ex:        ex,
 		F:         sol.X[:m],
 		Objective: sol.Objective,
-		EventTime: sol.X[m : m+n],
 	}
 	for _, t := range srcTerms {
 		rel.Value += t.Coef * sol.X[t.Var]

@@ -31,15 +31,14 @@ import (
 // an expanded instance.
 type Relaxation struct {
 	Ex *core.Expanded
-	// F is the fractional flow per expanded arc.
+	// F is the fractional flow per expanded arc.  A chain's job arc and
+	// free arc carry the same flow, the chain's one LP variable.
 	F []float64
 	// Value is the fractional flow out of the source.
 	Value float64
 	// Objective is the LP optimum: a lower bound on the optimal makespan
 	// (makespan mode) or on the optimal resource usage (resource mode).
 	Objective float64
-	// EventTime is the LP's event time per expanded node.
-	EventTime []float64
 }
 
 // edgeTwoTuple reports the two-tuple shape of an expanded arc: ok is false
@@ -70,72 +69,127 @@ func SolveResourceLP(ctx context.Context, c *core.Compiled, target int64) (*Rela
 	return solveRelaxation(ctx, c, -1, float64(target))
 }
 
+// solveRelaxation builds LP 6-10 over the expansion in a form whose slack
+// basis is feasible, so the simplex's first phase sees only conservation
+// rows (and the target row in resource mode):
+//
+//   - One flow variable per chain and per copied constant arc, running
+//     between the original arc's endpoints.  A chain's midpoint has one arc
+//     in and one out, so its job and free arcs carry the same flow, and its
+//     event time projects out exactly: T_u + t(1 - f/delta) <= T_mid <= T_v
+//     holds for some T_mid iff T_u + t(1 - f/delta) <= T_v.
+//   - Event times measured down from L, the zero-flow longest path on the
+//     original instance: sigma_v = L_v - T_v.  A duration-t chain's row
+//     becomes sigma_v - sigma_u - (t/delta) f <= L_v - L_u - t, whose
+//     right-hand side is non-negative, so f = 0, sigma = 0 is feasible.
+//     sigma_source is 0 and has no variable.  The variables' sign bound
+//     adds T <= L, which loses no optimum: replacing T by min(T, L) keeps
+//     every row satisfied.
+//
+// Makespan mode minimizes -sigma_sink and reports L_sink - sigma_sink.
 func solveRelaxation(ctx context.Context, c *core.Compiled, budget, target float64) (*Relaxation, error) {
 	ex, err := c.Expansion()
 	if err != nil {
 		return nil, err
 	}
-	g := ex.G
-	m, n := g.NumEdges(), g.NumNodes()
-	// Variables: [0, m) flows, [m, m+n) event times.
-	fVar := func(e int) int { return e }
-	tVar := func(v int) int { return m + v }
-	p := lp.New(m + n)
+	inst := c.Inst
+	n, m := inst.G.NumNodes(), inst.G.NumEdges()
+	d0 := make([]int64, m)
+	for e, ts := range c.Tuples {
+		d0[e] = ts[0].T
+	}
+	L := make([]int64, n)
+	c.LongestPath(d0, L)
 
+	// Variables: the flows of original arc e are [arcVar[e], arcVar[e+1]),
+	// one per chain (or one for a copied arc); then one sigma per node but
+	// the source.
+	arcVar := make([]int, m+1)
 	for e := 0; e < m; e++ {
-		ed := g.Edge(e)
-		t0, r, two := edgeTwoTuple(ex.Fns[e])
-		if two {
-			// Flow beyond r buys nothing in the relaxation (Equation 6).
-			p.AddConstraint(lp.LE, []lp.Term{{Var: fVar(e), Coef: 1}}, float64(r))
-			// T_u + t0 (1 - f/r) <= T_v  (Equations 4 and 7).
-			p.AddConstraint(lp.LE, []lp.Term{
-				{Var: tVar(ed.From), Coef: 1},
-				{Var: tVar(ed.To), Coef: -1},
-				{Var: fVar(e), Coef: -float64(t0) / float64(r)},
-			}, -float64(t0))
-		} else {
-			p.AddConstraint(lp.LE, []lp.Term{
-				{Var: tVar(ed.From), Coef: 1},
-				{Var: tVar(ed.To), Coef: -1},
-			}, -float64(t0))
+		arcVar[e+1] = arcVar[e] + max(1, len(ex.Chains[e]))
+	}
+	nFlow := arcVar[m]
+	sVar := func(v int) int {
+		switch {
+		case v == inst.Source:
+			return -1
+		case v > inst.Source:
+			return nFlow + v - 1
+		default:
+			return nFlow + v
 		}
+	}
+	p := lp.New(nFlow + n - 1)
+
+	var terms []lp.Term
+	// precedence adds sigma_v - sigma_u - slope*f <= rhs; f < 0 adds no
+	// flow term.
+	precedence := func(u, v, f int, slope, rhs float64) {
+		terms = terms[:0]
+		if j := sVar(v); j >= 0 {
+			terms = append(terms, lp.Term{Var: j, Coef: 1})
+		}
+		if j := sVar(u); j >= 0 {
+			terms = append(terms, lp.Term{Var: j, Coef: -1})
+		}
+		if f >= 0 {
+			terms = append(terms, lp.Term{Var: f, Coef: -slope})
+		}
+		p.AddConstraint(lp.LE, terms, rhs)
+	}
+	for e := 0; e < m; e++ {
+		u, v := int(c.ArcFrom[e]), int(c.ArcTo[e])
+		slack := float64(L[v] - L[u])
+		if ex.CopiedArc[e] >= 0 {
+			precedence(u, v, -1, 0, slack-float64(d0[e]))
+			continue
+		}
+		for i, link := range ex.Chains[e] {
+			f := arcVar[e] + i
+			if link.Delta == 0 {
+				precedence(u, v, -1, 0, slack-float64(link.Time))
+				continue
+			}
+			// Flow beyond delta buys nothing in the relaxation (Equation 6).
+			p.AddConstraint(lp.LE, []lp.Term{{Var: f, Coef: 1}}, float64(link.Delta))
+			// T_u + t (1 - f/delta) <= T_v  (Equations 4 and 7).
+			precedence(u, v, f, float64(link.Time)/float64(link.Delta), slack-float64(link.Time))
+		}
+	}
+	// flowTerms appends coef times every flow variable of the arcs in arcs.
+	flowTerms := func(terms []lp.Term, arcs []int32, coef float64) []lp.Term {
+		for _, e := range arcs {
+			for j := arcVar[e]; j < arcVar[e+1]; j++ {
+				terms = append(terms, lp.Term{Var: j, Coef: coef})
+			}
+		}
+		return terms
 	}
 	// Flow conservation at internal nodes (Equation 8).
 	for v := 0; v < n; v++ {
-		if v == ex.Source || v == ex.Sink {
+		if v == inst.Source || v == inst.Sink {
 			continue
 		}
-		var terms []lp.Term
-		for _, e := range g.Out(v) {
-			terms = append(terms, lp.Term{Var: fVar(e), Coef: 1})
-		}
-		for _, e := range g.In(v) {
-			terms = append(terms, lp.Term{Var: fVar(e), Coef: -1})
-		}
-		if terms != nil {
-			p.AddConstraint(lp.EQ, terms, 0)
-		}
+		terms = flowTerms(terms[:0], c.OutArcs[c.OutStart[v]:c.OutStart[v+1]], 1)
+		terms = flowTerms(terms, c.InArcs[c.InStart[v]:c.InStart[v+1]], -1)
+		p.AddConstraint(lp.EQ, terms, 0)
 	}
-	// Source event time is zero.
-	p.AddConstraint(lp.EQ, []lp.Term{{Var: tVar(ex.Source), Coef: 1}}, 0)
+	// The source has no arc in, so its outflow is the flow value.
+	srcTerms := flowTerms(nil, c.OutArcs[c.OutStart[inst.Source]:c.OutStart[inst.Source+1]], 1)
 
-	var srcTerms []lp.Term
-	for _, e := range g.Out(ex.Source) {
-		srcTerms = append(srcTerms, lp.Term{Var: fVar(e), Coef: 1})
-	}
-	for _, e := range g.In(ex.Source) {
-		srcTerms = append(srcTerms, lp.Term{Var: fVar(e), Coef: -1})
-	}
-
+	sink, lSink := sVar(inst.Sink), float64(L[inst.Sink])
 	switch {
 	case budget >= 0:
 		// Minimum-makespan mode (Equations 9 and 10).
 		p.AddConstraint(lp.LE, srcTerms, budget)
-		p.SetObjective(tVar(ex.Sink), 1)
+		if sink >= 0 {
+			p.SetObjective(sink, -1)
+		}
 	case target >= 0:
-		// Minimum-resource mode.
-		p.AddConstraint(lp.LE, []lp.Term{{Var: tVar(ex.Sink), Coef: 1}}, target)
+		// Minimum-resource mode: L_sink - sigma_sink <= target.
+		if sink >= 0 {
+			p.AddConstraint(lp.LE, []lp.Term{{Var: sink, Coef: -1}}, target-lSink)
+		}
 		for _, t := range srcTerms {
 			p.SetObjective(t.Var, t.Coef)
 		}
@@ -150,14 +204,22 @@ func solveRelaxation(ctx context.Context, c *core.Compiled, budget, target float
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("approx: relaxation is %v", sol.Status)
 	}
-	rel := &Relaxation{
-		Ex:        ex,
-		F:         sol.X[:m],
-		Objective: sol.Objective,
-		EventTime: sol.X[m : m+n],
+	rel := &Relaxation{Ex: ex, F: make([]float64, ex.G.NumEdges()), Objective: sol.Objective}
+	if budget >= 0 {
+		rel.Objective += lSink
+	}
+	for e := 0; e < m; e++ {
+		if id := ex.CopiedArc[e]; id >= 0 {
+			rel.F[id] = sol.X[arcVar[e]]
+			continue
+		}
+		for i, link := range ex.Chains[e] {
+			x := sol.X[arcVar[e]+i]
+			rel.F[link.JobArc], rel.F[link.FreeArc] = x, x
+		}
 	}
 	for _, t := range srcTerms {
-		rel.Value += t.Coef * sol.X[t.Var]
+		rel.Value += sol.X[t.Var]
 	}
 	return rel, nil
 }
