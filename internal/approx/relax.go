@@ -15,6 +15,13 @@
 // two-tuple form D” (core.Expand, Figure 6), solve the flow-based linear
 // relaxation LP 6-10, round the fractional solution, and re-route resources
 // with an integral minimum flow (LP 11-13, solved combinatorially).
+//
+// The relaxation is built over the expansion's chains rather than its
+// arcs: one flow variable per chain, event times only at the original
+// nodes, each measured down from its zero-flow longest-path time.  It has
+// the optimum of LP 6-10 over D”, and its all-slack starting basis is
+// feasible, so the simplex's first phase has only the conservation rows
+// to settle (see solveRelaxation).
 package approx
 
 import (

@@ -10,10 +10,11 @@
 // minimum-resource dual-use variant are both solved with it.  The solver
 // keeps a full tableau, with Dantzig pricing and a Bland's rule fallback
 // that guarantees termination, but its elimination skips zeros: the
-// relaxation tableaux stay sparse (about a tenth of a pivot row and a fifth
-// of a pivot column are nonzero), so a pivot collects the nonzero columns
-// of the normalized pivot row into an index list and eliminates only at
-// those columns, only in rows whose pivot-column entry is nonzero.
+// relaxation tableaux stay sparse (on the approximation package's
+// BenchmarkMakespanLP instances, 11-16 % of a pivot row and a third to a
+// half of a pivot column are nonzero), so a pivot collects the nonzero
+// columns of the normalized pivot row into an index list and eliminates
+// only at those columns, only in rows whose pivot-column entry is nonzero.
 //
 // Every entry a pivot touches gets the same floating-point expression a
 // dense elimination gives it, and every entry it skips would have changed

@@ -35,10 +35,12 @@ const (
 	autoRaceNodes = 1 << 20
 	// autoDenseLPArcs caps the EXPANDED arc count (sum of per-arc chain
 	// arcs) fed to the full-tableau simplex solvers (bicriteria*, kway5,
-	// binary4, binarybi).  Their pivots skip zero entries, but the tableau
-	// is still stored whole, so memory is quadratic in that size.  Past
-	// it, auto routes to the frankwolfe scale tier, which is linear per
-	// iteration.  Moving the cap reroutes instances and changes answers.
+	// binary4, binarybi).  Their LP has one flow variable per chain (two
+	// expanded arcs) or copied arc and one event time per original node,
+	// and their pivots skip zero entries, but the tableau is still stored
+	// whole, so memory is quadratic in that size.  Past it, auto routes to the
+	// frankwolfe scale tier, which is linear per iteration.  Moving the cap
+	// reroutes instances and changes answers.
 	autoDenseLPArcs = 768
 )
 
