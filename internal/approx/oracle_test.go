@@ -261,8 +261,8 @@ func checkApproxOracle(t testing.TB, d oracleDraw) []string {
 	checkRelaxationPoint(t, d, rel)
 
 	var checked []string
-	validate := func(name string, sol core.Solution, budget int64) {
-		if err := inst.ValidateFlow(sol.Flow, budget); err != nil {
+	validate := func(name string, sol core.Solution) {
+		if err := inst.ValidateFlow(sol.Flow, -1); err != nil {
 			t.Errorf("%s %s: invalid flow: %v", d.name, name, err)
 		}
 		checked = append(checked, name)
@@ -281,7 +281,7 @@ func checkApproxOracle(t testing.TB, d oracleDraw) []string {
 				t.Errorf("%s bicriteria-resource alpha=%v: %d resources (optimum %d), makespan %d (target %d)",
 					d.name, alpha, res.Sol.Value, opt, res.Sol.Makespan, d.target)
 			}
-			validate("bicriteria-resource", res.Sol, -1)
+			validate("bicriteria-resource", res.Sol)
 		}
 		return checked
 	}
@@ -300,22 +300,21 @@ func checkApproxOracle(t testing.TB, d oracleDraw) []string {
 			t.Errorf("%s bicriteria alpha=%v: makespan %d (optimum %d), %d resources",
 				d.name, alpha, res.Sol.Makespan, opt, res.Sol.Value)
 		}
-		validate("bicriteria", res.Sol, -1)
+		validate("bicriteria", res.Sol)
 	}
 	// The class-restricted theorems, on the draws their solvers accept.
 	class := c.Class()
 	type single struct {
-		name   string
-		class  string
-		run    func(context.Context, *core.Compiled, int64) (*Result, error)
-		ratio  float64
-		spend  float64 // resources allowed, as a multiple of the budget
-		strict bool    // the flow must stay within the budget itself
+		name  string
+		class string
+		run   func(context.Context, *core.Compiled, int64) (*Result, error)
+		ratio float64
+		spend float64 // resources allowed, as a multiple of the budget
 	}
 	for _, s := range []single{
-		{"kway5", duration.KindKWay, KWay5, 5, 1, true},
-		{"binary4", duration.KindBinary, Binary4, 4, 1, true},
-		{"binarybi", duration.KindBinary, BinaryBiCriteria, 14.0 / 5, 4.0 / 3, false},
+		{"kway5", duration.KindKWay, KWay5, 5, 1},
+		{"binary4", duration.KindBinary, Binary4, 4, 1},
+		{"binarybi", duration.KindBinary, BinaryBiCriteria, 14.0 / 5, 4.0 / 3},
 	} {
 		if class != s.class && class != duration.KindConst {
 			continue
@@ -328,11 +327,7 @@ func checkApproxOracle(t testing.TB, d oracleDraw) []string {
 			t.Errorf("%s %s: makespan %d (optimum %d), %d resources (budget %d)",
 				d.name, s.name, res.Sol.Makespan, opt, res.Sol.Value, d.budget)
 		}
-		budget := int64(-1)
-		if s.strict {
-			budget = d.budget
-		}
-		validate(s.name, res.Sol, budget)
+		validate(s.name, res.Sol)
 	}
 	return checked
 }
