@@ -30,7 +30,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -87,7 +86,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var inst core.Instance
-	if err := json.Unmarshal(data, &inst); err != nil {
+	if err := inst.UnmarshalJSON(data); err != nil {
 		log.Fatal(err)
 	}
 	c := core.Compile(&inst)

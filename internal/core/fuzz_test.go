@@ -3,7 +3,9 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -160,4 +162,103 @@ func FuzzCanonicalHash(f *testing.F) {
 				a.Makespan, a.Value, b.Makespan, b.Value)
 		}
 	})
+}
+
+// decodeEdgeDocs are seeds for the decoder differential: the corners
+// where a hand-written JSON decoder most easily parts from encoding/json.
+var decodeEdgeDocs = []string{
+	// Escapes, non-ASCII and invalid UTF-8 in names and kinds.
+	`{"nodes":["sé","😀","\ud800x","\udc00\ud83d\ude00","a\"b\\c\/d\b\f\n\r\t\u00e9"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":1}},{"from":1,"to":2,"fn":{"kind":"const","t0":1}},{"from":2,"to":3,"fn":{"kind":"const","t0":1}},{"from":3,"to":4,"fn":{"kind":"const","t0":1}}]}`,
+	"{\"nodes\":[\"\xff\xfe\",\"\xed\xa0\x80\",\"ok\xc3\"],\"edges\":[{\"from\":0,\"to\":1,\"fn\":{\"kind\":\"const\",\"t0\":1}},{\"from\":1,\"to\":2,\"fn\":{\"kind\":\"const\",\"t0\":1}}]}",
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const\u0000","t0":1}}]}`,
+	// Case-folded keys: ASCII, the long s (U+017F) and the Kelvin sign (U+212A).
+	`{"NODES":["s","t"],"Edges":[{"FROM":0,"To":1,"FN":{"KIND":"const","T0":3}}]}`,
+	"{\"nodeſ\":[\"s\",\"t\"],\"edgeſ\":[{\"from\":0,\"to\":1,\"fn\":{\"Kind\":\"kway\",\"t0\":9}}]}",
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"Kind":"step","tupleſ":[{"R":0,"T":5},{"r":1,"t":2}]}}]}`,
+	// Unknown keys and duplicate keys; a repeated array decodes in place.
+	`{"x":[1,{"y":null}],"nodes":["s","t"],"edges":[{"from":0,"to":1,"w":true,"fn":{"kind":"const","t0":1,"z":"q"}}],"y":{}}`,
+	`{"nodes":["a","b","c"],"nodes":["s"],"nodes":["x",null,null],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":1}},{"from":1,"to":2,"fn":{"kind":"const","t0":1}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"step","tuples":[{"r":0,"t":9},{"r":2,"t":4},{"r":5,"t":1}]}}],"edges":[{"fn":{"tuples":[{"t":8}]}}],"edges":[{"fn":{"tuples":[null,{},null]}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"step","tuples":[{"r":0,"t":9},{"r":2,"t":4}],"tuples":[],"tuples":[null,null]}}]}`,
+	`{"nodes":["s","t","u"],"edges":[{"from":0,"to":1,"fn":{"kind":"step","tuples":[{"r":0,"t":9}]}},{"from":1,"to":2,"fn":{"kind":"step","tuples":[{"r":0,"t":7}]}}],"edges":[{"fn":{"tuples":[{"r":0,"t":9},{"r":1,"t":3}]}},{}]}`,
+	// null everywhere a value may stand.
+	`null`,
+	`{"nodes":null,"edges":null}`,
+	`{"nodes":["s","t"],"edges":[null,{"from":null,"to":1,"fn":null}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":null,"t0":null,"tuples":null}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":2}}],"edges":[null]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":4,"kind":null,"t0":null,"tuples":null}}]}`,
+	// Fractions, exponents and overflow in integer fields.
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1.0,"fn":{"kind":"const","t0":1}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":1e2}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":-0,"to":1,"fn":{"kind":"const","t0":9223372036854775807}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":9223372036854775808}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"step","tuples":[{"r":-9223372036854775808,"t":1}]}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":00}}]}`,
+	// Bytes after the first value: json.Unmarshal rejects them.
+	`{"nodes":["only"]} `,
+	`{"nodes":["only"]}{}`,
+	`{"nodes":["only"]} x`,
+	// Wrong kinds of value.
+	`{"nodes":"s"}`,
+	`{"nodes":[1]}`,
+	`{"nodes":["s","t"],"edges":{"from":0}}`,
+	`{"nodes":["s","t"],"edges":[{"from":"0","to":1,"fn":{"kind":"const","t0":1}}]}`,
+	`{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":true,"t0":1}}]}`,
+	`[]`,
+	`"nodes"`,
+}
+
+// FuzzInstanceDecodeDifferential holds Instance.UnmarshalJSON's scanner
+// to its encoding/json reference (core.ReferenceUnmarshal): on every
+// input both fail, or both succeed with the same node names, arcs,
+// duration functions, source and sink.
+func FuzzInstanceDecodeDifferential(f *testing.F) {
+	seedDocs(f)
+	for _, doc := range decodeEdgeDocs {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := core.ReferenceUnmarshal(data)
+		var got core.Instance
+		gerr := got.UnmarshalJSON(data)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("reference error %v, scanner error %v", werr, gerr)
+		}
+		if werr != nil {
+			if got.G != nil || got.Fns != nil {
+				t.Fatal("failed decode modified the receiver")
+			}
+			return
+		}
+		if err := sameInstance(want, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// sameInstance reports how two decoded instances differ, if they do.
+func sameInstance(want, got *core.Instance) error {
+	if want.G.NumNodes() != got.G.NumNodes() || want.G.NumEdges() != got.G.NumEdges() {
+		return fmt.Errorf("size %d nodes/%d arcs, want %d/%d",
+			got.G.NumNodes(), got.G.NumEdges(), want.G.NumNodes(), want.G.NumEdges())
+	}
+	for v := 0; v < want.G.NumNodes(); v++ {
+		if want.G.Name(v) != got.G.Name(v) {
+			return fmt.Errorf("node %d named %q, want %q", v, got.G.Name(v), want.G.Name(v))
+		}
+	}
+	for e := 0; e < want.G.NumEdges(); e++ {
+		if want.G.Edge(e) != got.G.Edge(e) {
+			return fmt.Errorf("arc %d is %v, want %v", e, got.G.Edge(e), want.G.Edge(e))
+		}
+		if want.Fns[e].String() != got.Fns[e].String() ||
+			!slices.Equal(want.Fns[e].Tuples(), got.Fns[e].Tuples()) {
+			return fmt.Errorf("arc %d carries %v, want %v", e, got.Fns[e], want.Fns[e])
+		}
+	}
+	if want.Source != got.Source || want.Sink != got.Sink {
+		return fmt.Errorf("source/sink %d/%d, want %d/%d", got.Source, got.Sink, want.Source, want.Sink)
+	}
+	return nil
 }

@@ -102,10 +102,8 @@ func (s *Server) clusterStats() *ClusterStats {
 // count toward the public request counter — /v1/stats requests measures
 // client traffic, and the proxying node already counted this request.
 func (s *Server) handleInternalSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	req, ok := decodeBody(s, w, r, decodeSolveRequest)
+	if !ok {
 		return
 	}
 	resp, status := s.solveOne(r.Context(), req, true)

@@ -307,9 +307,8 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		var ok bool
+		if req, ok = decodeBody(s, w, r, decodeFrontierRequest); !ok {
 			return
 		}
 	}

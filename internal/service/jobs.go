@@ -575,10 +575,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Add(1)
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	req, ok := decodeBody(s, w, r, decodeJobRequest)
+	if !ok {
 		return
 	}
 	jb, err := s.jobs.submit(req, time.Now())

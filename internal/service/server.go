@@ -365,10 +365,8 @@ func (s *Server) storeStats() *store.Stats {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var env solveEnvelope
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&env); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	env, ok := decodeBody(s, w, r, decodeSolveEnvelope)
+	if !ok {
 		return
 	}
 	if len(env.Batch) > 0 {
@@ -449,7 +447,7 @@ func (s *Server) prepare(req SolveRequest, now time.Time) (*prepared, error) {
 	c, rawKey, compiledHit := s.compiled.get(req.Instance)
 	if !compiledHit {
 		var inst core.Instance
-		if err := json.Unmarshal(req.Instance, &inst); err != nil {
+		if err := inst.UnmarshalJSON(req.Instance); err != nil {
 			return nil, fmt.Errorf("invalid instance: %v", err)
 		}
 		c = s.compiled.add(rawKey, core.Compile(&inst))

@@ -326,7 +326,8 @@ func TestLegacyReportNeverDonates(t *testing.T) {
 // BenchmarkWarmSeed times the warm-start decision alone: a store holding
 // one resolve-shaped donor (a 40x16 layered DAG of about 1,000 arcs with
 // 2-4 breakpoints each, solved by auto at budget 150), asked for a donor
-// for a 16-arc edit of it.
+// for a 16-arc edit of it.  The digests choose the donor in memory; its
+// witness flow is read from its report entry.
 func BenchmarkWarmSeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := scenario.NewGen(1).Layered(40, 16, 8)

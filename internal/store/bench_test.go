@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkStoreLookup measures the in-memory report probe that sits on
-// every solve request's hot path, at a realistic store size.
+// BenchmarkStoreLookup measures GetReport at a realistic store size: a
+// miss, the probe of the in-memory index on every solve request's hot
+// path, and a hit, which reads, verifies and decodes the report's entry.
 func BenchmarkStoreLookup(b *testing.B) {
-	dir := b.TempDir()
-	s, err := Open(dir)
+	s, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -21,11 +21,20 @@ func BenchmarkStoreLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.GetReport(keys[i%n]); !ok {
-			b.Fatal("miss on a stored key")
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := s.GetReport("exact|absent|opts"); ok {
+				b.Fatal("hit on an absent key")
+			}
 		}
-	}
+	})
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := s.GetReport(keys[i%n]); !ok {
+				b.Fatal("miss on a stored key")
+			}
+		}
+	})
 }

@@ -21,18 +21,29 @@
 // hash, structural sketch, solver name, option key), the instance's
 // per-arc digests (meta.arcs, core.ArcDigests, as base64 of their
 // little-endian 32-bit words; absent only when the writer passed none)
-// and the wire report.  An instance payload is the raw instance
-// JSON exactly as PutInstance received it.
+// and the wire report.  A report entry is filed under the SHA-256 of its
+// key.  An instance payload is the raw instance JSON exactly as
+// PutInstance received it.
 //
 // Each entry is written to a temporary file in the same directory and
 // renamed into place, so a process crash leaves at most stray *.tmp
 // files, deleted on the next Open.  Entries are not fsynced: a power
 // loss can leave a torn entry under its final name, which its checksum
 // rejects at load.  Open counts every entry once: loaded, corrupt
-// (unreadable, truncated, checksum mismatch, unparseable report) or
-// skipped (another format, including the JSON envelopes written by
-// releases before rtt-store-v2).  Nothing corrupt or foreign is ever
-// trusted, and nothing of it is fatal.
+// (unreadable, truncated, checksum mismatch, unparseable report, a report
+// under another key's name) or skipped (another format, including the
+// JSON envelopes written by releases before rtt-store-v2).  Nothing
+// corrupt or foreign is ever trusted, and nothing of it is fatal.
+//
+// # What stays in memory
+//
+// Only what lookups and donor choices decide on: per stored report its
+// Meta, whether it can donate a warm start (complete, with a witness
+// flow) and its size; per instance, that it exists.  Reports and
+// instances are read back, verified and decoded on demand (GetReport,
+// Neighbor's chosen donor, GetInstance), so a store's memory grows with
+// the digests of its reports, not with their flows.  A demand read that
+// fails is counted corrupt and forgotten, as at load.
 package store
 
 import (
@@ -123,7 +134,8 @@ type LoadReport struct {
 	Reports   int
 	Instances int
 	// Corrupt counts entries skipped as unreadable, truncated, failing
-	// their checksum, or holding an unparseable report.
+	// their checksum, holding an unparseable report, or holding a report
+	// under a name other than its key's.
 	Corrupt int
 	// Skipped counts entries ignored for another format, including the
 	// JSON envelopes written before rtt-store-v2.
@@ -133,10 +145,12 @@ type LoadReport struct {
 	Errors []string
 }
 
-// entry is one loaded report.
+// entry is one stored report as the index keeps it; the report itself
+// stays on disk.
 type entry struct {
-	meta Meta
-	rep  solver.WireReport
+	meta  Meta
+	donor bool  // complete, with a witness flow: it may seed a warm start
+	size  int64 // the entry's size on disk
 }
 
 // Store is a durable map from result identity to completed report, with
@@ -146,7 +160,7 @@ type Store struct {
 	root string
 
 	mu       sync.Mutex
-	reports  map[string]*entry   // result-cache key -> report
+	reports  map[string]*entry   // result-cache key -> indexed report
 	bySketch map[string][]string // sketch|solver|optKey -> sorted keys
 	hasInst  map[string]bool     // canonical hash -> instance file exists
 	writing  map[string]bool     // entry paths reserved by an unfinished put
@@ -240,14 +254,14 @@ func (s *Store) loadDir(dir string, add func(name string, payload []byte, size i
 }
 
 // loadReport decodes one report payload into the index.
-func (s *Store) loadReport(_ string, payload []byte, size int64) error {
-	var rp reportPayload
-	err := json.Unmarshal(payload, &rp)
-	if err == nil && len(rp.Meta.Arcs)%4 != 0 {
-		err = fmt.Errorf("%d digest bytes", len(rp.Meta.Arcs))
-	}
+func (s *Store) loadReport(name string, payload []byte, size int64) error {
+	rp, err := decodeReport(payload)
 	if err != nil {
-		return fmt.Errorf("bad report payload: %v", err)
+		return err
+	}
+	if name+".json" != keyFile(rp.Key) {
+		// Demand reads find a report by its key's file name.
+		return fmt.Errorf("report for key %q filed under another name", rp.Key)
 	}
 	meta := rp.Meta.Meta
 	meta.Arcs = make([]uint32, len(rp.Meta.Arcs)/4)
@@ -258,15 +272,68 @@ func (s *Store) loadReport(_ string, payload []byte, size int64) error {
 	return nil
 }
 
+// decodeReport parses a verified report payload.
+func decodeReport(payload []byte) (reportPayload, error) {
+	var rp reportPayload
+	err := json.Unmarshal(payload, &rp)
+	if err == nil && len(rp.Meta.Arcs)%4 != 0 {
+		err = fmt.Errorf("%d digest bytes", len(rp.Meta.Arcs))
+	}
+	if err != nil {
+		return rp, fmt.Errorf("bad report payload: %v", err)
+	}
+	return rp, nil
+}
+
 // index adds one report to the in-memory maps, keeping each sketch
 // family's keys sorted.  s.mu must be held, or the store not yet shared.
 func (s *Store) index(key string, meta Meta, rep solver.WireReport, size int64) {
-	s.reports[key] = &entry{meta: meta, rep: rep}
+	s.reports[key] = &entry{meta: meta, donor: rep.Complete && len(rep.Flow) > 0, size: size}
 	sk := sketchKey(meta.Sketch, meta.Solver, meta.OptKey)
 	if i, found := slices.BinarySearch(s.bySketch[sk], key); !found {
 		s.bySketch[sk] = slices.Insert(s.bySketch[sk], i, key)
 	}
 	s.bytes += size
+}
+
+// readReport reads, verifies and decodes the stored report e indexes
+// under key.  A read that fails forgets e and counts it corrupt, as
+// GetInstance does.
+func (s *Store) readReport(key string, e *entry) (solver.WireReport, bool) {
+	raw, err := os.ReadFile(filepath.Join(s.reportsDir(), keyFile(key)))
+	var payload []byte
+	if err == nil {
+		payload, err = readEntry(raw)
+	}
+	var rp reportPayload
+	if err == nil {
+		rp, err = decodeReport(payload)
+	}
+	if err != nil || rp.Key != key {
+		s.mu.Lock()
+		s.forget(key, e)
+		s.mu.Unlock()
+		return solver.WireReport{}, false
+	}
+	return rp.Report, true
+}
+
+// forget drops a corrupt report from the index, unless another lookup
+// already did.  s.mu must be held.
+func (s *Store) forget(key string, e *entry) {
+	if s.reports[key] != e {
+		return
+	}
+	delete(s.reports, key)
+	sk := sketchKey(e.meta.Sketch, e.meta.Solver, e.meta.OptKey)
+	if i, found := slices.BinarySearch(s.bySketch[sk], key); found {
+		s.bySketch[sk] = slices.Delete(s.bySketch[sk], i, i+1)
+	}
+	if len(s.bySketch[sk]) == 0 {
+		delete(s.bySketch, sk)
+	}
+	s.bytes -= e.size
+	s.corrupt++
 }
 
 // readEntry checks one stored entry and returns its payload, which
@@ -350,20 +417,32 @@ func sketchKey(sketch, solverName, optKey string) string {
 	return sketch + "|" + solverName + "|" + optKey
 }
 
-// GetReport returns the stored report for a result-cache key.  The
-// reports live in memory after Open, so a hit is a map probe.
+// GetReport returns the stored report for a result-cache key.  A miss is
+// a probe of the in-memory index; a hit reads, verifies and decodes the
+// report's entry (readReport), and an entry that fails to read counts as
+// corrupt and as a miss.
 //
-//rt:hotpath — probed on every solve request before any work is queued.
-//rt:deterministic — pure lookup; counters aside, it never mutates state.
+//rt:hotpath — probed on every solve request before any work is queued; a miss allocates nothing.
+//rt:deterministic — a pure function of the stored entry; counters aside, it mutates state only to forget a corrupt entry.
 func (s *Store) GetReport(key string) (solver.WireReport, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.reports[key]; ok {
-		s.hits++
-		return e.rep, true
+	e, ok := s.reports[key]
+	if !ok {
+		s.misses++
 	}
-	s.misses++
-	return solver.WireReport{}, false
+	s.mu.Unlock()
+	if !ok {
+		return solver.WireReport{}, false
+	}
+	rep, ok := s.readReport(key, e)
+	s.mu.Lock()
+	if ok {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	s.mu.Unlock()
+	return rep, ok
 }
 
 // PutReport durably stores one completed report under its result-cache
@@ -433,26 +512,39 @@ func (s *Store) GetInstance(hash string) ([]byte, bool) {
 // flow is conserved arc for arc on the new instance.  Only complete
 // reports carrying a witness flow and per-arc digests qualify; the
 // donor's instance file is not needed.  Candidates are scanned in sorted
-// key order, so the choice is deterministic.
+// key order, so the choice is deterministic; the chosen donor's report is
+// read from its entry, and a donor whose entry fails to read is
+// forgotten (counted corrupt) and the scan goes on.
 //
-//rt:deterministic — pure function of the loaded entries.
+//rt:deterministic — pure function of the stored entries.
 func (s *Store) Neighbor(sketch, solverName, optKey, excludeHash string) (Meta, solver.WireReport, bool) {
+	for {
+		key, e := s.donor(sketchKey(sketch, solverName, optKey), excludeHash)
+		if e == nil {
+			return Meta{}, solver.WireReport{}, false
+		}
+		if rep, ok := s.readReport(key, e); ok {
+			return e.meta, rep, true
+		}
+	}
+}
+
+// donor returns the first qualifying donor of a sketch family, in key
+// order, or a nil entry.
+func (s *Store) donor(sk, excludeHash string) (string, *entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, key := range s.bySketch[sketchKey(sketch, solverName, optKey)] {
+	for _, key := range s.bySketch[sk] {
 		e, ok := s.reports[key]
-		if !ok || e.meta.Hash == excludeHash {
-			continue
-		}
-		if !e.rep.Complete || len(e.rep.Flow) == 0 {
+		if !ok || e.meta.Hash == excludeHash || !e.donor {
 			continue
 		}
 		if len(e.meta.Arcs) == 0 {
 			continue // stored without digests: its arcs cannot be compared
 		}
-		return e.meta, e.rep, true
+		return key, e
 	}
-	return Meta{}, solver.WireReport{}, false
+	return "", nil
 }
 
 // Load returns what Open found, for boot-time logging.

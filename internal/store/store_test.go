@@ -480,3 +480,95 @@ func TestNeighborQualifiesByDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestDemandReadCorruption damages report entries after Open, so only the
+// on-demand reads can notice: a hit on a damaged entry is a miss, counted
+// corrupt once and forgotten, and Neighbor passes over a damaged donor to
+// the next one in key order.
+func TestDemandReadCorruption(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 3)
+	for i := range keys {
+		m := testMeta(i)
+		keys[i] = fmt.Sprintf("exact|%s|%s", m.Hash, m.OptKey)
+		if err := s.PutReport(keys[i], m, testReport(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip := func(key string) {
+		path := filepath.Join(dir, "reports", keyFile(key))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)-2] ^= 0x01
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Stats()
+
+	flip(keys[2])
+	for i := 0; i < 2; i++ {
+		if _, ok := s.GetReport(keys[2]); ok {
+			t.Fatal("a damaged report was served")
+		}
+	}
+	st := s.Stats()
+	if st.Corrupt != 1 || st.Entries != 2 || st.Misses != before.Misses+2 || st.Hits != before.Hits {
+		t.Fatalf("after two reads of a damaged entry: %+v; want 1 corrupt, 2 entries, 2 more misses", st)
+	}
+	if st.Bytes >= before.Bytes {
+		t.Fatalf("forgotten entry still counted in Bytes: %d of %d", st.Bytes, before.Bytes)
+	}
+
+	// keys are in sorted order: hash-0000 is the first donor, hash-0001
+	// the next.
+	flip(keys[0])
+	m, rep, ok := s.Neighbor("sketch-a", "exact", testMeta(0).OptKey, "hash-9999")
+	if !ok || m.Hash != "hash-0001" || rep.Makespan != testReport(1).Makespan {
+		t.Fatalf("neighbor %v %+v %v; want hash-0001's report, past the damaged hash-0000", ok, m, rep)
+	}
+	if st := s.Stats(); st.Corrupt != 2 || st.Entries != 1 {
+		t.Fatalf("after the damaged donor: %+v; want 2 corrupt, 1 entry", st)
+	}
+	if got, ok := s.GetReport(keys[1]); !ok || got.Makespan != testReport(1).Makespan {
+		t.Fatal("the healthy report no longer answers")
+	}
+}
+
+// TestMisfiledReportSkipped copies a valid report entry under another
+// name: reports are read on demand by their key's file name, so Open
+// counts the copy corrupt and loads the original alone.
+func TestMisfiledReportSkipped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "exact|hash-0000|opts"
+	if err := s.PutReport(key, testMeta(0), testReport(0)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "reports", keyFile(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "reports", "copy.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr := re.Load(); lr.Reports != 1 || lr.Corrupt != 1 {
+		t.Fatalf("load report %+v, want 1 loaded and the copy corrupt", lr)
+	}
+	if _, ok := re.GetReport(key); !ok {
+		t.Fatal("the original report does not answer")
+	}
+}
