@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/duration"
@@ -84,5 +86,41 @@ func TestResolveShapedDocSize(t *testing.T) {
 	}
 	if n := inst.G.NumEdges(); n < 1000 || n > 1200 || len(data) < 100<<10 || len(data) > 125<<10 {
 		t.Fatalf("%d arcs in %d bytes; want about 1,100 arcs in about 112 KB", n, len(data))
+	}
+}
+
+// TestDecodeUnknownKindsLinear decodes documents whose arcs each carry a
+// different unknown kind, the costliest form of a document that is
+// rejected only after it is scanned whole, and checks that the decode
+// time grows linearly with the arcs: eight times the arcs must cost well
+// under the sixty-four times a quadratic decode would.
+func TestDecodeUnknownKindsLinear(t *testing.T) {
+	doc := func(arcs int) []byte {
+		var b bytes.Buffer
+		b.WriteString(`{"nodes":["s","t"],"edges":[`)
+		for i := 0; i < arcs; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"from":0,"to":1,"fn":{"kind":"k%d"}}`, i)
+		}
+		b.WriteString(`]}`)
+		return b.Bytes()
+	}
+	fastest := func(data []byte) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			var inst core.Instance
+			if err := inst.UnmarshalJSON(data); err == nil {
+				t.Fatal("a document of unknown kinds decoded")
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := fastest(doc(12_500)), fastest(doc(100_000))
+	if large > 24*small {
+		t.Fatalf("100,000 arcs took %v, 12,500 took %v: %.0fx for 8x the arcs", large, small, float64(large)/float64(small))
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/duration"
@@ -56,26 +55,13 @@ func (inst *Instance) MarshalJSON() ([]byte, error) {
 // and data may be passed directly: like json.Unmarshal, it accepts white
 // space around the instance and nothing else.  It accepts exactly the
 // documents json.Unmarshal accepts into the {nodes, edges} wire form and
-// decodes them to the same instance.
+// decodes them to the same wire values.
 func (inst *Instance) UnmarshalJSON(data []byte) error {
-	d := decoders.Get().(*instanceDecoder)
-	defer d.release()
-	d.s = jsonscan.New(data)
-	s := d.s
-	for more := s.Object(); more; more = s.Member() {
-		switch {
-		case s.Is("nodes"):
-			d.nodes()
-		case s.Is("edges"):
-			d.edges()
-		default:
-			s.Skip()
-		}
-	}
-	if err := s.End(); err != nil {
+	var ij instanceJSON
+	if err := ij.scan(jsonscan.New(data)); err != nil {
 		return fmt.Errorf("core: invalid instance JSON: %w", err)
 	}
-	built, err := d.build()
+	built, err := ij.instance()
 	if err != nil {
 		return err
 	}
@@ -83,212 +69,88 @@ func (inst *Instance) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// instanceDecoder holds an instance document as decoded, before
-// validation.  Node names and breakpoints live in shared, pooled arenas,
-// so the scan itself allocates next to nothing whatever the document's
-// size; the duration functions built from it still allocate per arc.
-//
-// A repeated key decodes again into what is already there, as encoding/json
-// does: array elements are overwritten in place, an element shortened
-// away stays behind and reappears if a later array is longer, and an
-// empty array or null drops them.  Go slices behave exactly so
-// (jsonscan.Slot); a breakpoint list reproduces it with a span owning a
-// run of its arena.
-type instanceDecoder struct {
-	s        *jsonscan.Scanner
-	names    []byte     // node names, unescaped, back to back
-	wireNode []span     // per node, its name's run of names
-	wireEdge []wireEdge // per arc, as decoded
-	tuples   []duration.Tuple
-	kinds    []string // spec kinds: "" (absent), the four known, then any others seen
-	kind     []byte   // scratch for a spec's kind
-}
-
-// decoders recycles instanceDecoder arenas across decodes: nothing a
-// decoded instance keeps points into them (names are copied into one
-// string, breakpoints into each duration function).
-var decoders = sync.Pool{New: func() any {
-	return &instanceDecoder{kinds: wireKinds[:len(wireKinds):len(wireKinds)]}
-}}
-
-// release zeroes the arenas and returns d to the pool.  Zeroing matters:
-// jsonscan.Slot re-exposes elements beyond a slice's length, which must
-// never come from another document.
-func (d *instanceDecoder) release() {
-	d.s = nil
-	d.names = d.names[:0]
-	clear(d.wireNode[:cap(d.wireNode)])
-	d.wireNode = d.wireNode[:0]
-	clear(d.wireEdge[:cap(d.wireEdge)])
-	d.wireEdge = d.wireEdge[:0]
-	clear(d.tuples[:cap(d.tuples)])
-	d.tuples = d.tuples[:0]
-	d.kinds = d.kinds[:len(wireKinds)]
-	decoders.Put(d)
-}
-
-// span is a run of an arena: n elements in use of the cap reserved at off.
-type span struct{ off, n, cap int }
-
-// wireEdge is one arc as decoded: edgeJSON with its spec flattened, its
-// kind as an index into the decoder's kinds and its breakpoints in its
-// arena.  It holds no pointer, so the garbage collector never scans it.
-type wireEdge struct {
-	from, to int
-	t0       int64
-	tuples   span
-	kind     int
-}
-
-func (d *instanceDecoder) nodes() {
-	i := 0
-	for more := d.s.Array(); more; more = d.s.Elem() {
-		d.wireNode = jsonscan.Slot(d.wireNode, i)
-		off := len(d.names)
-		var ok bool
-		if d.names, ok = d.s.AppendString(d.names); ok {
-			d.wireNode[i] = span{off: off, n: len(d.names) - off}
-		}
-		i++
-	}
-	d.wireNode = d.wireNode[:i]
-	if i == 0 {
-		d.wireNode = nil
-	}
-}
-
-func (d *instanceDecoder) edges() {
-	s := d.s
-	i := 0
-	for more := s.Array(); more; more = s.Elem() {
-		d.wireEdge = jsonscan.Slot(d.wireEdge, i)
-		e := &d.wireEdge[i]
-		for more := s.Object(); more; more = s.Member() {
-			switch {
-			case s.Is("from"):
-				s.Int(&e.from)
-			case s.Is("to"):
-				s.Int(&e.to)
-			case s.Is("fn"):
-				d.spec(e)
-			default:
-				s.Skip()
-			}
-		}
-		i++
-	}
-	d.wireEdge = d.wireEdge[:i]
-	if i == 0 {
-		d.wireEdge = nil
-	}
-}
-
-func (d *instanceDecoder) spec(e *wireEdge) {
-	s := d.s
+// scan decodes a document into ij as json.Unmarshal does, a repeated key
+// included.
+func (ij *instanceJSON) scan(s *jsonscan.Scanner) error {
 	for more := s.Object(); more; more = s.Member() {
 		switch {
-		case s.Is("kind"):
-			var ok bool
-			if d.kind, ok = s.AppendString(d.kind[:0]); ok {
-				e.kind = d.kindIndex(d.kind)
-			}
-		case s.Is("t0"):
-			s.Int64(&e.t0)
-		case s.Is("tuples"):
-			d.breakpoints(&e.tuples)
+		case s.Is("nodes"):
+			jsonscan.Slice(s, &ij.Nodes, s.String)
+		case s.Is("edges"):
+			jsonscan.Slice(s, &ij.Edges, func(e *edgeJSON) { e.scan(s) })
+		default:
+			s.Skip()
+		}
+	}
+	return s.End()
+}
+
+func (e *edgeJSON) scan(s *jsonscan.Scanner) {
+	for more := s.Object(); more; more = s.Member() {
+		switch {
+		case s.Is("from"):
+			s.Int(&e.From)
+		case s.Is("to"):
+			s.Int(&e.To)
+		case s.Is("fn"):
+			scanSpec(s, &e.Fn)
 		default:
 			s.Skip()
 		}
 	}
 }
 
-// wireKinds seeds every decoder's kinds: the absent kind, then the kinds
-// duration.FromSpec knows.
-var wireKinds = [...]string{"", duration.KindConst, duration.KindStep, duration.KindKWay, duration.KindBinary}
-
-// kindIndex returns k's index in d.kinds, adding it if it is new.
-func (d *instanceDecoder) kindIndex(k []byte) int {
-	for i, name := range d.kinds {
-		if string(k) == name {
-			return i
+func scanSpec(s *jsonscan.Scanner, fn *duration.Spec) {
+	for more := s.Object(); more; more = s.Member() {
+		switch {
+		case s.Is("kind"):
+			s.String(&fn.Kind)
+		case s.Is("t0"):
+			s.Int64(&fn.T0)
+		case s.Is("tuples"):
+			jsonscan.Slice(s, &fn.Tuples, func(tp *duration.Tuple) { scanTuple(s, tp) })
+		default:
+			s.Skip()
 		}
-	}
-	d.kinds = append(d.kinds, string(k))
-	return len(d.kinds) - 1
-}
-
-func (d *instanceDecoder) breakpoints(sp *span) {
-	s := d.s
-	i := 0
-	for more := s.Array(); more; more = s.Elem() {
-		if i == sp.cap {
-			d.growTuples(sp)
-		}
-		if i == sp.n {
-			sp.n++
-		}
-		tp := &d.tuples[sp.off+i]
-		for more := s.Object(); more; more = s.Member() {
-			switch {
-			case s.Is("r"):
-				s.Int64(&tp.R)
-			case s.Is("t"):
-				s.Int64(&tp.T)
-			default:
-				s.Skip()
-			}
-		}
-		i++
-	}
-	sp.n = i
-	if i == 0 {
-		*sp = span{}
 	}
 }
 
-// growTuples reserves one more zero breakpoint for sp, first moving its
-// run (stale elements included) to the arena's end if another run follows.
-func (d *instanceDecoder) growTuples(sp *span) {
-	if sp.off+sp.cap != len(d.tuples) {
-		off := len(d.tuples)
-		d.tuples = append(d.tuples, d.tuples[sp.off:sp.off+sp.cap]...)
-		sp.off = off
+func scanTuple(s *jsonscan.Scanner, tp *duration.Tuple) {
+	for more := s.Object(); more; more = s.Member() {
+		switch {
+		case s.Is("r"):
+			s.Int64(&tp.R)
+		case s.Is("t"):
+			s.Int64(&tp.T)
+		default:
+			s.Skip()
+		}
 	}
-	d.tuples = jsonscan.Slot(d.tuples, len(d.tuples))
-	sp.cap++
 }
 
-// build validates the decoded document into an Instance.
-func (d *instanceDecoder) build() (*Instance, error) {
-	if len(d.wireNode) == 0 {
+// instance validates the wire form into an Instance.
+func (ij *instanceJSON) instance() (*Instance, error) {
+	if len(ij.Nodes) == 0 {
 		return nil, fmt.Errorf("core: instance has no nodes")
 	}
-	all := string(d.names)
-	names := make([]string, len(d.wireNode))
-	for v, nm := range d.wireNode {
-		names[v] = all[nm.off : nm.off+nm.n]
+	g := dag.New()
+	for _, name := range ij.Nodes {
+		g.AddNode(name)
 	}
-	n := len(names)
-	arcs := make([]dag.Edge, len(d.wireEdge))
-	fns := make([]duration.Func, len(d.wireEdge))
-	for i, e := range d.wireEdge {
-		// Bounds-check before building the graph: dag panics on
-		// out-of-range endpoints, and wire input must never reach a panic
-		// path.
-		if e.from < 0 || e.from >= n || e.to < 0 || e.to >= n {
+	fns := make([]duration.Func, 0, len(ij.Edges))
+	for i, e := range ij.Edges {
+		// Bounds-check before AddEdge: dag.AddEdge panics on out-of-range
+		// endpoints, and wire input must never reach a panic path.
+		if e.From < 0 || e.From >= len(ij.Nodes) || e.To < 0 || e.To >= len(ij.Nodes) {
 			return nil, fmt.Errorf("core: edge %d (%d -> %d) references a missing node (have %d nodes)",
-				i, e.from, e.to, n)
+				i, e.From, e.To, len(ij.Nodes))
 		}
-		arcs[i] = dag.Edge{From: e.from, To: e.to}
-		fn, err := duration.FromSpec(duration.Spec{
-			Kind:   d.kinds[e.kind],
-			T0:     e.t0,
-			Tuples: d.tuples[e.tuples.off : e.tuples.off+e.tuples.n],
-		})
+		g.AddEdge(e.From, e.To)
+		fn, err := duration.FromSpec(e.Fn)
 		if err != nil {
 			return nil, fmt.Errorf("core: edge %d: %w", i, err)
 		}
-		fns[i] = fn
+		fns = append(fns, fn)
 	}
-	return NewInstance(dag.FromEdges(names, arcs), fns)
+	return NewInstance(g, fns)
 }

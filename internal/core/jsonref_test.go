@@ -3,9 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/dag"
-	"repro/internal/duration"
 )
 
 // ReferenceUnmarshal is the encoding/json instance decoder that
@@ -18,25 +15,5 @@ func ReferenceUnmarshal(data []byte) (*Instance, error) {
 	if err := json.Unmarshal(data, &ij); err != nil {
 		return nil, fmt.Errorf("core: invalid instance JSON: %w", err)
 	}
-	if len(ij.Nodes) == 0 {
-		return nil, fmt.Errorf("core: instance has no nodes")
-	}
-	g := dag.New()
-	for _, name := range ij.Nodes {
-		g.AddNode(name)
-	}
-	fns := make([]duration.Func, 0, len(ij.Edges))
-	for i, e := range ij.Edges {
-		if e.From < 0 || e.From >= len(ij.Nodes) || e.To < 0 || e.To >= len(ij.Nodes) {
-			return nil, fmt.Errorf("core: edge %d (%d -> %d) references a missing node (have %d nodes)",
-				i, e.From, e.To, len(ij.Nodes))
-		}
-		g.AddEdge(e.From, e.To)
-		fn, err := duration.FromSpec(e.Fn)
-		if err != nil {
-			return nil, fmt.Errorf("core: edge %d: %w", i, err)
-		}
-		fns = append(fns, fn)
-	}
-	return NewInstance(g, fns)
+	return ij.instance()
 }

@@ -34,36 +34,6 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
-// FromEdges builds the graph with the given node names and arcs, taking
-// ownership of both slices.  It equals adding the nodes, then the arcs,
-// one by one, but carves every adjacency list out of two shared arrays
-// sized by degree, so it allocates a fixed handful of times however large
-// the graph.  Every endpoint must name a node.
-func FromEdges(names []string, edges []Edge) *Graph {
-	n := len(names)
-	g := &Graph{names: names, edges: edges, out: make([][]int, n), in: make([][]int, n)}
-	deg := make([]int, 2*n) // out-degrees, then in-degrees
-	for _, e := range edges {
-		deg[e.From]++
-		deg[n+e.To]++
-	}
-	outs, ins := make([]int, len(edges)), make([]int, len(edges))
-	o, i := 0, 0
-	for v := 0; v < n; v++ {
-		// Capped, so a later AddEdge reallocates instead of overwriting
-		// the next node's list.
-		g.out[v] = outs[o : o : o+deg[v]]
-		g.in[v] = ins[i : i : i+deg[n+v]]
-		o += deg[v]
-		i += deg[n+v]
-	}
-	for id, e := range edges {
-		g.out[e.From] = append(g.out[e.From], id)
-		g.in[e.To] = append(g.in[e.To], id)
-	}
-	return g
-}
-
 // AddNode adds a node with the given display name and returns its ID.
 func (g *Graph) AddNode(name string) int {
 	id := len(g.names)

@@ -27,6 +27,7 @@
 package jsonscan
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"unicode/utf16"
@@ -73,14 +74,6 @@ func (s *Scanner) End() error {
 	return s.err
 }
 
-// syntaxError is a malformed document.
-type syntaxError struct {
-	msg    string
-	offset int // bytes read before the error
-}
-
-func (e *syntaxError) Error() string { return e.msg }
-
 // typeError is a well-formed value of the wrong kind for its destination,
 // or a number that does not fit it.
 type typeError struct {
@@ -102,12 +95,32 @@ func (s *Scanner) Fail(err error) {
 	}
 }
 
-// Slot extends s to hold index i, re-exposing any element an earlier,
-// longer decode left beyond its length: encoding/json decodes a repeated
-// array key into the slice already there, element by element in place.
-// Decode element i of an array into Slot(s, i)[i], and after n elements
-// cut the slice to s[:n].
-func Slot[T any](s []T, i int) []T {
+// Slice decodes the next value, an array, into *dst as encoding/json
+// decodes one into a slice: elem decodes element i into (*dst)[i].  The
+// elements already there are decoded into in place, as for a repeated
+// key, and any an earlier, longer array left beyond the length come back
+// as they were; an empty array leaves an empty slice and null a nil one.
+func Slice[T any](s *Scanner, dst *[]T, elem func(*T)) {
+	if s.Null() {
+		*dst = nil
+		return
+	}
+	i := 0
+	for more := s.Array(); more; more = s.Elem() {
+		*dst = slot(*dst, i)
+		elem(&(*dst)[i])
+		i++
+	}
+	if i == 0 {
+		*dst = []T{}
+		return
+	}
+	*dst = (*dst)[:i]
+}
+
+// slot extends s to hold index i, re-exposing any element beyond its
+// length.
+func slot[T any](s []T, i int) []T {
 	switch {
 	case i < len(s):
 		return s
@@ -116,7 +129,7 @@ func Slot[T any](s []T, i int) []T {
 	}
 	// Double, rather than append's 1.25x for large slices: a decoder
 	// growing one element at a time then copies each element about once.
-	grown := make([]T, i+1, max(2*cap(s), 16))
+	grown := make([]T, i+1, max(2*cap(s), 4))
 	copy(grown, s[:cap(s)])
 	return grown
 }
@@ -125,10 +138,10 @@ func Slot[T any](s []T, i int) []T {
 // or an unexpected character in the named context.
 func (s *Scanner) syntax(context string) {
 	if s.pos >= len(s.data) {
-		s.Fail(&syntaxError{msg: "unexpected end of JSON input", offset: s.pos})
+		s.Fail(errors.New("unexpected end of JSON input"))
 		return
 	}
-	s.Fail(&syntaxError{msg: "invalid character " + quoteChar(s.data[s.pos]) + " " + context, offset: s.pos})
+	s.Fail(errors.New("invalid character " + quoteChar(s.data[s.pos]) + " " + context))
 }
 
 // quoteChar formats c as encoding/json's syntax errors do.
@@ -388,7 +401,7 @@ func (s *Scanner) open() bool {
 	s.pos++
 	s.depth++
 	if s.depth > maxDepth {
-		s.Fail(&syntaxError{msg: "exceeded max depth", offset: s.pos})
+		s.Fail(errors.New("exceeded max depth"))
 		return false
 	}
 	return true

@@ -101,15 +101,24 @@ func TestIsFolds(t *testing.T) {
 	}
 }
 
-// TestSlotKeepsStaleElements checks Slot's in-place growth: elements an
-// earlier decode left beyond the length come back, new ones are zero.
-func TestSlotKeepsStaleElements(t *testing.T) {
-	s := []int{1, 2, 3}
-	s = s[:1]
-	s = Slot(s, 1)
-	s = Slot(s, 2)
-	s = Slot(s, 3)
-	if want := []int{1, 2, 3, 0}; !slices.Equal(s, want) {
-		t.Fatalf("Slot grew %v, want %v", s, want)
+// TestSliceDecodesInPlace decodes a run of arrays into one slice, with
+// Slice and with encoding/json, and checks the two agree after each:
+// elements are decoded into in place, ones a longer array left beyond the
+// length come back, and [] and null drop them.
+func TestSliceDecodesInPlace(t *testing.T) {
+	docs := []string{`[1,2,3]`, `[9]`, `[7,null,null,null]`, `[]`, `[null,null]`, `[5,6,7]`, `null`, `[null]`, `[8]`}
+	var want, got []int
+	for _, doc := range docs {
+		if err := json.Unmarshal([]byte(doc), &want); err != nil {
+			t.Fatal(err)
+		}
+		s := New([]byte(doc))
+		Slice(s, &got, s.Int)
+		if err := s.End(); err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("after %s: got %#v, want %#v", doc, got, want)
+		}
 	}
 }

@@ -26,38 +26,41 @@ import (
 
 // readBody reads r's body into one buffer, refusing a body over
 // s.maxBody, with or without a Content-Length, with *http.MaxBytesError.
-// A declared length sizes the buffer exactly; a body of unknown length
-// (chunked) grows it by doubling.  Buffers are never pooled: decoded
-// requests keep sub-slices of them.
+// The buffer grows by doubling as bytes arrive, from at most 64 KiB, so a
+// client that declares a length and stalls holds no more than it sent;
+// a declared length caps the growth, so the buffer ends exactly that
+// long.  Buffers are never pooled: decoded requests keep sub-slices of
+// them.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if r.ContentLength > s.maxBody {
 		return nil, &http.MaxBytesError{Limit: s.maxBody}
 	}
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	// MaxBytesReader reads one byte past the limit to detect it.
+	limit := s.maxBody + 1
 	if r.ContentLength >= 0 {
-		buf := make([]byte, r.ContentLength)
-		if _, err := io.ReadFull(body, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+		limit = r.ContentLength
 	}
-	buf := make([]byte, 0, 4<<10)
-	for {
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	buf := make([]byte, 0, min(limit, 64<<10))
+	for int64(len(buf)) < limit {
 		if len(buf) == cap(buf) {
-			// MaxBytesReader reads one byte past the limit to detect it.
-			grown := make([]byte, len(buf), min(2*cap(buf), int(s.maxBody)+1))
+			grown := make([]byte, len(buf), min(2*int64(cap(buf)), limit))
 			copy(grown, buf)
 			buf = grown
 		}
 		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		switch {
-		case err == io.EOF:
-			return buf, nil
-		case err != nil:
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
+	if int64(len(buf)) < r.ContentLength {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf, nil
 }
 
 // decodeBody reads r's body and decodes it with decode; on failure it
@@ -95,7 +98,7 @@ func decodeSolveEnvelope(body []byte) (solveEnvelope, error) {
 	for more := s.Object(); more; more = s.Member() {
 		switch {
 		case s.Is("batch"):
-			decodeBatch(s, &env.Batch)
+			jsonscan.Slice(s, &env.Batch, func(req *SolveRequest) { scanSolveRequest(s, req) })
 		case !solveRequestField(s, &env.SolveRequest):
 			s.Skip()
 		}
@@ -110,12 +113,17 @@ func decodeSolveRequest(body []byte) (SolveRequest, error) {
 	if err != nil {
 		return req, err
 	}
+	scanSolveRequest(s, &req)
+	return req, s.Err()
+}
+
+// scanSolveRequest decodes a SolveRequest object into req.
+func scanSolveRequest(s *jsonscan.Scanner, req *SolveRequest) {
 	for more := s.Object(); more; more = s.Member() {
-		if !solveRequestField(s, &req) {
+		if !solveRequestField(s, req) {
 			s.Skip()
 		}
 	}
-	return req, s.Err()
 }
 
 // decodeJobRequest decodes the body of POST /v1/jobs.
@@ -160,30 +168,6 @@ func solveRequestField(s *jsonscan.Scanner, req *SolveRequest) bool {
 		return false
 	}
 	return true
-}
-
-// decodeBatch decodes a batch array, into the items already there for a
-// repeated key.
-func decodeBatch(s *jsonscan.Scanner, batch *[]SolveRequest) {
-	if s.Null() {
-		*batch = nil
-		return
-	}
-	i := 0
-	for more := s.Array(); more; more = s.Elem() {
-		*batch = jsonscan.Slot(*batch, i)
-		req := &(*batch)[i]
-		for more := s.Object(); more; more = s.Member() {
-			if !solveRequestField(s, req) {
-				s.Skip()
-			}
-		}
-		i++
-	}
-	*batch = (*batch)[:i]
-	if i == 0 {
-		*batch = []SolveRequest{}
-	}
 }
 
 // decodeOptions decodes a solver.WireOptions object.

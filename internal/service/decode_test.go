@@ -3,12 +3,16 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/scenario"
 )
@@ -158,6 +162,38 @@ func TestBodyLimits(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("chunked %d-byte body: status %d, %s", len(b), status, msg)
 		}
+	}
+}
+
+// TestReadBodyFollowsBytes checks that readBody's buffer follows the bytes
+// that arrive, not the length a request declares: a body that declares the
+// whole MaxBodyBytes and ends after 1 KiB costs well under a megabyte, and
+// a body that trickles in a byte at a time past the first buffer reads
+// whole, into a buffer exactly its length.
+func TestReadBodyFollowsBytes(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	read := func(body io.Reader, declared int64) ([]byte, uint64, error) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/solve", body)
+		r.ContentLength = declared
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		buf, err := s.readBody(httptest.NewRecorder(), r)
+		runtime.ReadMemStats(&after)
+		return buf, after.TotalAlloc - before.TotalAlloc, err
+	}
+	_, alloc, err := read(strings.NewReader(strings.Repeat("x", 1<<10)), s.maxBody)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || alloc > 1<<20 {
+		t.Fatalf("a %d-byte declared body that ends after 1 KiB: error %v, %d bytes allocated; want io.ErrUnexpectedEOF and under 1 MiB",
+			s.maxBody, err, alloc)
+	}
+	body := strings.Repeat("y", 100<<10)
+	buf, _, err := read(iotest.OneByteReader(strings.NewReader(body)), int64(len(body)))
+	if err != nil || string(buf) != body || cap(buf) != len(body) {
+		t.Fatalf("a trickled %d-byte body: error %v, read %d bytes into a buffer of %d", len(body), err, len(buf), cap(buf))
 	}
 }
 
