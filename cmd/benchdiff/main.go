@@ -2,7 +2,7 @@
 // compares later runs against it, failing on aggregate regressions.  It is
 // the core of CI's benchmark-regression gate.
 //
-//	go test -bench . -benchmem -benchtime=3x -count=3 -run='^$' ./... > bench.txt
+//	go test -bench . -benchmem -benchtime=100ms -count=3 -run='^$' ./... > bench.txt
 //	benchdiff -record -in bench.txt -out BENCH_baseline.json
 //	benchdiff -baseline BENCH_baseline.json -new bench_new.json -threshold 1.30 -alloc-threshold 1.15
 //	benchdiff -scaling bench_new.json

@@ -23,18 +23,8 @@ type Result struct {
 	LPValue float64
 }
 
-// minFlowOnExpanded routes an integral min-flow meeting the expanded lower
-// bounds and pulls it back onto the original instance.
-func minFlowOnExpanded(c *core.Compiled, ex *core.Expanded, lower []int64) (core.Solution, error) {
-	res, err := flow.MinFlow(ex.G, lower, ex.Source, ex.Sink)
-	if err != nil {
-		return core.Solution{}, err
-	}
-	return c.NewSolution(ex.PullBack(c.Inst, res.EdgeFlow))
-}
-
-// minFlowOnOriginal routes an integral min-flow meeting per-original-arc
-// requirements directly on the original instance.
+// minFlowOnOriginal routes an integral min-flow meeting per-arc
+// requirements on the instance.
 func minFlowOnOriginal(c *core.Compiled, lower []int64) (core.Solution, error) {
 	inst := c.Inst
 	res, err := flow.MinFlow(inst.G, lower, inst.Source, inst.Sink)
@@ -48,8 +38,14 @@ func minFlowOnOriginal(c *core.Compiled, lower []int64) (core.Solution, error) {
 // duration functions: with parameter alpha in (0,1) it returns a solution
 // using at most LPValue/(1-alpha) resources (<= B/(1-alpha)) with makespan
 // at most LPObjective/alpha (<= OPT(B)/alpha).  The LP relaxation polls
-// ctx, and the Section 3.1 expansion is taken from (and memoized on) the
-// compiled form instead of rebuilt per call.
+// ctx.
+//
+// Theorem 3.4 rounds and routes on D”; this routes each arc's summed
+// chain requirement on the instance instead.  The two minimum flows have
+// the same value, since an arc's chains are parallel.  An arc whose
+// zeroed chains include its first k-1 carries at least its k-th
+// breakpoint's resource, so its duration is at most the one its chains
+// realize on D”, and the makespan bound carries over.
 func BiCriteria(ctx context.Context, c *core.Compiled, budget int64, alpha float64) (*Result, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("approx: alpha %v outside (0,1)", alpha)
@@ -61,7 +57,7 @@ func BiCriteria(ctx context.Context, c *core.Compiled, budget int64, alpha float
 	if err != nil {
 		return nil, err
 	}
-	sol, err := minFlowOnExpanded(c, rel.Ex, rel.Round(alpha))
+	sol, err := minFlowOnOriginal(c, rel.Round(alpha))
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +75,7 @@ func BiCriteriaResource(ctx context.Context, c *core.Compiled, target int64, alp
 	if err != nil {
 		return nil, err
 	}
-	sol, err := minFlowOnExpanded(c, rel.Ex, rel.Round(alpha))
+	sol, err := minFlowOnOriginal(c, rel.Round(alpha))
 	if err != nil {
 		return nil, err
 	}
@@ -132,9 +128,8 @@ func halvedRounding(ctx context.Context, c *core.Compiled, budget int64, reduce 
 	if err != nil {
 		return nil, err
 	}
-	lower := rel.Round(0.5)
-	rj := rel.JobRounded(inst, lower)
-	rhat := rel.JobFractional(inst)
+	rj := rel.Round(0.5)
+	rhat := rel.JobFractional()
 	req := make([]int64, inst.G.NumEdges())
 	for e := range req {
 		req[e] = clampToBreakpoint(inst.Fns[e], reduce(e, rj[e], rhat[e]))
@@ -161,7 +156,7 @@ func BinaryBiCriteria(ctx context.Context, c *core.Compiled, budget int64) (*Res
 	if err != nil {
 		return nil, err
 	}
-	rhat := rel.JobFractional(inst)
+	rhat := rel.JobFractional()
 	req := make([]int64, inst.G.NumEdges())
 	for e := range req {
 		req[e] = clampToBreakpoint(inst.Fns[e], roundLog(rhat[e]))

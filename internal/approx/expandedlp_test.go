@@ -5,21 +5,25 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/duration"
 	"repro/internal/lp"
 )
+
+// twoTuple reads an arc of D” as its zero-resource duration t0 and the
+// resource r that zeroes it; r is 0 on a constant arc.
+func twoTuple(fn duration.Func) (t0, r int64) {
+	ts := fn.Tuples()
+	return ts[0].T, ts[len(ts)-1].R
+}
 
 // expandedGraphLP builds and solves the relaxation over the expanded graph
 // itself: one flow variable per expanded arc, one event time per expanded
 // node (chain midpoints included), a conservation row at every internal
 // node and event times measured up from the source.  It is the reference
 // formulation the differential oracle compares SolveMakespanLP and
-// SolveResourceLP against; budget >= 0 selects makespan mode, otherwise
-// target >= 0 selects resource mode.
-func expandedGraphLP(ctx context.Context, c *core.Compiled, budget, target float64) (*Relaxation, error) {
-	ex, err := c.Expansion()
-	if err != nil {
-		return nil, err
-	}
+// SolveResourceLP against, and it returns the LP optimum; budget >= 0
+// selects makespan mode, otherwise target >= 0 selects resource mode.
+func expandedGraphLP(ctx context.Context, ex *core.Expanded, budget, target float64) (float64, error) {
 	g := ex.G
 	m, n := g.NumEdges(), g.NumNodes()
 	// Variables: [0, m) flows, [m, m+n) event times.
@@ -29,8 +33,7 @@ func expandedGraphLP(ctx context.Context, c *core.Compiled, budget, target float
 
 	for e := 0; e < m; e++ {
 		ed := g.Edge(e)
-		t0, r, two := edgeTwoTuple(ex.Fns[e])
-		if two {
+		if t0, r := twoTuple(ex.Fns[e]); r > 0 {
 			// Flow beyond r buys nothing in the relaxation (Equation 6).
 			p.AddConstraint(lp.LE, []lp.Term{{Var: fVar(e), Coef: 1}}, float64(r))
 			// T_u + t0 (1 - f/r) <= T_v  (Equations 4 and 7).
@@ -85,23 +88,15 @@ func expandedGraphLP(ctx context.Context, c *core.Compiled, budget, target float
 			p.SetObjective(t.Var, t.Coef)
 		}
 	default:
-		return nil, fmt.Errorf("approx: neither budget nor target given")
+		return 0, fmt.Errorf("approx: neither budget nor target given")
 	}
 
 	sol, err := p.Solve(ctx)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("approx: relaxation is %v", sol.Status)
+		return 0, fmt.Errorf("approx: relaxation is %v", sol.Status)
 	}
-	rel := &Relaxation{
-		Ex:        ex,
-		F:         sol.X[:m],
-		Objective: sol.Objective,
-	}
-	for _, t := range srcTerms {
-		rel.Value += t.Coef * sol.X[t.Var]
-	}
-	return rel, nil
+	return sol.Objective, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/duration"
 	"repro/internal/exact"
+	"repro/internal/flow"
 	"repro/internal/scenario"
 )
 
@@ -165,21 +166,57 @@ func atMost(got, lim float64) bool {
 	return got <= lim+oracleRelTol*math.Max(1, math.Abs(lim))
 }
 
-// checkRelaxationPoint fails t unless rel.F is a feasible flow of the
-// relaxation that attains rel.Objective: within every two-tuple arc's
-// resource, conserved at every internal expanded node, of value
-// rel.Value, and with the fractional longest path it induces at most the
-// makespan bound (makespan mode) or the target (resource mode).
-func checkRelaxationPoint(t testing.TB, d oracleDraw, rel *Relaxation) {
+// expandedFlow lays a relaxation's chain flows out on the arcs of D”: a
+// chain's job and free arcs both carry its flow, and a copied arc carries
+// its arc's one entry.
+func expandedFlow(t testing.TB, ex *core.Expanded, rel *Relaxation) []float64 {
+	t.Helper()
+	fx := make([]float64, ex.G.NumEdges())
+	k := 0
+	for e, links := range ex.Chains {
+		if id := ex.CopiedArc[e]; id >= 0 {
+			fx[id] = rel.F[k]
+			k++
+			continue
+		}
+		for _, link := range links {
+			fx[link.JobArc], fx[link.FreeArc] = rel.F[k], rel.F[k]
+			k++
+		}
+	}
+	if k != len(rel.F) {
+		t.Fatalf("relaxation has %d chain flows, D” %d chains", len(rel.F), k)
+	}
+	return fx
+}
+
+// chainLower is the Section 3.1 alpha rounding on D”: a job arc whose LP
+// duration under fx falls below alpha times its zero-resource duration
+// requires its whole resource.
+func chainLower(ex *core.Expanded, fx []float64, alpha float64) []int64 {
+	lower := make([]int64, ex.G.NumEdges())
+	for e, fn := range ex.Fns {
+		if t0, r := twoTuple(fn); r > 0 && float64(t0)*(1-fx[e]/float64(r)) < alpha*float64(t0)-1e-9 {
+			lower[e] = r
+		}
+	}
+	return lower
+}
+
+// checkRelaxationPoint fails t unless the chain flows fx (laid out on D”)
+// are a feasible flow of the relaxation that attains rel.Objective: within
+// every two-tuple arc's resource, conserved at every internal node of D”,
+// of value rel.Value, and with the fractional longest path they induce at
+// most the makespan bound (makespan mode) or the target (resource mode).
+func checkRelaxationPoint(t testing.TB, d oracleDraw, rel *Relaxation, ex *core.Expanded, fx []float64) {
 	t.Helper()
 	const tol = 1e-6
-	ex := rel.Ex
 	g := ex.G
 	dur := make([]float64, g.NumEdges())
-	for e, f := range rel.F {
-		t0, r, two := edgeTwoTuple(ex.Fns[e])
+	for e, f := range fx {
+		t0, r := twoTuple(ex.Fns[e])
 		dur[e] = float64(t0)
-		if two {
+		if r > 0 {
 			if f < -tol || f > float64(r)+tol {
 				t.Fatalf("%s: flow %g on arc %d outside [0, %d]", d.name, f, e, r)
 			}
@@ -191,10 +228,10 @@ func checkRelaxationPoint(t testing.TB, d oracleDraw, rel *Relaxation) {
 	for v := 0; v < g.NumNodes(); v++ {
 		net := 0.0
 		for _, e := range g.Out(v) {
-			net += rel.F[e]
+			net += fx[e]
 		}
 		for _, e := range g.In(v) {
-			net -= rel.F[e]
+			net -= fx[e]
 		}
 		switch {
 		case v == ex.Source:
@@ -239,26 +276,43 @@ func checkApproxOracle(t testing.TB, d oracleDraw) []string {
 	t.Helper()
 	ctx := context.Background()
 	c, inst := d.c, d.c.Inst
-	var rel, ref *Relaxation
-	var err error
+	ex, err := core.Expand(inst)
+	if err != nil {
+		t.Fatalf("%s: %v", d.name, err)
+	}
+	var rel *Relaxation
+	var ref float64
 	if d.target < 0 {
 		rel, err = SolveMakespanLP(ctx, c, d.budget)
 		if err == nil {
-			ref, err = expandedGraphLP(ctx, c, float64(d.budget), -1)
+			ref, err = expandedGraphLP(ctx, ex, float64(d.budget), -1)
 		}
 	} else {
 		rel, err = SolveResourceLP(ctx, c, d.target)
 		if err == nil {
-			ref, err = expandedGraphLP(ctx, c, -1, float64(d.target))
+			ref, err = expandedGraphLP(ctx, ex, -1, float64(d.target))
 		}
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", d.name, err)
 	}
-	if math.Abs(rel.Objective-ref.Objective) > oracleRelTol*math.Max(1, math.Abs(ref.Objective)) {
-		t.Errorf("%s: LP optimum %.17g, expanded-graph LP %.17g", d.name, rel.Objective, ref.Objective)
+	if math.Abs(rel.Objective-ref) > oracleRelTol*math.Max(1, math.Abs(ref)) {
+		t.Errorf("%s: LP optimum %.17g, expanded-graph LP %.17g", d.name, rel.Objective, ref)
 	}
-	checkRelaxationPoint(t, d, rel)
+	fx := expandedFlow(t, ex, rel)
+	checkRelaxationPoint(t, d, rel, ex, fx)
+	// The bi-criteria algorithms route each arc's summed requirement on
+	// the instance; Theorem 3.4 routes the per-chain ones on D”.  The two
+	// minimum flows must spend the same resources.
+	sameSpend := func(name string, alpha float64, sol core.Solution) {
+		mf, err := flow.MinFlow(ex.G, chainLower(ex, fx, alpha), ex.Source, ex.Sink)
+		if err != nil {
+			t.Fatalf("%s %s alpha=%v: min-flow on D”: %v", d.name, name, alpha, err)
+		}
+		if sol.Value != mf.Value {
+			t.Errorf("%s %s alpha=%v: %d resources, the min-flow on D” %d", d.name, name, alpha, sol.Value, mf.Value)
+		}
+	}
 
 	var checked []string
 	validate := func(name string, sol core.Solution) {
@@ -282,6 +336,7 @@ func checkApproxOracle(t testing.TB, d oracleDraw) []string {
 					d.name, alpha, res.Sol.Value, opt, res.Sol.Makespan, d.target)
 			}
 			validate("bicriteria-resource", res.Sol)
+			sameSpend("bicriteria-resource", alpha, res.Sol)
 		}
 		return checked
 	}
@@ -301,6 +356,7 @@ func checkApproxOracle(t testing.TB, d oracleDraw) []string {
 				d.name, alpha, res.Sol.Makespan, opt, res.Sol.Value)
 		}
 		validate("bicriteria", res.Sol)
+		sameSpend("bicriteria", alpha, res.Sol)
 	}
 	// The class-restricted theorems, on the draws their solvers accept.
 	class := c.Class()

@@ -11,13 +11,15 @@
 //   - BinaryBiCriteria: the improved (4/3, 14/5) bi-criteria algorithm for
 //     recursive binary splitting (Theorem 3.16).
 //
-// All algorithms share the same pipeline: expand the instance to the
-// two-tuple form D” (core.Expand, Figure 6), solve the flow-based linear
-// relaxation LP 6-10, round the fractional solution, and re-route resources
-// with an integral minimum flow (LP 11-13, solved combinatorially).
+// All algorithms share the same pipeline on the compiled instance: solve
+// the flow-based linear relaxation LP 6-10, round the fractional solution
+// to a resource requirement per arc, and route resources with an integral
+// minimum flow on the instance's own arcs (LP 11-13, solved
+// combinatorially).
 //
-// The relaxation is built over the expansion's chains rather than its
-// arcs: one flow variable per chain, event times only at the original
+// The relaxation is LP 6-10 over the two-tuple form D” of Section 3.1
+// (Figure 6) without building D”: its variables are D”'s chains, read
+// off each arc's breakpoints, with event times only at the original
 // nodes, each measured down from its zero-flow longest-path time.  It has
 // the optimum of LP 6-10 over D”, and its all-slack starting basis is
 // feasible, so the simplex's first phase has only the conservation rows
@@ -34,38 +36,27 @@ import (
 	"repro/internal/lp"
 )
 
-// Relaxation is the solved LP 6-10 (or its minimum-resource variant) over
-// an expanded instance.
+// Relaxation is the solved LP 6-10 (or its minimum-resource variant) of a
+// compiled instance.
 type Relaxation struct {
-	Ex *core.Expanded
-	// F is the fractional flow per expanded arc.  A chain's job arc and
-	// free arc carry the same flow, the chain's one LP variable.
+	// F is the fractional flow per chain, arc by arc in arc order: an arc
+	// with breakpoints <R_1,T_1>, ..., <R_l,T_l> has l entries.  Chain
+	// i < l takes T_i time at zero resource and none at R_{i+1} - R_i; the
+	// last chain (a single-tuple arc's only one) always takes T_l.
 	F []float64
 	// Value is the fractional flow out of the source.
 	Value float64
 	// Objective is the LP optimum: a lower bound on the optimal makespan
 	// (makespan mode) or on the optimal resource usage (resource mode).
 	Objective float64
+
+	tuples [][]duration.Tuple // the compiled instance's breakpoints
 }
 
-// edgeTwoTuple reports the two-tuple shape of an expanded arc: ok is false
-// for single-tuple (constant) arcs, otherwise t0 > 0 is the zero-resource
-// duration and r > 0 zeroes it.
-func edgeTwoTuple(fn duration.Func) (t0, r int64, ok bool) {
-	ts := fn.Tuples()
-	if len(ts) == 1 {
-		return ts[0].T, 0, false
-	}
-	if len(ts) != 2 || ts[1].T != 0 {
-		panic(fmt.Sprintf("approx: arc is not in two-tuple form: %v", ts))
-	}
-	return ts[0].T, ts[1].R, true
-}
-
-// SolveMakespanLP solves the makespan relaxation over the compiled
-// instance's memoized two-tuple expansion: minimize the sink event time
-// subject to linear durations, flow conservation and a resource budget.
-// The simplex iteration polls ctx.
+// SolveMakespanLP solves the makespan relaxation of the compiled
+// instance: minimize the sink event time subject to linear durations,
+// flow conservation and a resource budget.  The simplex iteration polls
+// ctx.
 func SolveMakespanLP(ctx context.Context, c *core.Compiled, budget int64) (*Relaxation, error) {
 	return solveRelaxation(ctx, c, float64(budget), -1)
 }
@@ -76,15 +67,15 @@ func SolveResourceLP(ctx context.Context, c *core.Compiled, target int64) (*Rela
 	return solveRelaxation(ctx, c, -1, float64(target))
 }
 
-// solveRelaxation builds LP 6-10 over the expansion in a form whose slack
+// solveRelaxation builds LP 6-10 over D”'s chains in a form whose slack
 // basis is feasible, so the simplex's first phase sees only conservation
 // rows (and the target row in resource mode):
 //
-//   - One flow variable per chain and per copied constant arc, running
-//     between the original arc's endpoints.  A chain's midpoint has one arc
-//     in and one out, so its job and free arcs carry the same flow, and its
-//     event time projects out exactly: T_u + t(1 - f/delta) <= T_mid <= T_v
-//     holds for some T_mid iff T_u + t(1 - f/delta) <= T_v.
+//   - One flow variable per chain, running between the arc's endpoints.
+//     A chain's midpoint in D” has one arc in and one out, so its job and
+//     free arcs carry the same flow, and its event time projects out
+//     exactly: T_u + t(1 - f/delta) <= T_mid <= T_v holds for some T_mid
+//     iff T_u + t(1 - f/delta) <= T_v.
 //   - Event times measured down from L, the zero-flow longest path on the
 //     original instance: sigma_v = L_v - T_v.  A duration-t chain's row
 //     becomes sigma_v - sigma_u - (t/delta) f <= L_v - L_u - t, whose
@@ -95,26 +86,17 @@ func SolveResourceLP(ctx context.Context, c *core.Compiled, target int64) (*Rela
 //
 // Makespan mode minimizes -sigma_sink and reports L_sink - sigma_sink.
 func solveRelaxation(ctx context.Context, c *core.Compiled, budget, target float64) (*Relaxation, error) {
-	ex, err := c.Expansion()
-	if err != nil {
-		return nil, err
-	}
 	inst := c.Inst
 	n, m := inst.G.NumNodes(), inst.G.NumEdges()
-	d0 := make([]int64, m)
+	// Variables: the chain flows of arc e are [arcVar[e], arcVar[e+1]),
+	// one per breakpoint; then one sigma per node but the source.
+	d0, arcVar := make([]int64, m), make([]int, m+1)
 	for e, ts := range c.Tuples {
 		d0[e] = ts[0].T
+		arcVar[e+1] = arcVar[e] + len(ts)
 	}
 	L := make([]int64, n)
 	c.LongestPath(d0, L)
-
-	// Variables: the flows of original arc e are [arcVar[e], arcVar[e+1]),
-	// one per chain (or one for a copied arc); then one sigma per node but
-	// the source.
-	arcVar := make([]int, m+1)
-	for e := 0; e < m; e++ {
-		arcVar[e+1] = arcVar[e] + max(1, len(ex.Chains[e]))
-	}
 	nFlow := arcVar[m]
 	sVar := func(v int) int {
 		switch {
@@ -144,23 +126,20 @@ func solveRelaxation(ctx context.Context, c *core.Compiled, budget, target float
 		}
 		p.AddConstraint(lp.LE, terms, rhs)
 	}
-	for e := 0; e < m; e++ {
+	for e, ts := range c.Tuples {
 		u, v := int(c.ArcFrom[e]), int(c.ArcTo[e])
 		slack := float64(L[v] - L[u])
-		if ex.CopiedArc[e] >= 0 {
-			precedence(u, v, -1, 0, slack-float64(d0[e]))
-			continue
-		}
-		for i, link := range ex.Chains[e] {
-			f := arcVar[e] + i
-			if link.Delta == 0 {
-				precedence(u, v, -1, 0, slack-float64(link.Time))
+		for i, tp := range ts {
+			if i+1 == len(ts) {
+				// The last chain, or a single-tuple arc: no resource helps.
+				precedence(u, v, -1, 0, slack-float64(tp.T))
 				continue
 			}
+			f, delta := arcVar[e]+i, ts[i+1].R-tp.R
 			// Flow beyond delta buys nothing in the relaxation (Equation 6).
-			p.AddConstraint(lp.LE, []lp.Term{{Var: f, Coef: 1}}, float64(link.Delta))
+			p.AddConstraint(lp.LE, []lp.Term{{Var: f, Coef: 1}}, float64(delta))
 			// T_u + t (1 - f/delta) <= T_v  (Equations 4 and 7).
-			precedence(u, v, f, float64(link.Time)/float64(link.Delta), slack-float64(link.Time))
+			precedence(u, v, f, float64(tp.T)/float64(delta), slack-float64(tp.T))
 		}
 	}
 	// flowTerms appends coef times every flow variable of the arcs in arcs.
@@ -211,19 +190,9 @@ func solveRelaxation(ctx context.Context, c *core.Compiled, budget, target float
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("approx: relaxation is %v", sol.Status)
 	}
-	rel := &Relaxation{Ex: ex, F: make([]float64, ex.G.NumEdges()), Objective: sol.Objective}
+	rel := &Relaxation{F: sol.X[:nFlow], Objective: sol.Objective, tuples: c.Tuples}
 	if budget >= 0 {
 		rel.Objective += lSink
-	}
-	for e := 0; e < m; e++ {
-		if id := ex.CopiedArc[e]; id >= 0 {
-			rel.F[id] = sol.X[arcVar[e]]
-			continue
-		}
-		for i, link := range ex.Chains[e] {
-			x := sol.X[arcVar[e]+i]
-			rel.F[link.JobArc], rel.F[link.FreeArc] = x, x
-		}
 	}
 	for _, t := range srcTerms {
 		rel.Value += sol.X[t.Var]
@@ -232,51 +201,38 @@ func solveRelaxation(ctx context.Context, c *core.Compiled, budget, target float
 }
 
 // Round applies the alpha threshold rounding of Section 3.1 to the
-// fractional solution: a two-tuple arc whose LP duration lies in
-// [0, alpha*t0) is rounded down to duration 0 (requiring its full resource
-// r), everything else is rounded up to t0 (requiring none).  The returned
-// slice is the per-arc integral resource requirement f'.
+// fractional solution: a chain whose LP duration lies in [0, alpha*t) is
+// rounded down to duration 0 (requiring its full resource delta),
+// everything else is rounded up to t (requiring none).  The returned
+// slice is each arc's integral resource requirement, the sum over its
+// chains (the r_j of Section 3.2).
 func (rel *Relaxation) Round(alpha float64) []int64 {
-	lower := make([]int64, len(rel.F))
-	for e := range rel.F {
-		t0, r, two := edgeTwoTuple(rel.Ex.Fns[e])
-		if !two || t0 == 0 {
-			continue
+	req := make([]int64, len(rel.tuples))
+	k := 0
+	for e, ts := range rel.tuples {
+		for i := 0; i+1 < len(ts); i++ {
+			t0, delta := float64(ts[i].T), ts[i+1].R-ts[i].R
+			if lpDur := t0 * (1 - rel.F[k+i]/float64(delta)); lpDur < alpha*t0-1e-9 {
+				req[e] += delta
+			}
 		}
-		lpDur := float64(t0) * (1 - rel.F[e]/float64(r))
-		if lpDur < alpha*float64(t0)-1e-9 {
-			lower[e] = r
-		}
+		k += len(ts)
 	}
-	return lower
+	return req
 }
 
-// JobFractional sums the fractional LP flow over the chains of each
-// original arc (the r-hat of Section 3.3).
-func (rel *Relaxation) JobFractional(orig *core.Instance) []float64 {
-	out := make([]float64, orig.G.NumEdges())
-	for e := 0; e < orig.G.NumEdges(); e++ {
-		if id := rel.Ex.CopiedArc[e]; id >= 0 {
-			continue // constant arcs use no resource
+// JobFractional sums the fractional LP flow over the chains of each arc
+// (the r-hat of Section 3.3); single-tuple arcs use no resource.
+func (rel *Relaxation) JobFractional() []float64 {
+	out := make([]float64, len(rel.tuples))
+	k := 0
+	for e, ts := range rel.tuples {
+		if len(ts) > 1 {
+			for _, f := range rel.F[k : k+len(ts)] {
+				out[e] += f
+			}
 		}
-		for _, link := range rel.Ex.Chains[e] {
-			out[e] += rel.F[link.JobArc]
-		}
-	}
-	return out
-}
-
-// JobRounded sums an integral per-expanded-arc requirement over the chains
-// of each original arc (the r_j of Section 3.2).
-func (rel *Relaxation) JobRounded(orig *core.Instance, lower []int64) []int64 {
-	out := make([]int64, orig.G.NumEdges())
-	for e := 0; e < orig.G.NumEdges(); e++ {
-		if rel.Ex.CopiedArc[e] >= 0 {
-			continue
-		}
-		for _, link := range rel.Ex.Chains[e] {
-			out[e] += lower[link.JobArc]
-		}
+		k += len(ts)
 	}
 	return out
 }

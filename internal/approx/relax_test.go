@@ -62,8 +62,8 @@ func sameRelaxation(a, b *Relaxation) bool {
 
 // TestMakespanLPConcurrentMatchesSequential solves fresh-sized relaxations
 // from 8 goroutines at once, all drawing workspaces from the LP's shared
-// pool and sharing each compiled instance's memoized expansion, and
-// requires every answer to carry the bits of its sequential solve.
+// pool and reading each shared compiled instance, and requires every
+// answer to carry the bits of its sequential solve.
 func TestMakespanLPConcurrentMatchesSequential(t *testing.T) {
 	var cases []lpCase
 	for _, kind := range []string{"kway", "binary", "step"} {
@@ -104,17 +104,11 @@ var sinkRelaxation *Relaxation
 
 // BenchmarkMakespanLP times SolveMakespanLP alone on fresh-sized
 // relaxations of each duration class; one op solves the class's four
-// instances once each.  Compiling and the memoized expansion stay outside
-// the timer.
+// instances once each.  Compiling stays outside the timer.
 func BenchmarkMakespanLP(b *testing.B) {
 	for _, kind := range []string{"kway", "binary", "step"} {
 		b.Run(kind, func(b *testing.B) {
 			cases := freshLPCases(kind, 4)
-			for _, tc := range cases {
-				if _, err := tc.c.Expansion(); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -8,18 +8,12 @@ import (
 
 // This file defines the compiled-instance core: one immutable, validated,
 // preprocessed representation of an Instance that every solver layer and
-// the solving service share.
-//
-// Before it existed, each layer re-derived its slice of the preprocessing
-// pipeline on every solve: the exact search re-ran TopoOrder and
-// re-materialized breakpoint tuples, the relaxation engine rebuilt the
-// per-arc convex envelopes, the approximation algorithms re-expanded the
-// instance to the two-tuple form, series-parallel recognition re-ran its
-// reduction, and the service re-hashed JSON per request.  Compile performs
-// the cheap O(m) derivations once, up front, and memoizes the expensive
-// ones (canonical hash, envelopes, expansion, class detection, recognition)
-// behind sync.Once so they are computed at most once per instance no matter
-// how many solvers touch it.
+// the solving service share.  Compile performs the cheap O(m) derivations
+// once, up front - CSR adjacency, topological order, breakpoint tables,
+// combinatorial bounds - and memoizes the expensive ones (canonical hash,
+// envelopes, class detection, level schedule, and consumers' Memo entries
+// such as series-parallel recognition), so they are computed at most once
+// per instance no matter how many solvers touch it.
 //
 // When to use Instance vs Compiled: Instance is the construction and wire
 // form - build it, mutate nothing after validation, marshal it.  Compiled
@@ -71,9 +65,9 @@ type Compiled struct {
 	// exact search's tuple-assignment space - saturating at SpaceSaturation.
 	AssignmentSpace int64
 
-	// ExpandedArcs counts the arcs the Section 3.1 expansion creates: one
-	// per single-tuple arc, two per chain otherwise.  It sizes the dense LP
-	// without materializing the expansion.
+	// ExpandedArcs counts the arcs of the Section 3.1 two-tuple form D”:
+	// one per single-tuple arc, two per breakpoint otherwise.  It sizes
+	// the dense LP, which has one flow variable per chain.
 	ExpandedArcs int64
 
 	hashOnce sync.Once
@@ -91,10 +85,6 @@ type Compiled struct {
 	levelsOnce sync.Once
 	levels     *Levels
 
-	expandOnce sync.Once
-	expanded   *Expanded
-	expandErr  error
-
 	memoMu sync.Mutex
 	memo   map[string]any
 }
@@ -102,8 +92,8 @@ type Compiled struct {
 // Compile derives the compiled form of a validated instance.  The instance
 // must have been built by NewInstance (or an equivalent validated path) and
 // must not change afterwards.  The eager work is linear in the arc count;
-// the canonical hash, duration class, envelopes and expansion are derived
-// lazily on first use and cached.
+// the canonical hash, duration class, envelopes and level schedule are
+// derived lazily on first use and cached.
 func Compile(inst *Instance) *Compiled {
 	g := inst.G
 	n, m := g.NumNodes(), g.NumEdges()
@@ -185,13 +175,6 @@ func (c *Compiled) Class() string {
 func (c *Compiled) Envelopes() *Envelopes {
 	c.envOnce.Do(func() { c.env = buildEnvelopes(c.Tuples) })
 	return c.env
-}
-
-// Expansion returns the Section 3.1 two-tuple expansion D”, built once
-// and cached.  The dense-LP approximation pipeline consumes it.
-func (c *Compiled) Expansion() (*Expanded, error) {
-	c.expandOnce.Do(func() { c.expanded, c.expandErr = Expand(c.Inst) })
-	return c.expanded, c.expandErr
 }
 
 // Memo returns the value cached under key, building it with build on first

@@ -6,7 +6,8 @@
 //     where a vertex is a memory cell whose work is its in-degree);
 //   - Instance: jobs on arcs (the activity-on-arc form D' of Section 2);
 //   - Expansion: arcs with at most two resource-time tuples (the form D”
-//     of Section 3.1, Figure 6, consumed by the LP relaxation).
+//     of Section 3.1, Figure 6).  It is the proof device of the LP
+//     relaxation, which reads D”'s chains straight off Compiled.Tuples.
 //
 // A solution to either optimization problem is an integral source-to-sink
 // flow: f_e units of resource routed through arc e let its job finish in
@@ -18,8 +19,8 @@
 // Instance is the construction and wire form; Compiled (see Compile) is
 // the solve form: an immutable preprocessed view - CSR adjacency,
 // topological order, canonical hash, breakpoint tables, convex envelopes,
-// combinatorial bounds, and lazily derived expansion/recognition results -
-// shared by every solver layer.  Compile once, solve many.
+// combinatorial bounds, and lazily derived recognition results - shared by
+// every solver layer.  Compile once, solve many.
 package core
 
 import (

@@ -311,6 +311,62 @@ func TestExpandStructure(t *testing.T) {
 	}
 }
 
+// PullBack converts a flow on the expanded instance into the equivalent
+// flow on the original instance: chain flows of a job sum onto the original
+// arc.  The result is a valid flow of the same value (chains are parallel,
+// so conservation is preserved).
+func (ex *Expanded) PullBack(orig *Instance, fx []int64) []int64 {
+	f := make([]int64, orig.G.NumEdges())
+	for e := 0; e < orig.G.NumEdges(); e++ {
+		if id := ex.CopiedArc[e]; id >= 0 {
+			f[e] = fx[id]
+			continue
+		}
+		for _, link := range ex.Chains[e] {
+			f[e] += fx[link.JobArc]
+		}
+	}
+	return f
+}
+
+// CanonicalResource reports, for original arc e under expanded flow fx, the
+// canonical resource level achieved: the breakpoint r_k reached by zeroing
+// the maximal prefix of chains (the bijective mapping of Lemma 3.1).
+func (ex *Expanded) CanonicalResource(orig *Instance, e int, fx []int64) int64 {
+	if ex.CopiedArc[e] >= 0 {
+		return 0
+	}
+	tuples := orig.Fns[e].Tuples()
+	links := ex.Chains[e]
+	for i, link := range links {
+		if link.Delta == 0 || fx[link.JobArc] < link.Delta {
+			return tuples[i].R
+		}
+	}
+	return tuples[len(tuples)-1].R
+}
+
+// RealizedDuration reports the duration of original arc e implied directly
+// by the chain flows (the max over chain durations).  It is never below
+// the step function evaluated at the summed flow, and exceeds it when flow
+// is spread across chains non-canonically.
+func (ex *Expanded) RealizedDuration(orig *Instance, e int, fx []int64) int64 {
+	if id := ex.CopiedArc[e]; id >= 0 {
+		return orig.Fns[e].Eval(0)
+	}
+	var worst int64
+	for _, link := range ex.Chains[e] {
+		d := link.Time
+		if link.Delta > 0 && fx[link.JobArc] >= link.Delta {
+			d = 0
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 func TestExpandPullBackAndCanonical(t *testing.T) {
 	inst := pathInstance(
 		duration.MustStep(duration.Tuple{R: 0, T: 10}, duration.Tuple{R: 2, T: 6}, duration.Tuple{R: 5, T: 0}),

@@ -19,7 +19,7 @@ type ChainLink struct {
 
 // Expanded is the D” form of an instance - every arc has at most two
 // resource-time tuples, of the shape {<0,t>, <delta,0>} or {<0,t>} - plus
-// the bookkeeping needed to map solutions back to the original instance.
+// the bookkeeping that ties its arcs to the original ones.
 type Expanded struct {
 	*Instance
 	// Chains[e] lists the parallel chains that replaced original arc e;
@@ -81,61 +81,4 @@ func Expand(inst *Instance) (*Expanded, error) {
 	}
 	ex.Instance = expanded
 	return ex, nil
-}
-
-// PullBack converts a flow on the expanded instance into the equivalent
-// flow on the original instance: chain flows of a job sum onto the original
-// arc.  The result is a valid flow of the same value (chains are parallel,
-// so conservation is preserved; the core_test package checks this).
-func (ex *Expanded) PullBack(orig *Instance, fx []int64) []int64 {
-	f := make([]int64, orig.G.NumEdges())
-	for e := 0; e < orig.G.NumEdges(); e++ {
-		if id := ex.CopiedArc[e]; id >= 0 {
-			f[e] = fx[id]
-			continue
-		}
-		for _, link := range ex.Chains[e] {
-			f[e] += fx[link.JobArc]
-		}
-	}
-	return f
-}
-
-// CanonicalResource reports, for original arc e under expanded flow fx, the
-// canonical resource level achieved: the breakpoint r_k reached by zeroing
-// the maximal prefix of chains (the bijective mapping of Lemma 3.1).
-func (ex *Expanded) CanonicalResource(orig *Instance, e int, fx []int64) int64 {
-	if ex.CopiedArc[e] >= 0 {
-		return 0
-	}
-	tuples := orig.Fns[e].Tuples()
-	links := ex.Chains[e]
-	for i, link := range links {
-		if link.Delta == 0 || fx[link.JobArc] < link.Delta {
-			return tuples[i].R
-		}
-	}
-	return tuples[len(tuples)-1].R
-}
-
-// RealizedDuration reports the duration of original arc e implied directly
-// by the chain flows (the max over chain durations).  It can exceed the
-// step function evaluated at the summed flow when flow is spread across
-// chains non-canonically; the approximation algorithms always redistribute
-// canonically, making the two equal.
-func (ex *Expanded) RealizedDuration(orig *Instance, e int, fx []int64) int64 {
-	if id := ex.CopiedArc[e]; id >= 0 {
-		return orig.Fns[e].Eval(0)
-	}
-	var worst int64
-	for _, link := range ex.Chains[e] {
-		d := link.Time
-		if link.Delta > 0 && fx[link.JobArc] >= link.Delta {
-			d = 0
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

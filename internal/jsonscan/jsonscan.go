@@ -96,19 +96,19 @@ func (s *Scanner) Fail(err error) {
 }
 
 // Slice decodes the next value, an array, into *dst as encoding/json
-// decodes one into a slice: elem decodes element i into (*dst)[i].  The
+// decodes one into a slice: decode decodes element i into (*dst)[i].  The
 // elements already there are decoded into in place, as for a repeated
 // key, and any an earlier, longer array left beyond the length come back
 // as they were; an empty array leaves an empty slice and null a nil one.
-func Slice[T any](s *Scanner, dst *[]T, elem func(*T)) {
+func Slice[T any](s *Scanner, dst *[]T, decode func(*T)) {
 	if s.Null() {
 		*dst = nil
 		return
 	}
 	i := 0
-	for more := s.Array(); more; more = s.Elem() {
+	for more := s.array(); more; more = s.elem() {
 		*dst = slot(*dst, i)
-		elem(&(*dst)[i])
+		decode(&(*dst)[i])
 		i++
 	}
 	if i == 0 {
@@ -346,11 +346,11 @@ func sameFold(r, c rune) bool {
 	return false
 }
 
-// Array starts decoding an array into a slice: it returns true when an
+// array starts decoding an array into a slice: it returns true when an
 // element follows, and false for an empty array, a null, or an error (a
 // value of another kind is a type error).  Decode each element, then
-// call Elem.
-func (s *Scanner) Array() bool {
+// call elem.
+func (s *Scanner) array() bool {
 	if s.err != nil {
 		return false
 	}
@@ -373,16 +373,12 @@ func (s *Scanner) Array() bool {
 	return false
 }
 
-// Elem moves past an element: it returns true when another follows, and
+// elem moves past an element: it returns true when another follows, and
 // false at the closing bracket or an error.
-func (s *Scanner) Elem() bool {
+func (s *Scanner) elem() bool {
 	if s.err != nil {
 		return false
 	}
-	return s.nextElem()
-}
-
-func (s *Scanner) nextElem() bool {
 	switch s.peek() {
 	case ',':
 		s.pos++
@@ -418,37 +414,13 @@ func (s *Scanner) value(typ string) {
 	}
 }
 
-// AppendString appends the next value, a string, unescaped to dst.  A
-// null appends nothing and reports false; any other value is a type error.
-func (s *Scanner) AppendString(dst []byte) ([]byte, bool) {
-	if s.err != nil {
-		return dst, false
-	}
-	switch s.peek() {
-	case '"':
-		start := s.pos
-		escaped := s.scanString()
-		if s.err != nil {
-			return dst, false
-		}
-		if escaped {
-			return unquote(dst, s.data[start+1:s.pos-1]), true
-		}
-		return append(dst, s.data[start+1:s.pos-1]...), true
-	case 'n':
-		s.literal("null")
-		return dst, false
-	}
-	s.value("string")
-	return dst, false
-}
-
 // String decodes the next value, a string, into *dst; a null leaves it.
 func (s *Scanner) String(dst *string) {
 	if s.err != nil {
 		return
 	}
-	if s.peek() == '"' {
+	switch s.peek() {
+	case '"':
 		start := s.pos
 		escaped := s.scanString()
 		if s.err != nil {
@@ -459,9 +431,11 @@ func (s *Scanner) String(dst *string) {
 			raw = unquote(nil, raw)
 		}
 		*dst = string(raw)
-		return
+	case 'n':
+		s.literal("null")
+	default:
+		s.value("string")
 	}
-	s.AppendString(nil) // a null, or the error
 }
 
 // Int64 decodes the next value, an integer, into *dst; a null leaves it.

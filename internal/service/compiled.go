@@ -25,8 +25,8 @@ import (
 //     encodings of the same DAG (renamed nodes, reordered arcs) decode to
 //     different bytes but compile to the same canonical hash; the second
 //     one adopts the first's *core.Compiled, so lazily derived state
-//     (expansion, envelopes, series-parallel recognition) is shared
-//     instead of duplicated.
+//     (envelopes, series-parallel recognition) is shared instead of
+//     duplicated.
 //
 // Compiled instances are immutable and all their lazy derivations are
 // internally synchronized, so one *core.Compiled is safely shared by every

@@ -298,22 +298,21 @@ func (r *jobRegistry) submit(req JobRequest, now time.Time) (*job, error) {
 		changed:  make(chan struct{}),
 		index:    -1,
 	}
+	var p *prepared
 	if req.Frontier != nil {
 		plan, err := r.s.planFrontier(*req.Frontier, now)
 		if err != nil {
 			return nil, err
 		}
-		jb.plan = plan
-		jb.name = plan.p.name
+		jb.plan, p = plan, plan.p
 	} else {
-		p, err := r.s.prepare(req.SolveRequest, now)
-		if err != nil {
+		var err error
+		if p, err = r.s.prepare(req.SolveRequest, now); err != nil {
 			return nil, err
 		}
 		jb.p = p
-		jb.name = p.name
-		jb.deadline = p.opts.Deadline
 	}
+	jb.name, jb.deadline = p.name, p.opts.Deadline
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()

@@ -473,6 +473,45 @@ func TestJobAdmissionOrder(t *testing.T) {
 	}
 }
 
+// TestFrontierJobQueuesByDeadline holds every admission slot, queues a
+// deadline-free solve job and then a frontier job with deadline_ms, and
+// requires the frontier job to wait in the admission heap under its own
+// deadline, ahead of the earlier job.
+func TestFrontierJobQueuesByDeadline(t *testing.T) {
+	svc, _ := newTestServer(t, Config{Workers: 1})
+	svc.jobs.mu.Lock()
+	svc.jobs.avail = 0
+	svc.jobs.mu.Unlock()
+
+	var solve JobRequest
+	if err := json.Unmarshal([]byte(jobBody(t, 57, "")), &solve); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := json.Marshal(scenario.NewGen(57).StepInstance(3, 3, 2, 4, 30, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := JobRequest{Frontier: &FrontierRequest{Solver: "exact", Instance: inst, BudgetMax: 6, Steps: 2,
+		Options: solver.WireOptions{DeadlineMS: 60000}}}
+	now := time.Now()
+	if _, err := svc.jobs.submit(solve, now); err != nil {
+		t.Fatal(err)
+	}
+	jb, err := svc.jobs.submit(sweep, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc.jobs.mu.Lock()
+	defer svc.jobs.mu.Unlock()
+	if jb.index < 0 || !jb.deadline.Equal(now.Add(time.Minute)) {
+		t.Fatalf("frontier job queued at heap index %d with deadline %v, want %v", jb.index, jb.deadline, now.Add(time.Minute))
+	}
+	if top := svc.jobs.pending[0]; top != jb {
+		t.Fatalf("admission heap leads with job %s, want the frontier job %s", top.id, jb.id)
+	}
+}
+
 // TestJobAfterStoreCorruption restarts the service on a store containing
 // a half-written report entry: the boot skips (and counts) the corrupt
 // entry, and re-submitting the job re-solves and succeeds.

@@ -72,7 +72,7 @@ type Config struct {
 	// result cache; 0 means the 512 default, < 0 disables it (every
 	// request decodes and compiles).  The cap counts ENTRIES, not bytes:
 	// each entry retains the decoded instance, its CSR/breakpoint arrays
-	// and any lazily derived expansion or recognition state - a small
+	// and any lazily derived envelope or recognition state - a small
 	// multiple of the instance's wire size.  Deployments accepting large
 	// bodies (MaxBodyBytes) from untrusted clients should budget roughly
 	// CompiledEntries x a few x MaxBodyBytes of residency, and size the

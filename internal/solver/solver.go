@@ -293,9 +293,9 @@ func (r *Report) String() string {
 
 // Solver is one algorithm behind the unified API.  Every solver consumes
 // the compiled-instance form (core.Compiled): the topological order,
-// breakpoint tables, canonical hash, envelopes, expansion and recognition
-// results are derived once per instance and shared across solvers instead
-// of re-derived per solve.
+// breakpoint tables, canonical hash, envelopes and recognition results
+// are derived once per instance and shared across solvers instead of
+// re-derived per solve.
 type Solver interface {
 	// Name is the registry key.
 	Name() string

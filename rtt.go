@@ -80,8 +80,8 @@ const (
 
 // Compiled is the immutable preprocessed form of an Instance: CSR
 // adjacency, topological order, canonical hash, breakpoint tables, convex
-// envelopes, combinatorial bounds, and lazily derived expansion and
-// recognition results, shared by every solver.  Compile once, solve many.
+// envelopes, combinatorial bounds, and lazily derived recognition
+// results, shared by every solver.  Compile once, solve many.
 type Compiled = core.Compiled
 
 // Compile derives the compiled form of a validated instance.
