@@ -83,21 +83,6 @@ func (g *Graph) OutDegree(v int) int { return len(g.out[v]) }
 // InDegree reports the number of arcs entering v.
 func (g *Graph) InDegree(v int) int { return len(g.in[v]) }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		names: append([]string(nil), g.names...),
-		edges: append([]Edge(nil), g.edges...),
-		out:   make([][]int, len(g.out)),
-		in:    make([][]int, len(g.in)),
-	}
-	for v := range g.out {
-		c.out[v] = append([]int(nil), g.out[v]...)
-		c.in[v] = append([]int(nil), g.in[v]...)
-	}
-	return c
-}
-
 // ErrCyclic is reported when a graph expected to be acyclic has a cycle.
 var ErrCyclic = errors.New("dag: graph contains a cycle")
 
@@ -155,10 +140,11 @@ func (g *Graph) Sinks() []int {
 	return s
 }
 
-// Validate checks that the graph is a single-source single-sink DAG in which
-// every node lies on some source-to-sink path (equivalently: every node is
-// reachable from the source and co-reachable from the sink).  It returns the
-// source and sink IDs.  This is the structural precondition of the
+// Validate checks that the graph is a single-source single-sink DAG, and so
+// that every node lies on some source-to-sink path: walking in-arcs back
+// from any node of a finite DAG ends at a node without in-arcs, the one
+// source, and walking out-arcs forward ends at the one sink.  It returns
+// the source and sink IDs.  This is the structural precondition of the
 // resource-flow model: a unit of resource must be routable through any arc.
 func (g *Graph) Validate() (source, sink int, err error) {
 	if g.NumNodes() == 0 {
@@ -179,55 +165,32 @@ func (g *Graph) Validate() (source, sink int, err error) {
 	if len(snks) != 1 {
 		return 0, 0, fmt.Errorf("dag: want exactly 1 sink, have %d", len(snks))
 	}
-	source, sink = srcs[0], snks[0]
-	fromSrc := g.ReachableFrom(source)
-	toSink := g.CoReachable(sink)
-	for v := range g.names {
-		if !fromSrc[v] {
-			return 0, 0, fmt.Errorf("dag: node %d (%s) unreachable from source", v, g.names[v])
-		}
-		if !toSink[v] {
-			return 0, 0, fmt.Errorf("dag: node %d (%s) cannot reach sink", v, g.names[v])
-		}
-	}
-	return source, sink, nil
+	return srcs[0], snks[0], nil
 }
 
-// ReachableFrom returns the set of nodes reachable from v (including v).
-func (g *Graph) ReachableFrom(v int) []bool {
-	seen := make([]bool, len(g.names))
-	stack := []int{v}
-	seen[v] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[u] {
-			w := g.edges[e].To
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
+// Paths enumerates source-to-sink paths between s and t as sequences of edge
+// IDs, visiting at most limit paths (limit <= 0 means no bound).  It reports
+// whether enumeration was exhaustive.
+func (g *Graph) Paths(s, t, limit int) (paths [][]int, exhaustive bool) {
+	exhaustive = true
+	var cur []int
+	var rec func(v int) bool
+	rec = func(v int) bool {
+		if v == t {
+			paths = append(paths, append([]int(nil), cur...))
+			return limit <= 0 || len(paths) < limit
+		}
+		for _, e := range g.out[v] {
+			cur = append(cur, e)
+			ok := rec(g.edges[e].To)
+			cur = cur[:len(cur)-1]
+			if !ok {
+				exhaustive = false
+				return false
 			}
 		}
+		return true
 	}
-	return seen
-}
-
-// CoReachable returns the set of nodes from which v is reachable
-// (including v).
-func (g *Graph) CoReachable(v int) []bool {
-	seen := make([]bool, len(g.names))
-	stack := []int{v}
-	seen[v] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.in[u] {
-			w := g.edges[e].From
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
+	rec(s)
+	return paths, exhaustive
 }

@@ -100,9 +100,6 @@ func New(n int) *Problem {
 // NumVars reports the number of structural variables.
 func (p *Problem) NumVars() int { return p.n }
 
-// NumConstraints reports the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // SetObjective sets the coefficient of variable j in the minimized
 // objective.
 func (p *Problem) SetObjective(j int, coef float64) {

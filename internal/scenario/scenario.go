@@ -93,12 +93,6 @@ func Families() []Family {
 	return out
 }
 
-// Lookup resolves a family by name.
-func Lookup(name string) (Family, bool) {
-	f, ok := families[name]
-	return f, ok
-}
-
 // Validate checks the spec names a known family, uses only recognized
 // parameters, and sets exactly one objective.  The error for an invalid
 // spec is deterministic: parameters are checked in sorted order, so two

@@ -106,7 +106,7 @@ func (s *Server) handleInternalSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, status := s.solveOne(r.Context(), req, true)
+	resp, status := s.solveOne(r.Context(), req, true, nil)
 	writeSolve(w, resp, status)
 }
 

@@ -1,11 +1,17 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -182,6 +188,36 @@ func BenchmarkServeHotHTTP(b *testing.B) {
 	}
 }
 
+// BenchmarkServeHotBody is BenchmarkServeHotHTTP on perfbench hot's
+// largest body class: hotShapedBody, about 100 KB, sent again and again.
+// A repeated body costs one SHA-256 and one compiled-cache lookup; the
+// scan that would find its instance's end is what the body alias saves.
+func BenchmarkServeHotBody(b *testing.B) {
+	svc, err := New(Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	h := svc.Handler()
+	body := hotShapedBody(b)
+	post := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		return w
+	}
+	if w := post(); w.Code != http.StatusOK {
+		b.Fatalf("prime request failed: %d %s", w.Code, w.Body.String())
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := post(); w.Code != http.StatusOK {
+			b.Fatalf("hot request failed: %d", w.Code)
+		}
+	}
+}
+
 // BenchmarkServeColdInstance measures the same request through a service
 // with both caches disabled: every iteration decodes, validates, compiles,
 // hashes and solves.  The hot/cold allocs/op ratio is the measured payoff
@@ -203,5 +239,188 @@ func BenchmarkServeColdInstance(b *testing.B) {
 		if w := servePost(h, body); w.Code != http.StatusOK {
 			b.Fatalf("cold request failed: %d", w.Code)
 		}
+	}
+}
+
+// normalizeAnswer blanks the fields a repeated request may legitimately
+// answer differently: every wall_ms, and cached.
+var normalizeAnswer = regexp.MustCompile(`"(wall_ms|cached)":[^,}]*`)
+
+// postRaw posts body to /v1/solve and returns the status and the answer
+// with wall_ms and cached blanked.
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, normalizeAnswer.ReplaceAllString(string(data), `"$1":_`)
+}
+
+// TestRepeatedBodyAnswersAsItsDecode posts each body twice: the repeat
+// of a single solve is a body hit, which must answer exactly as the
+// first request's decode did (same status, same bytes apart from wall_ms
+// and cached).  Each case's instance is compiled first under other
+// options, so both answers are compiled hits.  compiled.body_hits grows
+// on the repeat of a valid single solve and on nothing else.
+func TestRepeatedBodyAnswersAsItsDecode(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	for i, tc := range []struct {
+		name   string
+		body   func(inst string) string
+		status int
+		valid  bool // a single solve that prepares: its repeat is a body hit
+	}{
+		{"unknown keys", func(inst string) string {
+			return `{"x":{"y":[1,null,{"z":"w"}]},"solver":"exact","options":{"budget":3,"zz":[]},"instance":` + inst + `,"k":true}`
+		}, http.StatusOK, true},
+		{"repeated keys", func(inst string) string {
+			return `{"solver":"nope","instance":{"nodes":["x"]},"options":{"budget":9,"alpha":0.5},"solver":"auto","instance":` + inst + `,"options":{"budget":2}}`
+		}, http.StatusOK, true},
+		{"white space", func(inst string) string {
+			return " \n\t{ \"options\" : {\"budget\":4} ,\r\n\"instance\":\t" + inst + " }\n\n "
+		}, http.StatusOK, true},
+		{"bytes after the value", func(inst string) string {
+			return `{"options":{"budget":1},"instance":` + inst + `} {"solver":`
+		}, http.StatusOK, true},
+		{"deadline", func(inst string) string {
+			return `{"options":{"budget":2,"deadline_ms":60000,"parallelism":1},"solver":"exact","instance":` + inst + `}`
+		}, http.StatusOK, true},
+		{"envelope decode fails", func(inst string) string {
+			return `{"options":{"budget":2},"instance":` + inst + `,"solver":1}`
+		}, http.StatusBadRequest, false},
+		{"instance decode fails", func(string) string {
+			return `{"options":{"budget":2},"instance":{"nodes":["s","t"],"edges":[{"from":0,"to":5}]}}`
+		}, http.StatusBadRequest, false},
+		{"options fail", func(inst string) string {
+			return `{"options":{"budget":-1},"instance":` + inst + `}`
+		}, http.StatusBadRequest, false},
+		{"solver lookup fails", func(inst string) string {
+			return `{"solver":"nope","options":{"budget":2},"instance":` + inst + `}`
+		}, http.StatusBadRequest, false},
+		{"mode unsupported", func(inst string) string {
+			return `{"solver":"kway5","options":{"target":40},"instance":` + inst + `}`
+		}, http.StatusBadRequest, false},
+		{"batch", func(inst string) string {
+			return `{"batch":[{"options":{"budget":2},"instance":` + inst + `},{"solver":"nope","instance":` + inst + `}]}`
+		}, http.StatusOK, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := string(storeInstanceJSON(t, int64(i)))
+			if status, answer := postRaw(t, ts, `{"options":{"budget":0},"instance":`+inst+`}`); status != http.StatusOK {
+				t.Fatalf("priming the instance: status %d, %s", status, answer)
+			}
+			body := tc.body(inst)
+			before := svc.compiled.stats()
+			status1, first := postRaw(t, ts, body)
+			mid := svc.compiled.stats()
+			status2, second := postRaw(t, ts, body)
+			after := svc.compiled.stats()
+			if status1 != status2 || first != second {
+				t.Fatalf("the repeat answered differently:\nfirst  %d %s\nrepeat %d %s", status1, first, status2, second)
+			}
+			if status1 != tc.status {
+				t.Fatalf("answered %d %s; want status %d", status1, first, tc.status)
+			}
+			if tc.valid && !strings.Contains(first, `"compiled_hit":true`) {
+				t.Fatalf("a valid single solve answered %s; want a compiled hit", first)
+			}
+			var want int64
+			if tc.valid {
+				want = 1
+			}
+			if d1, d2 := mid.BodyHits-before.BodyHits, after.BodyHits-mid.BodyHits; d1 != 0 || d2 != want {
+				t.Fatalf("body_hits grew by %d on the first post and %d on the repeat; want 0 and %d", d1, d2, want)
+			}
+		})
+	}
+}
+
+// TestBodyKeysNeverMatchInstances posts a document that is both a valid
+// single-solve body and a valid instance document (its own nodes and
+// edges, plus "options" and "instance" members, which an instance
+// ignores).  Once it has been aliased as a body, the same bytes sent as
+// another request's instance must still compile the outer document.
+func TestBodyKeysNeverMatchInstances(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	inner := string(storeInstanceJSON(t, 0))
+	doc := `{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":7}}],"options":{"budget":1},"instance":` + inner + `}`
+	var asBody, repeat, asInstance SolveResponse
+	if status := postSolve(t, ts, doc, &asBody); status != http.StatusOK || asBody.InstanceArcs != 6 {
+		t.Fatalf("the document as a body: status %d, %+v; want the 6-arc inner instance", status, asBody)
+	}
+	if status := postSolve(t, ts, doc, &repeat); status != http.StatusOK || repeat.Hash != asBody.Hash {
+		t.Fatalf("the repeated body: status %d, %+v", status, repeat)
+	}
+	if st := svc.compiled.stats(); st.BodyHits != 1 {
+		t.Fatalf("compiled stats %+v; want the repeat to be a body hit", st)
+	}
+	if status := postSolve(t, ts, `{"options":{"budget":1},"instance":`+doc+`}`, &asInstance); status != http.StatusOK {
+		t.Fatalf("the document as an instance: status %d, %+v", status, asInstance)
+	}
+	if asInstance.InstanceArcs != 1 || asInstance.Hash == asBody.Hash || asInstance.CompiledHit {
+		t.Fatalf("the document as an instance answered %+v; want a fresh compile of its own 1-arc graph", asInstance)
+	}
+}
+
+// compiledKeys counts the keys of the compiled cache's three maps.
+func compiledKeys(cc *compiledCache) int {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return len(cc.byHash) + len(cc.byRaw) + len(cc.byBody)
+}
+
+// TestBodyAliasesFollowTheirEntry checks that body aliases live and die
+// with their compiled entry: a stream of distinct bodies well past the
+// capacity keeps the key maps within capacity x (1 + maxRawAliases), a
+// body whose entry was evicted misses, and identical bodies posted
+// concurrently register one alias.
+func TestBodyAliasesFollowTheirEntry(t *testing.T) {
+	const capacity = 2
+	svc, ts := newTestServer(t, Config{Workers: 2, CompiledEntries: capacity})
+	for bump := int64(0); bump < 40; bump++ {
+		var resp SolveResponse
+		if status := postSolve(t, ts, storeSolveBody(t, bump), &resp); status != http.StatusOK {
+			t.Fatalf("body %d: status %d, %+v", bump, status, resp)
+		}
+		if n := compiledKeys(svc.compiled); n > capacity*(1+maxRawAliases) {
+			t.Fatalf("after %d bodies the compiled cache holds %d keys; want at most %d", bump+1, n, capacity*(1+maxRawAliases))
+		}
+	}
+	before := svc.compiled.stats()
+	var evicted SolveResponse
+	if status := postSolve(t, ts, storeSolveBody(t, 0), &evicted); status != http.StatusOK || evicted.CompiledHit {
+		t.Fatalf("a body whose entry was evicted: status %d, %+v; want a fresh compile", status, evicted)
+	}
+	if st := svc.compiled.stats(); st.BodyHits != before.BodyHits || st.Misses != before.Misses+1 {
+		t.Fatalf("compiled stats %+v after %+v; want one miss and no body hit", st, before)
+	}
+
+	body := storeSolveBody(t, 100)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, data, err := postSolveCtx(context.Background(), ts.URL, body); err != nil || status != http.StatusOK {
+				t.Errorf("concurrent post: status %d, error %v, %s", status, err, data)
+			}
+		}()
+	}
+	wg.Wait()
+	svc.compiled.mu.Lock()
+	el, ok := svc.compiled.byBody[sha256.Sum256([]byte(body))]
+	var aliases int
+	if ok {
+		aliases = len(el.Value.(*compiledEntry).bodies)
+	}
+	svc.compiled.mu.Unlock()
+	if !ok || aliases != 1 {
+		t.Fatalf("8 concurrent identical bodies: aliased %v with %d body aliases on the entry; want exactly 1", ok, aliases)
 	}
 }

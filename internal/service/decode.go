@@ -1,11 +1,14 @@
 package service
 
 // Request bodies: every POST handler reads its body with readBody, into
-// one buffer sized from Content-Length.  Bodies carrying a SolveRequest
-// (/v1/solve, /internal/v1/solve, /v1/jobs) are then walked once by a
-// reflection-free scanner (internal/jsonscan), and each instance stays a
-// sub-slice of that buffer: the compiled-cache key, the instance decode
-// and the store's write-through all read the bytes where they arrived.
+// one buffer sized from Content-Length.  A /v1/solve body is first looked
+// up whole in the compiled cache: a body already prepared as a single
+// solve is rebuilt from its alias (compiledCache.getBody) and not walked
+// at all.  Every other body carrying a SolveRequest (/v1/solve on a body
+// miss, /internal/v1/solve, /v1/jobs) is walked once by a reflection-free
+// scanner (internal/jsonscan), and each instance stays a sub-slice of
+// that buffer: the compiled-cache keys, the instance decode and the
+// store's write-through all read the bytes where they arrived.
 //
 // The decoders are named functions, not UnmarshalJSON methods: solveEnvelope
 // and JobRequest embed SolveRequest, and a method on it would be promoted
@@ -72,10 +75,15 @@ func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, decode
 		v, err = decode(body)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		writeBadBody(w, err)
 		return v, false
 	}
 	return v, true
+}
+
+// writeBadBody answers 400 for a body that does not read or decode.
+func writeBadBody(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 }
 
 // bodyScanner starts a scan of a request body: io.EOF when it holds no

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -107,9 +108,29 @@ func bodySeeds(tb testing.TB) []string {
 	}
 }
 
+// sameAlias checks the body alias of a body that decodes as a single
+// solve: rebuilt from the alias over a copy of the body, as a repeated
+// body arrives, the request equals what decodeSolveEnvelope returns.
+func sameAlias(t *testing.T, body []byte) {
+	t.Helper()
+	env, err := decodeSolveEnvelope(body)
+	if err != nil || len(env.Batch) > 0 {
+		return
+	}
+	a, ok := newBodyAlias(sha256.Sum256(body), body, env.SolveRequest)
+	if !ok {
+		t.Fatalf("no body alias: the instance %q is not a span of the body", env.Instance)
+	}
+	if got := a.request(bytes.Clone(body)); !reflect.DeepEqual(got, env.SolveRequest) {
+		t.Fatalf("the body alias rebuilt another request:\ndecoded %+v\nrebuilt %+v", env.SolveRequest, got)
+	}
+}
+
 // FuzzSolveBodyDifferential holds the scanner decoders of every body that
 // carries a SolveRequest to their encoding/json reference: on each input
-// both fail, or both succeed with identical requests.
+// both fail, or both succeed with identical requests.  A body that
+// decodes as a single solve must also rebuild from its body alias to that
+// request.
 func FuzzSolveBodyDifferential(f *testing.F) {
 	for _, s := range bodySeeds(f) {
 		f.Add([]byte(s))
@@ -118,6 +139,7 @@ func FuzzSolveBodyDifferential(f *testing.F) {
 		sameDecode(t, body, decodeSolveEnvelope)
 		sameDecode(t, body, decodeSolveRequest)
 		sameDecode(t, body, decodeJobRequest)
+		sameAlias(t, body)
 	})
 }
 

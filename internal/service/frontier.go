@@ -153,7 +153,7 @@ func (s *Server) planFrontier(req FrontierRequest, now time.Time) (*frontierPlan
 	// Validate under the first budget; solveFrontier overwrites the budget
 	// per point, which cannot invalidate an otherwise-valid request.
 	sr.Options.Budget = &budgets[0]
-	p, err := s.prepare(sr, now)
+	p, err := s.prepare(sr, nil, now)
 	if err != nil {
 		return nil, err
 	}

@@ -307,7 +307,7 @@ func (r *jobRegistry) submit(req JobRequest, now time.Time) (*job, error) {
 		jb.plan, p = plan, plan.p
 	} else {
 		var err error
-		if p, err = r.s.prepare(req.SolveRequest, now); err != nil {
+		if p, err = r.s.prepare(req.SolveRequest, nil, now); err != nil {
 			return nil, err
 		}
 		jb.p = p

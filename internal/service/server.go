@@ -40,11 +40,15 @@
 // (compiledCache) deduplicates the preprocessing itself: a hot DAG with
 // varying budgets or targets decodes, validates, compiles and hashes
 // exactly once across the pool, and repeats skip straight to the solve
-// (or to the result-cache hit).
+// (or to the result-cache hit).  A /v1/solve body resent byte for byte
+// is one SHA-256 and one lookup: once a body has been prepared as a
+// single solve, its key is an alias of the compiled entry that gives
+// back the request it decoded to, so the body is never scanned again.
 package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,13 +74,15 @@ type Config struct {
 	CacheEntries int
 	// CompiledEntries caps the compiled-instance LRU in front of the
 	// result cache; 0 means the 512 default, < 0 disables it (every
-	// request decodes and compiles).  The cap counts ENTRIES, not bytes:
-	// each entry retains the decoded instance, its CSR/breakpoint arrays
-	// and any lazily derived envelope or recognition state - a small
-	// multiple of the instance's wire size.  Deployments accepting large
-	// bodies (MaxBodyBytes) from untrusted clients should budget roughly
-	// CompiledEntries x a few x MaxBodyBytes of residency, and size the
-	// cap (or disable the cache) accordingly.
+	// request decodes and compiles, and no body is aliased).  The cap
+	// counts ENTRIES, not bytes: each entry retains the decoded instance,
+	// its CSR/breakpoint arrays and any lazily derived envelope or
+	// recognition state - a small multiple of the instance's wire size.
+	// Its instance and body aliases hold no request bytes: a key, and for
+	// a body the solver name, options and two offsets.  Deployments
+	// accepting large bodies (MaxBodyBytes) from untrusted clients should
+	// budget roughly CompiledEntries x a few x MaxBodyBytes of residency,
+	// and size the cap (or disable the cache) accordingly.
 	CompiledEntries int
 	// MaxBodyBytes caps request bodies; <= 0 means the 8 MiB default.
 	MaxBodyBytes int64
@@ -365,39 +371,58 @@ func (s *Server) storeStats() *store.Stats {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	env, ok := decodeBody(s, w, r, decodeSolveEnvelope)
-	if !ok {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		writeBadBody(w, err)
 		return
 	}
-	if len(env.Batch) > 0 {
-		if len(env.Instance) > 0 {
-			writeError(w, http.StatusBadRequest, "request has both a batch and an inline instance; send one or the other")
+	// A body already prepared as a single solve is one lookup: its alias
+	// gives back the request it decoded to and the compiled instance, and
+	// the body is never scanned again.
+	req, c, key, hit := s.compiled.getBody(body)
+	if !hit {
+		env, err := decodeSolveEnvelope(body)
+		if err != nil {
+			writeBadBody(w, err)
 			return
 		}
-		// Fan the items out under a semaphore: solves are bounded by the
-		// pool anyway, but decoding/hashing ahead of it is not free, and a
-		// single maximum-size body of tiny items must not turn into tens
-		// of thousands of parked goroutines — that would be exactly the
-		// hidden unbounded queue the pool's admission control exists to
-		// prevent.
-		resp := BatchResponse{Results: make([]SolveResponse, len(env.Batch))}
-		sem := make(chan struct{}, 2*s.pool.size())
-		var wg sync.WaitGroup
-		for i := range env.Batch {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				resp.Results[i], _ = s.solveOne(r.Context(), env.Batch[i], false)
-			}(i)
+		if len(env.Batch) > 0 {
+			s.solveBatch(w, r, env)
+			return
 		}
-		wg.Wait()
-		writeJSON(w, http.StatusOK, resp)
+		req = env.SolveRequest
+	}
+	resp, status := s.solveOne(r.Context(), req, false, &solveBody{bytes: body, key: key, c: c})
+	writeSolve(w, resp, status)
+}
+
+// solveBatch answers a batch body: each item solves through solveOne on
+// its own, with no body alias.
+func (s *Server) solveBatch(w http.ResponseWriter, r *http.Request, env solveEnvelope) {
+	if len(env.Instance) > 0 {
+		writeError(w, http.StatusBadRequest, "request has both a batch and an inline instance; send one or the other")
 		return
 	}
-	resp, status := s.solveOne(r.Context(), env.SolveRequest, false)
-	writeSolve(w, resp, status)
+	// Fan the items out under a semaphore: solves are bounded by the
+	// pool anyway, but decoding/hashing ahead of it is not free, and a
+	// single maximum-size body of tiny items must not turn into tens
+	// of thousands of parked goroutines — that would be exactly the
+	// hidden unbounded queue the pool's admission control exists to
+	// prevent.
+	resp := BatchResponse{Results: make([]SolveResponse, len(env.Batch))}
+	sem := make(chan struct{}, 2*s.pool.size())
+	var wg sync.WaitGroup
+	for i := range env.Batch {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			resp.Results[i], _ = s.solveOne(r.Context(), env.Batch[i], false, nil)
+		}(i)
+	}
+	wg.Wait()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // writeSolve answers a single (non-batch) solve: the SolveResponse on
@@ -428,10 +453,12 @@ type prepared struct {
 	owner string
 }
 
-// prepare decodes, compiles and validates req.  Any relative deadline in
-// the options is anchored at now, so a job's deadline budget starts at
-// submission, queueing included.
-func (s *Server) prepare(req SolveRequest, now time.Time) (*prepared, error) {
+// prepare decodes, compiles and validates req.  c, when not nil, is req's
+// instance compiled already (a /v1/solve body hit), so only the options
+// and the solver are checked.  Any relative deadline in the options is
+// anchored at now, so a job's deadline budget starts at submission,
+// queueing included.
+func (s *Server) prepare(req SolveRequest, c *core.Compiled, now time.Time) (*prepared, error) {
 	name := req.Solver
 	if name == "" {
 		name = "auto"
@@ -439,18 +466,22 @@ func (s *Server) prepare(req SolveRequest, now time.Time) (*prepared, error) {
 	if len(req.Instance) == 0 {
 		return nil, errors.New("missing instance")
 	}
-	// The compiled-instance cache is consulted on the RAW bytes first: a
-	// hot instance skips JSON decoding, validation, compilation and
-	// canonical hashing entirely.  Only on a miss is the wire document
-	// decoded and compiled, and even then an isomorphic encoding of a
-	// known DAG adopts the existing compiled form.
-	c, rawKey, compiledHit := s.compiled.get(req.Instance)
-	if !compiledHit {
-		var inst core.Instance
-		if err := inst.UnmarshalJSON(req.Instance); err != nil {
-			return nil, fmt.Errorf("invalid instance: %v", err)
+	compiledHit := c != nil
+	if c == nil {
+		// The compiled-instance cache is consulted on the RAW bytes first: a
+		// hot instance skips JSON decoding, validation, compilation and
+		// canonical hashing entirely.  Only on a miss is the wire document
+		// decoded and compiled, and even then an isomorphic encoding of a
+		// known DAG adopts the existing compiled form.
+		var rawKey [sha256.Size]byte
+		c, rawKey, compiledHit = s.compiled.get(req.Instance)
+		if !compiledHit {
+			var inst core.Instance
+			if err := inst.UnmarshalJSON(req.Instance); err != nil {
+				return nil, fmt.Errorf("invalid instance: %v", err)
+			}
+			c = s.compiled.add(rawKey, core.Compile(&inst))
 		}
-		c = s.compiled.add(rawKey, core.Compile(&inst))
 	}
 	opts, err := req.Options.Resolve(now)
 	if err != nil {
@@ -466,22 +497,40 @@ func (s *Server) prepare(req SolveRequest, now time.Time) (*prepared, error) {
 	return &prepared{name: name, c: c, compiledHit: compiledHit, req: req, opts: opts}, nil
 }
 
+// solveBody is the /v1/solve body a single request arrived in: the
+// bytes, their SHA-256 (the body key of the compiled cache) and, on a
+// body hit, the request's compiled instance.
+type solveBody struct {
+	bytes []byte
+	key   [sha256.Size]byte
+	c     *core.Compiled
+}
+
 // solveOne validates, hashes, and solves a single request through the
 // cache and pool, returning the response and the HTTP status a
 // single-solve endpoint should use for it (batch items embed the error
-// per item instead).  In cluster mode a request whose hash belongs to
+// per item instead).  body, when not nil, is the /v1/solve body req came
+// in: on a body miss, its key becomes an alias of req's compiled entry
+// once req is prepared.  In cluster mode a request whose hash belongs to
 // another node is forwarded to its owner by the request's flight;
 // viaPeer marks requests that already arrived over /internal/v1/solve,
 // which must solve here — forwarding them again could bounce between
 // nodes that disagree about membership (forward-once invariant).
-func (s *Server) solveOne(ctx context.Context, req SolveRequest, viaPeer bool) (SolveResponse, int) {
+func (s *Server) solveOne(ctx context.Context, req SolveRequest, viaPeer bool, body *solveBody) (SolveResponse, int) {
 	start := time.Now()
-	p, err := s.prepare(req, start)
+	var c *core.Compiled
+	if body != nil {
+		c = body.c
+	}
+	p, err := s.prepare(req, c, start)
 	if err != nil {
 		return SolveResponse{
 			Error:  err.Error(),
 			WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 		}, http.StatusBadRequest
+	}
+	if body != nil && body.c == nil {
+		s.compiled.addBody(body.key, body.bytes, req, p.c)
 	}
 	var owner string
 	if s.cluster != nil {

@@ -371,7 +371,7 @@ func BenchmarkWarmSeed(b *testing.B) {
 	if err := json.Unmarshal(body(shift), &req); err != nil {
 		b.Fatal(err)
 	}
-	p, err := svc.prepare(req, time.Now())
+	p, err := svc.prepare(req, nil, time.Now())
 	if err != nil {
 		b.Fatal(err)
 	}

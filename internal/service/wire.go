@@ -35,9 +35,10 @@ type SolveResponse struct {
 	// Cached reports that the response was served from the result cache
 	// or coalesced onto an identical in-flight solve, not recomputed.
 	Cached bool `json:"cached"`
-	// CompiledHit reports that the instance's raw bytes were already
-	// compiled: the request skipped JSON decoding, validation, compilation
-	// and canonical hashing, reusing the cached core.Compiled.
+	// CompiledHit reports that the instance's raw bytes, or the whole
+	// /v1/solve body, were already compiled: the request skipped JSON
+	// decoding, validation, compilation and canonical hashing, reusing the
+	// cached core.Compiled.
 	CompiledHit bool `json:"compiled_hit,omitempty"`
 	// StoreHit reports that the result was served from the durable store
 	// without queueing any solve: the answer survived a restart.

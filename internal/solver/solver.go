@@ -179,11 +179,6 @@ func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n
 // WithDeadline bounds the solve's wall time via a context deadline.
 func WithDeadline(d time.Time) Option { return func(o *Options) { o.Deadline = d } }
 
-// WithIncumbent seeds warm-startable solvers with a known-feasible flow
-// (see Options.Incumbent).  The slice is not copied; callers must not
-// mutate it during the solve.
-func WithIncumbent(f []int64) Option { return func(o *Options) { o.Incumbent = f } }
-
 // WithProgress subscribes fn to the solve's anytime trajectory (see
 // Options.Progress).  fn may be called from solver goroutines and must be
 // safe for concurrent use.
