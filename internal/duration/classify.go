@@ -72,21 +72,6 @@ func matchesKWay(ts []Tuple) bool {
 	return i == len(ts)
 }
 
-// ClassOf returns the most specific class kind of a single function:
-// KindConst for single-breakpoint functions, then KindBinary, KindKWay,
-// and KindStep as the general fallback.
-func ClassOf(f Func) string {
-	if len(f.Tuples()) == 1 {
-		return KindConst
-	}
-	for _, kind := range []string{KindBinary, KindKWay} {
-		if Matches(f, kind) {
-			return kind
-		}
-	}
-	return KindStep
-}
-
 // Classify returns the most specific class kind covering every function:
 // KindConst if all are constant, else KindBinary if all are recursive
 // binary splitting (or constant), else KindKWay if all are k-way

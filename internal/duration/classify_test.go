@@ -2,6 +2,8 @@ package duration
 
 import "testing"
 
+// TestClassOf checks the class of a single function: Classify of a
+// one-function slice.
 func TestClassOf(t *testing.T) {
 	tests := []struct {
 		name string
@@ -15,8 +17,8 @@ func TestClassOf(t *testing.T) {
 		{"saturating-kway", NewKWay(3), KindConst}, // no useful split
 	}
 	for _, tc := range tests {
-		if got := ClassOf(tc.fn); got != tc.want {
-			t.Errorf("%s: ClassOf = %q; want %q", tc.name, got, tc.want)
+		if got := Classify([]Func{tc.fn}); got != tc.want {
+			t.Errorf("%s: Classify = %q; want %q", tc.name, got, tc.want)
 		}
 	}
 }
@@ -28,15 +30,15 @@ func TestClassOfIsStructural(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ClassOf(asStep); got != KindKWay {
-		t.Fatalf("ClassOf(step-encoded kway) = %q; want %q", got, KindKWay)
+	if got := Classify([]Func{asStep}); got != KindKWay {
+		t.Fatalf("Classify(step-encoded kway) = %q; want %q", got, KindKWay)
 	}
 	asStep, err = NewStep(NewRecursiveBinary(64).Tuples())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ClassOf(asStep); got != KindBinary {
-		t.Fatalf("ClassOf(step-encoded binary) = %q; want %q", got, KindBinary)
+	if got := Classify([]Func{asStep}); got != KindBinary {
+		t.Fatalf("Classify(step-encoded binary) = %q; want %q", got, KindBinary)
 	}
 }
 

@@ -276,9 +276,3 @@ func MaxUsefulResource(f Func) int64 {
 	ts := f.Tuples()
 	return ts[len(ts)-1].R
 }
-
-// MinTime returns the duration of f under unlimited resources.
-func MinTime(f Func) int64 {
-	ts := f.Tuples()
-	return ts[len(ts)-1].T
-}

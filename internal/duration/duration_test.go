@@ -267,9 +267,6 @@ func TestHelpers(t *testing.T) {
 	if MaxUsefulResource(f) != 4 {
 		t.Fatalf("MaxUsefulResource = %d", MaxUsefulResource(f))
 	}
-	if MinTime(f) != 2 {
-		t.Fatalf("MinTime = %d", MinTime(f))
-	}
 }
 
 // TestWireKWayCap locks the DoS hardening found by FuzzCanonicalHash: a

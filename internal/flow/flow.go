@@ -167,16 +167,11 @@ func errNegativeBound(e int) error {
 // result is integral, matching the integrality argument of Lemma 3.3.
 //
 // MinFlow builds the transformed network from scratch on every call; for
-// repeated solves on one graph use MinFlowSolver, which reuses it.
+// repeated solves on one graph use MinFlowSolver, which reuses it.  The
+// solver is private to the call, so the returned EdgeFlow is the
+// caller's.
 func MinFlow(g *dag.Graph, lower []int64, s, t int) (Result, error) {
-	res, err := NewMinFlowSolver(g, s, t).Solve(lower)
-	if err != nil {
-		return Result{}, err
-	}
-	// The solver owns its EdgeFlow buffer; hand the caller a private copy
-	// to keep MinFlow's historical contract.
-	res.EdgeFlow = append([]int64(nil), res.EdgeFlow...)
-	return res, nil
+	return NewMinFlowSolver(g, s, t).Solve(lower)
 }
 
 // Conserved checks that f is a valid s-to-t flow on g: non-negative, with

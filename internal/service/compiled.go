@@ -16,15 +16,16 @@ import (
 // budgets, targets or solvers decodes and compiles exactly once across the
 // pool; only the solve itself remains per-options work.
 //
-// Three indexes serve three kinds of repeats:
+// Two indexes serve three kinds of repeats:
 //
-//   - byBody keys on the SHA-256 of a whole /v1/solve body that was
-//     prepared as a single solve.  The duplicate-heavy traffic the service
-//     is built for resends identical bodies, and a body hit skips even the
-//     body's scan: the entry's bodyAlias rebuilds the request.
-//   - byRaw keys on the SHA-256 of the request's RAW instance bytes, so
-//     the same instance under other options, or in a batch, job or sweep,
-//     skips the decode - the request never materializes an Instance.
+//   - byKey keys on a SHA-256 of bytes already seen.  A body key is the
+//     hash of a whole /v1/solve body that was prepared as a single solve:
+//     the duplicate-heavy traffic the service is built for resends
+//     identical bodies, and a body hit skips even the body's scan, since
+//     the key's bodyAlias rebuilds the request.  An instance key is the
+//     hash of a request's RAW instance bytes, so the same instance under
+//     other options, or in a batch, job or sweep, skips the decode - the
+//     request never materializes an Instance.
 //   - byHash keys on the canonical instance hash.  Two isomorphic
 //     encodings of the same DAG (renamed nodes, reordered arcs) decode to
 //     different bytes but compile to the same canonical hash; the second
@@ -32,10 +33,11 @@ import (
 //     (envelopes, series-parallel recognition) is shared instead of
 //     duplicated.
 //
-// Body and instance keys live in separate maps: a valid single-solve body
-// can be byte-identical to a valid instance document that carries an
-// extra "instance" member.  Both are aliases of an entry, capped together
-// by maxRawAliases and evicted with it.
+// A key keeps the role it was first registered in: a valid single-solve
+// body can be byte-identical to a valid instance document that carries an
+// extra "instance" member, and a body hit must never answer such an
+// instance, nor an instance hit such a body.  Keys are aliases of an
+// entry, capped by maxRawAliases and evicted with it.
 //
 // Compiled instances are immutable and all their lazy derivations are
 // internally synchronized, so one *core.Compiled is safely shared by every
@@ -44,11 +46,17 @@ type compiledCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	byBody   map[[sha256.Size]byte]*list.Element
-	byRaw    map[[sha256.Size]byte]*list.Element
+	byKey    map[[sha256.Size]byte]keyRef
 	byHash   map[string]*list.Element
 
 	hits, bodyHits, misses, aliased, evictions int64
+}
+
+// keyRef is what a byKey key names: an entry and, for a body key, the
+// request the body decoded to (nil for an instance key).
+type keyRef struct {
+	el   *list.Element
+	body *bodyAlias
 }
 
 // maxRawAliases bounds how many keys, instance and body keys together,
@@ -60,28 +68,25 @@ const maxRawAliases = 8
 
 // compiledEntry is one LRU slot.
 type compiledEntry struct {
-	hash    string
-	rawKeys [][sha256.Size]byte
-	bodies  []bodyAlias
-	c       *core.Compiled
+	hash string
+	keys [][sha256.Size]byte // its byKey keys, at most maxRawAliases
+	c    *core.Compiled
 }
 
-// bodyAlias is the request a /v1/solve body decoded to, kept under the
-// body's SHA-256 in the entry of the request's compiled instance: the
-// solver name, the options, and the instance as offsets into the body.
-// It holds no body bytes; request rebuilds the request from the bytes of
-// the body that hit.
+// bodyAlias is the request a /v1/solve body decoded to: the solver name,
+// the options, and the instance as offsets into the body.  It holds no
+// body bytes; request rebuilds the request from the bytes of the body
+// that hit.
 type bodyAlias struct {
-	key        [sha256.Size]byte
 	solver     string
 	opts       solver.WireOptions
 	start, end int // the instance is body[start:end]; both 0 when absent
 }
 
-// newBodyAlias records req, decoded from body, as a bodyAlias under key;
-// ok is false when req's instance is not a sub-slice of body.
-func newBodyAlias(key [sha256.Size]byte, body []byte, req SolveRequest) (a bodyAlias, ok bool) {
-	a = bodyAlias{key: key, solver: req.Solver, opts: req.Options}
+// newBodyAlias records req, decoded from body, as a bodyAlias; ok is
+// false when req's instance is not a sub-slice of body.
+func newBodyAlias(body []byte, req SolveRequest) (a bodyAlias, ok bool) {
+	a = bodyAlias{solver: req.Solver, opts: req.Options}
 	if len(req.Instance) == 0 {
 		return a, req.Instance == nil
 	}
@@ -136,8 +141,7 @@ func newCompiledCache(capacity int) *compiledCache {
 	return &compiledCache{
 		capacity: capacity,
 		ll:       list.New(),
-		byBody:   make(map[[sha256.Size]byte]*list.Element),
-		byRaw:    make(map[[sha256.Size]byte]*list.Element),
+		byKey:    make(map[[sha256.Size]byte]keyRef),
 		byHash:   make(map[string]*list.Element),
 	}
 }
@@ -151,27 +155,20 @@ func newCompiledCache(capacity int) *compiledCache {
 //rt:hotpath — first touch of every /v1/solve body; a repeated body skips its scan and its instance's own hash.
 func (cc *compiledCache) getBody(body []byte) (req SolveRequest, c *core.Compiled, key [sha256.Size]byte, ok bool) {
 	if cc.capacity <= 0 {
-		// Disabled cache: addBody never populates byBody, so skip hashing.
+		// Disabled cache: addBody never registers a key, so skip hashing.
 		return req, nil, key, false
 	}
 	key = sha256.Sum256(body)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	el, ok := cc.byBody[key]
-	if !ok {
+	ref, ok := cc.byKey[key]
+	if !ok || ref.body == nil {
 		return req, nil, key, false
 	}
-	ent := el.Value.(*compiledEntry)
-	for i := range ent.bodies {
-		if ent.bodies[i].key == key {
-			req = ent.bodies[i].request(body)
-			break
-		}
-	}
-	cc.ll.MoveToFront(el)
+	cc.ll.MoveToFront(ref.el)
 	cc.hits++
 	cc.bodyHits++
-	return req, ent.c, key, true
+	return ref.body.request(body), ref.el.Value.(*compiledEntry).c, key, true
 }
 
 // get returns the compiled instance for the raw instance bytes, if those
@@ -182,7 +179,7 @@ func (cc *compiledCache) getBody(body []byte) (req SolveRequest, c *core.Compile
 //rt:hotpath — first touch of every instance that is not a body hit; on a hot instance the whole compile pipeline collapses into this lookup.
 func (cc *compiledCache) get(raw []byte) (c *core.Compiled, rawKey [sha256.Size]byte, ok bool) {
 	if cc.capacity <= 0 {
-		// Disabled cache: a hit is impossible (add never populates byRaw),
+		// Disabled cache: a hit is impossible (add never registers a key),
 		// so do not pay SHA-256 over a possibly multi-MiB body; the zero
 		// key is fine because add ignores it when disabled.
 		return nil, rawKey, false
@@ -190,10 +187,10 @@ func (cc *compiledCache) get(raw []byte) (c *core.Compiled, rawKey [sha256.Size]
 	rawKey = sha256.Sum256(raw)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if el, ok := cc.byRaw[rawKey]; ok {
-		cc.ll.MoveToFront(el)
+	if ref, ok := cc.byKey[rawKey]; ok && ref.body == nil {
+		cc.ll.MoveToFront(ref.el)
 		cc.hits++
-		return el.Value.(*compiledEntry).c, rawKey, true
+		return ref.el.Value.(*compiledEntry).c, rawKey, true
 	}
 	// The miss is counted in add, not here: a body that never decodes (a
 	// 400) must not deflate the hit rate operators size the cache by.
@@ -214,30 +211,22 @@ func (cc *compiledCache) add(key [sha256.Size]byte, c *core.Compiled) *core.Comp
 		return c
 	}
 	if el, ok := cc.byHash[hash]; ok {
-		ent := el.Value.(*compiledEntry)
-		if _, dup := cc.byRaw[key]; !dup && ent.aliases() < maxRawAliases {
-			ent.rawKeys = append(ent.rawKeys, key)
-			cc.byRaw[key] = el
-		}
+		cc.alias(el, key, nil)
 		cc.ll.MoveToFront(el)
 		cc.aliased++
-		return ent.c
+		return el.Value.(*compiledEntry).c
 	}
 	cc.misses++
-	ent := &compiledEntry{hash: hash, rawKeys: [][sha256.Size]byte{key}, c: c}
-	el := cc.ll.PushFront(ent)
+	el := cc.ll.PushFront(&compiledEntry{hash: hash, c: c})
 	cc.byHash[hash] = el
-	cc.byRaw[key] = el
+	cc.alias(el, key, nil)
 	for cc.ll.Len() > cc.capacity {
 		oldest := cc.ll.Back()
 		cc.ll.Remove(oldest)
 		old := oldest.Value.(*compiledEntry)
 		delete(cc.byHash, old.hash)
-		for _, rk := range old.rawKeys {
-			delete(cc.byRaw, rk)
-		}
-		for i := range old.bodies {
-			delete(cc.byBody, old.bodies[i].key)
+		for _, k := range old.keys {
+			delete(cc.byKey, k)
 		}
 		cc.evictions++
 	}
@@ -249,27 +238,29 @@ func (cc *compiledCache) add(key [sha256.Size]byte, c *core.Compiled) *core.Comp
 // now prepared.  A body whose entry has been evicted meanwhile, or is
 // full, stays unaliased and decodes again when it repeats.
 func (cc *compiledCache) addBody(key [sha256.Size]byte, body []byte, req SolveRequest, c *core.Compiled) {
-	a, ok := newBodyAlias(key, body, req)
+	a, ok := newBodyAlias(body, req)
 	if !ok {
 		return
 	}
 	hash := c.Hash()
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	el, ok := cc.byHash[hash]
-	if !ok {
-		return
+	if el, ok := cc.byHash[hash]; ok {
+		cc.alias(el, key, &a)
 	}
-	ent := el.Value.(*compiledEntry)
-	if _, dup := cc.byBody[key]; dup || ent.aliases() >= maxRawAliases {
-		return
-	}
-	ent.bodies = append(ent.bodies, a)
-	cc.byBody[key] = el
 }
 
-// aliases counts the keys an entry is indexed under in byRaw and byBody.
-func (e *compiledEntry) aliases() int { return len(e.rawKeys) + len(e.bodies) }
+// alias indexes el's entry under key, as a body key when body is not nil,
+// unless key is already registered (in either role) or the entry is full.
+// The caller holds cc.mu.
+func (cc *compiledCache) alias(el *list.Element, key [sha256.Size]byte, body *bodyAlias) {
+	ent := el.Value.(*compiledEntry)
+	if _, dup := cc.byKey[key]; dup || len(ent.keys) >= maxRawAliases {
+		return
+	}
+	ent.keys = append(ent.keys, key)
+	cc.byKey[key] = keyRef{el: el, body: body}
+}
 
 // stats snapshots the counters.
 func (cc *compiledCache) stats() CompiledCacheStats {

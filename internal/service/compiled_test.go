@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // isoBodies returns two structurally different JSON encodings of the same
@@ -134,6 +136,33 @@ func TestCompiledCacheEviction(t *testing.T) {
 	}
 	if st := svc2.compiled.stats(); st.Hits != 0 || st.Size != 0 {
 		t.Fatalf("disabled compiled cache stats %+v; want no storage", st)
+	}
+}
+
+// TestCompiledAliasCap checks that one entry is indexed under at most
+// maxRawAliases keys, instance and body keys together: encodings and
+// bodies past the cap still resolve to the entry's compiled form, but
+// are not remembered.
+func TestCompiledAliasCap(t *testing.T) {
+	var inst core.Instance
+	if err := inst.UnmarshalJSON(storeInstanceJSON(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Instance i's bytes are {i, 0}; body i's are {i, 1}.
+	key := func(i, role byte) [sha256.Size]byte { return sha256.Sum256([]byte{i, role}) }
+	cc := newCompiledCache(2)
+	c := cc.add(key(0, 0), core.Compile(&inst))
+	for i := byte(0); i < maxRawAliases; i++ {
+		if got := cc.add(key(i, 0), core.Compile(&inst)); got != c {
+			t.Fatalf("encoding %d compiled anew; want the entry's compiled form", i)
+		}
+		cc.addBody(key(i, 1), nil, SolveRequest{}, c)
+	}
+	if n := compiledKeys(cc); n != 1+maxRawAliases {
+		t.Fatalf("the compiled cache holds %d keys; want the hash and %d aliases", n, maxRawAliases)
+	}
+	if _, _, ok := cc.get([]byte{maxRawAliases - 1, 0}); ok {
+		t.Fatal("an encoding past the alias cap was remembered")
 	}
 }
 
@@ -368,11 +397,34 @@ func TestBodyKeysNeverMatchInstances(t *testing.T) {
 	}
 }
 
-// compiledKeys counts the keys of the compiled cache's three maps.
+// TestInstanceKeysNeverMatchBodies is TestBodyKeysNeverMatchInstances
+// the other way round: once the document's bytes are an instance key, the
+// same bytes posted as a body must still decode as a body and answer its
+// inner instance, every time.
+func TestInstanceKeysNeverMatchBodies(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	inner := string(storeInstanceJSON(t, 0))
+	doc := `{"nodes":["s","t"],"edges":[{"from":0,"to":1,"fn":{"kind":"const","t0":7}}],"options":{"budget":1},"instance":` + inner + `}`
+	var asInstance SolveResponse
+	if status := postSolve(t, ts, `{"options":{"budget":1},"instance":`+doc+`}`, &asInstance); status != http.StatusOK || asInstance.InstanceArcs != 1 {
+		t.Fatalf("the document as an instance: status %d, %+v; want its own 1-arc graph", status, asInstance)
+	}
+	for i := 0; i < 2; i++ {
+		var asBody SolveResponse
+		if status := postSolve(t, ts, doc, &asBody); status != http.StatusOK || asBody.InstanceArcs != 6 {
+			t.Fatalf("the document as body %d: status %d, %+v; want the 6-arc inner instance", i, status, asBody)
+		}
+	}
+	if st := svc.compiled.stats(); st.BodyHits != 0 {
+		t.Fatalf("compiled stats %+v; bytes registered as an instance key must never be a body hit", st)
+	}
+}
+
+// compiledKeys counts the keys of the compiled cache's two maps.
 func compiledKeys(cc *compiledCache) int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return len(cc.byHash) + len(cc.byRaw) + len(cc.byBody)
+	return len(cc.byHash) + len(cc.byKey)
 }
 
 // TestBodyAliasesFollowTheirEntry checks that body aliases live and die
@@ -414,10 +466,15 @@ func TestBodyAliasesFollowTheirEntry(t *testing.T) {
 	}
 	wg.Wait()
 	svc.compiled.mu.Lock()
-	el, ok := svc.compiled.byBody[sha256.Sum256([]byte(body))]
+	ref, ok := svc.compiled.byKey[sha256.Sum256([]byte(body))]
+	ok = ok && ref.body != nil
 	var aliases int
 	if ok {
-		aliases = len(el.Value.(*compiledEntry).bodies)
+		for _, k := range ref.el.Value.(*compiledEntry).keys {
+			if svc.compiled.byKey[k].body != nil {
+				aliases++
+			}
+		}
 	}
 	svc.compiled.mu.Unlock()
 	if !ok || aliases != 1 {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,7 +116,7 @@ func sameAlias(t *testing.T, body []byte) {
 	if err != nil || len(env.Batch) > 0 {
 		return
 	}
-	a, ok := newBodyAlias(sha256.Sum256(body), body, env.SolveRequest)
+	a, ok := newBodyAlias(body, env.SolveRequest)
 	if !ok {
 		t.Fatalf("no body alias: the instance %q is not a span of the body", env.Instance)
 	}

@@ -11,8 +11,9 @@ import (
 
 // Auto-dispatch thresholds.
 const (
-	// autoSPCost caps m*(B+1)^2, the series-parallel DP work, before auto
-	// prefers an approximation over the exact DP.
+	// autoSPCost caps nodes*(B+1)^2, the series-parallel DP work over the
+	// decomposition tree's nodes, before auto prefers an approximation
+	// over the exact DP.
 	autoSPCost = int64(1) << 26
 	// autoSPMaxBudget is sqrt(autoSPCost): any larger budget exceeds
 	// autoSPCost on its own, and squaring it first could overflow int64.
@@ -66,18 +67,19 @@ func (autoSolver) Capabilities() Caps {
 // duration class, the expansion size and the assignment space - come off
 // the compiled form, where they are derived (and memoized) once instead of
 // recomputed per routing decision.  The rules, in order: a series-parallel
-// DAG (recognition is near-linear and memoized, so it runs at every size)
-// with affordable DP cost goes to the exact spdp; a recognized k-way or
-// recursive-binary duration class goes to the matching approximation
-// (budget mode only - those solvers have no min-resource variant) when its
-// dense LP is affordable; a small assignment space goes to exact
-// branch-and-bound under a node budget; an assignment space near that
-// threshold, when the caller explicitly asked for two or more workers,
-// races exact against a rounding rival (route name "race", the rival
-// returned as rival, which is empty on every other route); everything
-// else takes an LP-rounding approximation, size-routed: the dense
-// bi-criteria LP while the expansion stays small, the frankwolfe scale
-// tier beyond it.
+// DAG with affordable DP cost goes to the exact spdp (recognition runs on
+// every instance, with no arc cap: it is one near-linear reduction over
+// flat per-vertex state, memoized on the compiled form); a recognized
+// k-way or recursive-binary duration class goes to the matching
+// approximation (budget mode only - those solvers have no min-resource
+// variant) when its dense LP is affordable; a small assignment space goes
+// to exact branch-and-bound under a node budget; an assignment space near
+// that threshold, when the caller explicitly asked for two or more
+// workers, races exact against a rounding rival (route name "race", the
+// rival returned as rival, which is empty on every other route);
+// everything else takes an LP-rounding approximation, size-routed: the
+// dense bi-criteria LP while the expansion stays small, the frankwolfe
+// scale tier beyond it.
 func (autoSolver) route(c *core.Compiled, o Options) (name, reason string, opts Options, rival string) {
 	obj := o.Objective()
 	m := c.Inst.G.NumEdges()

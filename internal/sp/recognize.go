@@ -39,180 +39,104 @@ func Recognize(c *core.Compiled) (*Tree, map[*Tree]int, bool) {
 // applies (not series-parallel).
 //
 // The reduction is worklist-driven and near-linear: every applied
-// reduction removes one arc and performs O(1) amortized hash-map updates,
-// and a vertex or endpoint pair is re-examined only when one of its arcs
-// changed.
+// reduction removes one arc, and a vertex is re-examined only when one of
+// its arcs changed.  A vertex keeps only its alive degrees and the XOR of
+// its alive in-arc and out-arc ids: it is contracted only when both
+// degrees are one, and then the XORs are its two arcs.  Parallel arcs are
+// merged as they appear, so each endpoint pair holds at most one alive
+// arc.
 //
 //rt:deterministic — the tree is memoized on core.Compiled and shared; its shape must not depend on map iteration order.
 func recognize(inst *core.Instance) (*Tree, map[*Tree]int, bool) {
-	m := inst.G.NumEdges()
+	m, n := inst.G.NumEdges(), inst.G.NumNodes()
 	type arc struct {
 		from, to int
 		tree     *Tree
-		alive    bool
+	}
+	type vertex struct {
+		inDeg, outDeg int
+		inX, outX     int // XOR of the alive in-arc and out-arc ids
 	}
 	arcs := make([]arc, m)
+	vs := make([]vertex, n)
 	leafArc := make(map[*Tree]int, m)
-	// Per-node alive-arc sets.  Maps give O(1) amortized insert/delete and
-	// O(1) retrieval of the single member when a degree hits one.
-	in := make(map[int]map[int]struct{}, inst.G.NumNodes())
-	out := make(map[int]map[int]struct{}, inst.G.NumNodes())
-	addIn := func(v, e int) {
-		s := in[v]
-		if s == nil {
-			s = make(map[int]struct{}, 2)
-			in[v] = s
-		}
-		s[e] = struct{}{}
-	}
-	addOut := func(v, e int) {
-		s := out[v]
-		if s == nil {
-			s = make(map[int]struct{}, 2)
-			out[v] = s
-		}
-		s[e] = struct{}{}
-	}
-	// pairArcs groups alive arcs by endpoint pair for parallel merging.
-	// Entries can go stale (an arc died or was re-keyed by a series
-	// contraction); they are dropped lazily when their key is examined.
-	// Each arc enters at most one new key per contraction that consumes an
-	// arc, so total insertions stay O(m).
+	// pairs names each endpoint pair's one alive arc.  An arc dies or
+	// moves off its pair only when a contraction removes one of the pair's
+	// vertices, and a contracted vertex never gains an arc again, so a
+	// pair of two vertices that still have arcs never names a dead arc.
 	type pair struct{ from, to int }
-	pairArcs := make(map[pair][]int, m)
-	alive := m
-
+	pairs := make(map[pair]int, m)
+	alive := 0
 	for e := 0; e < m; e++ {
 		ed := inst.G.Edge(e)
 		leaf := Leaf(inst.Fns[e])
 		leafArc[leaf] = e
-		arcs[e] = arc{from: ed.From, to: ed.To, tree: leaf, alive: true}
-		addIn(ed.To, e)
-		addOut(ed.From, e)
-		pairArcs[pair{ed.From, ed.To}] = append(pairArcs[pair{ed.From, ed.To}], e)
-	}
-	s, t := inst.Source, inst.Sink
-
-	kill := func(e int) {
-		arcs[e].alive = false
-		delete(out[arcs[e].from], e)
-		delete(in[arcs[e].to], e)
-		alive--
-	}
-
-	// Worklists.  seen* de-duplicate pending entries so each is queued at
-	// most once per change that touches it.
-	var pendingPairs []pair
-	var pendingNodes []int
-	inPairQ := make(map[pair]bool, m)
-	inNodeQ := make(map[int]bool, inst.G.NumNodes())
-	pushPair := func(p pair) {
-		if !inPairQ[p] {
-			inPairQ[p] = true
-			pendingPairs = append(pendingPairs, p)
-		}
-	}
-	pushNode := func(v int) {
-		if v != s && v != t && !inNodeQ[v] {
-			inNodeQ[v] = true
-			pendingNodes = append(pendingNodes, v)
-		}
-	}
-	// Seed the pair worklist in arc order, not map order: the order pairs
-	// are examined shapes the decomposition tree (Parallel/Series nesting),
-	// and the memoized tree must come out identical on every run so that
-	// downstream DP witnesses - and anything cached from them - are
-	// byte-stable.  pushPair de-duplicates, so arcs sharing a pair cost
-	// nothing extra.
-	for e := 0; e < m; e++ {
-		pushPair(pair{arcs[e].from, arcs[e].to})
-	}
-	for v := 0; v < inst.G.NumNodes(); v++ {
-		pushNode(v)
-	}
-
-	// mergeParallel collapses every alive arc under key p onto one arc.
-	mergeParallel := func(p pair) {
-		list := pairArcs[p]
-		w := 0
-		for _, e := range list {
-			if arcs[e].alive && arcs[e].from == p.from && arcs[e].to == p.to {
-				list[w] = e
-				w++
-			}
-		}
-		list = list[:w]
-		if len(list) >= 2 {
-			keep := list[0]
-			for _, drop := range list[1:] {
-				arcs[keep].tree = Parallel(arcs[keep].tree, arcs[drop].tree)
-				kill(drop)
-			}
-			list = list[:1]
-			pushNode(p.from)
-			pushNode(p.to)
-		}
-		if len(list) == 0 {
-			delete(pairArcs, p)
-		} else {
-			pairArcs[p] = list
-		}
-	}
-
-	for len(pendingPairs) > 0 || len(pendingNodes) > 0 {
-		for len(pendingPairs) > 0 {
-			p := pendingPairs[len(pendingPairs)-1]
-			pendingPairs = pendingPairs[:len(pendingPairs)-1]
-			inPairQ[p] = false
-			mergeParallel(p)
-		}
-		if len(pendingNodes) == 0 {
-			break
-		}
-		v := pendingNodes[len(pendingNodes)-1]
-		pendingNodes = pendingNodes[:len(pendingNodes)-1]
-		inNodeQ[v] = false
-		if len(in[v]) != 1 || len(out[v]) != 1 {
+		p := pair{ed.From, ed.To}
+		if k, ok := pairs[p]; ok {
+			arcs[k].tree = Parallel(arcs[k].tree, leaf)
 			continue
 		}
-		// len(in[v]) == 1 and len(out[v]) == 1 were just checked: a
-		// single-member map has exactly one iteration, so no order exists.
-		var i, j int
-		//rt:unordered — singleton map, see above
-		for e := range in[v] {
-			i = e
+		pairs[p] = e
+		arcs[e] = arc{from: ed.From, to: ed.To, tree: leaf}
+		vs[ed.From].outDeg++
+		vs[ed.From].outX ^= e
+		vs[ed.To].inDeg++
+		vs[ed.To].inX ^= e
+		alive++
+	}
+
+	// The order vertices are contracted in shapes the tree's nesting, and
+	// the memoized tree must come out identical on every run so that DP
+	// witnesses, and anything cached from them, are byte-stable: the
+	// worklist is a stack seeded in vertex order.
+	s, t := inst.Source, inst.Sink
+	queued := make([]bool, n)
+	var pending []int
+	push := func(v int) {
+		if v != s && v != t && !queued[v] {
+			queued[v] = true
+			pending = append(pending, v)
 		}
-		//rt:unordered — singleton map, see above
-		for e := range out[v] {
-			j = e
+	}
+	for v := 0; v < n; v++ {
+		push(v)
+	}
+	for len(pending) > 0 {
+		v := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		queued[v] = false
+		if vs[v].inDeg != 1 || vs[v].outDeg != 1 {
+			continue
 		}
-		if i == j {
-			continue // self loop; not a DAG anyway
-		}
-		// Series contraction: u -i-> v -j-> w becomes u -i-> w.
+		// Series contraction: u -i-> v -j-> w becomes u -i-> w ...
+		i, j := vs[v].inX, vs[v].outX
 		u, w := arcs[i].from, arcs[j].to
-		arcs[i].tree = Series(arcs[i].tree, arcs[j].tree)
-		kill(j)
-		delete(in[v], i)
-		arcs[i].to = w
-		addIn(w, i)
-		np := pair{u, w}
-		pairArcs[np] = append(pairArcs[np], i)
-		pushPair(np)
-		pushNode(u)
-		pushNode(w)
+		tree := Series(arcs[i].tree, arcs[j].tree)
+		vs[v] = vertex{}
+		p := pair{u, w}
+		if k, ok := pairs[p]; ok {
+			// ... and merges into k, the arc already on u -> w.
+			arcs[k].tree = Parallel(arcs[k].tree, tree)
+			vs[u].outDeg--
+			vs[u].outX ^= i
+			vs[w].inDeg--
+			vs[w].inX ^= j
+			alive -= 2
+		} else {
+			arcs[i].tree = tree
+			arcs[i].to = w
+			pairs[p] = i
+			vs[w].inX ^= i ^ j
+			alive--
+		}
+		push(u)
+		push(w)
 	}
 
 	if alive != 1 {
 		return nil, nil, false
 	}
-	for e := range arcs {
-		if arcs[e].alive {
-			if arcs[e].from == s && arcs[e].to == t {
-				return arcs[e].tree, leafArc, true
-			}
-			break
-		}
-	}
-	return nil, nil, false
+	// No reduction takes the source's last out-arc (nor the sink's last
+	// in-arc), so the one arc left runs from s to t.
+	return arcs[vs[s].outX].tree, leafArc, true
 }

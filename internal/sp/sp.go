@@ -247,60 +247,42 @@ func (tb *Tables) MinResource(target int64) (int64, bool) {
 }
 
 // Allocation extracts a per-leaf resource assignment achieving
-// T(root, budget) by walking the tables top-down: series children inherit
-// the full budget (reuse over the path); parallel children take the best
-// split found in the table.
+// T(root, budget).
 func (tb *Tables) Allocation(budget int64) (map[*Tree]int64, error) {
-	if budget < 0 || budget > tb.Budget {
-		return nil, fmt.Errorf("sp: budget %d outside solved range [0, %d]", budget, tb.Budget)
-	}
 	alloc := make(map[*Tree]int64)
-	var walk func(t *Tree, l int64)
-	walk = func(t *Tree, l int64) {
-		switch t.Kind {
-		case LeafKind:
-			alloc[t] = l
-		case SeriesKind:
-			walk(t.L, l)
-			walk(t.R, l)
-		case ParallelKind:
-			a, b := tb.table[t.L], tb.table[t.R]
-			want := tb.table[t][l]
-			for i := int64(0); i <= l; i++ {
-				m := a[i]
-				if b[l-i] > m {
-					m = b[l-i]
-				}
-				if m == want {
-					walk(t.L, i)
-					walk(t.R, l-i)
-					return
-				}
-			}
-			panic("sp: table inconsistency") // unreachable
-		}
+	if err := tb.walk(budget, func(leaf *Tree, l int64) { alloc[leaf] = l }); err != nil {
+		return nil, err
 	}
-	walk(tb.Root, budget)
 	return alloc, nil
 }
 
 // Flow converts the optimal table solution at the given budget into a
-// valid flow on the materialized instance: the budget routed into a series
-// composition traverses both halves (reuse over the path), and a parallel
-// composition splits it according to the table's best split.
+// valid flow on inst, putting each leaf's units on the arc leafArc maps it
+// to.
 func (tb *Tables) Flow(inst *core.Instance, leafArc map[*Tree]int, budget int64) ([]int64, error) {
-	if budget < 0 || budget > tb.Budget {
-		return nil, fmt.Errorf("sp: budget %d outside solved range [0, %d]", budget, tb.Budget)
-	}
 	f := make([]int64, inst.G.NumEdges())
-	var walk func(t *Tree, l int64)
-	walk = func(t *Tree, l int64) {
+	if err := tb.walk(budget, func(leaf *Tree, l int64) { f[leafArc[leaf]] = l }); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// walk hands each leaf the units the optimal table solution at budget
+// routes through it, walking the tables top-down: the budget routed into
+// a series composition traverses both halves (reuse over the path), and a
+// parallel composition splits it by the table's best split.
+func (tb *Tables) walk(budget int64, leaf func(t *Tree, l int64)) error {
+	if budget < 0 || budget > tb.Budget {
+		return fmt.Errorf("sp: budget %d outside solved range [0, %d]", budget, tb.Budget)
+	}
+	var rec func(t *Tree, l int64)
+	rec = func(t *Tree, l int64) {
 		switch t.Kind {
 		case LeafKind:
-			f[leafArc[t]] = l
+			leaf(t, l)
 		case SeriesKind:
-			walk(t.L, l)
-			walk(t.R, l)
+			rec(t.L, l)
+			rec(t.R, l)
 		case ParallelKind:
 			a, b := tb.table[t.L], tb.table[t.R]
 			want := tb.table[t][l]
@@ -310,14 +292,14 @@ func (tb *Tables) Flow(inst *core.Instance, leafArc map[*Tree]int, budget int64)
 					m = b[l-i]
 				}
 				if m == want {
-					walk(t.L, i)
-					walk(t.R, l-i)
+					rec(t.L, i)
+					rec(t.R, l-i)
 					return
 				}
 			}
 			panic("sp: table inconsistency") // unreachable
 		}
 	}
-	walk(tb.Root, budget)
-	return f, nil
+	rec(tb.Root, budget)
+	return nil
 }
